@@ -10,8 +10,11 @@ same process:
   every layer replica timed one by one, nothing memoized.
 
 Asserts the two produce identical series (1e-9 relative) and that the
-engine is ≥5× faster, then writes the measurements to ``BENCH_engine.json``
-at the repo root — the repo's recorded perf trajectory.  Also times the
+engine is ≥5× faster, then writes the measurements.  A direct run
+(``PYTHONPATH=src python benchmarks/perf/bench_engine_speed.py``) writes
+``BENCH_engine.json`` at the repo root — the repo's recorded perf
+trajectory; a pytest run writes the git-ignored ``.bench/BENCH_engine.json``
+so a test run never dirties the tree.  Also times the
 batch runner serving the same scenarios out of a warm result store
 (``serve_warm_seconds`` — a pure file-read replay, asserted compute-free)
 and the HTTP daemon serving the same set warm over real sockets
@@ -36,6 +39,7 @@ Collected in the default pytest run via ``benchmarks/conftest.py``.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -51,12 +55,18 @@ from repro.analysis.figures import (
 from repro.arch.gpu import build_gpu_system
 from repro.core.model import Optimus
 from repro.core.timing_cache import NullTimingCache, default_timing_cache
-from repro.parallel.mapper import map_inference, map_training
+from repro.parallel.mapper import (
+    default_mapping_cache,
+    map_inference,
+    map_training,
+)
 from repro.units import NS, TBPS
 from repro.workloads.llm import GPT3_76B, LLAMA_405B
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
+#: Where a pytest run writes its measurements (git-ignored).
+TEST_RESULT_PATH = REPO_ROOT / ".bench" / "BENCH_engine.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
 
 #: Committed-baseline regression tolerance (wall-clock is machine-noisy;
@@ -132,10 +142,21 @@ def _max_rel_err(a, b) -> float:
     )
 
 
+def _result_path() -> Path:
+    """``RESULT_PATH`` when this file was run as a script (which runs
+    pytest on itself), else the git-ignored ``TEST_RESULT_PATH``."""
+    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
+    if main_file and Path(main_file).resolve() == Path(__file__).resolve():
+        return RESULT_PATH
+    return TEST_RESULT_PATH
+
+
 def test_engine_speed_vs_seed_flat_timing():
-    # Cold-start the shared cache so the engine pass is not pre-warmed by
-    # earlier tests in the same process.
+    # Cold-start the shared caches so the engine pass is not pre-warmed by
+    # earlier tests in the same process (mappings carry their decode-step
+    # programs, so they are cleared too).
     default_timing_cache().clear()
+    default_mapping_cache().clear()
 
     t0 = time.perf_counter()
     fig5 = fig5_training_bandwidth_sweep(bandwidths_tbps=FIG5_BANDWIDTHS)
@@ -215,7 +236,9 @@ def test_engine_speed_vs_seed_flat_timing():
             "end to end over real sockets"
         ),
     }
-    RESULT_PATH.write_text(json.dumps(result, indent=1) + "\n")
+    result_path = _result_path()
+    result_path.parent.mkdir(parents=True, exist_ok=True)
+    result_path.write_text(json.dumps(result, indent=1) + "\n")
 
     print(
         f"\nengine {engine_seconds * 1e3:.1f} ms vs flat seed "

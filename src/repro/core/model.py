@@ -25,6 +25,7 @@ walk to float precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.arch.system import SystemSpec
 from repro.core.report import GEMMBreakdown, InferenceReport, TrainingReport
@@ -48,67 +49,6 @@ class _OpListTiming:
     gemm_memory_bound_time: float
     gemm_compute_bound_time: float
     flops: float
-
-
-class _TimingAccumulator:
-    """Mutable accumulator behind :class:`_OpListTiming` construction."""
-
-    __slots__ = (
-        "timer",
-        "total",
-        "compute_kernel_time",
-        "comm_exposed_time",
-        "memory_bound_time",
-        "compute_bound_time",
-        "gemm_memory_bound_time",
-        "gemm_compute_bound_time",
-        "flops",
-    )
-
-    def __init__(self, timer) -> None:
-        self.timer = timer
-        self.total = 0.0
-        self.compute_kernel_time = 0.0
-        self.comm_exposed_time = 0.0
-        self.memory_bound_time = 0.0
-        self.compute_bound_time = 0.0
-        self.gemm_memory_bound_time = 0.0
-        self.gemm_compute_bound_time = 0.0
-        self.flops = 0.0
-
-    def add(self, op: Op, weight: float = 1.0) -> None:
-        """Account ``op`` executed ``weight`` times."""
-        if isinstance(op, ComputeKernel):
-            timing = self.timer.time_compute(op)
-            elapsed = timing.time * weight
-            self.total += elapsed
-            self.compute_kernel_time += elapsed
-            self.flops += op.flops * weight
-            if timing.bound is Boundedness.MEMORY:
-                self.memory_bound_time += elapsed
-                if op.is_gemm:
-                    self.gemm_memory_bound_time += elapsed
-            else:
-                self.compute_bound_time += elapsed
-                if op.is_gemm:
-                    self.gemm_compute_bound_time += elapsed
-        else:
-            timing = self.timer.time_comm(op)
-            exposed = timing.exposed_time * weight
-            self.total += exposed
-            self.comm_exposed_time += exposed
-
-    def freeze(self) -> _OpListTiming:
-        return _OpListTiming(
-            total=self.total,
-            compute_kernel_time=self.compute_kernel_time,
-            comm_exposed_time=self.comm_exposed_time,
-            memory_bound_time=self.memory_bound_time,
-            compute_bound_time=self.compute_bound_time,
-            gemm_memory_bound_time=self.gemm_memory_bound_time,
-            gemm_compute_bound_time=self.gemm_compute_bound_time,
-            flops=self.flops,
-        )
 
 
 class Optimus:
@@ -150,19 +90,54 @@ class Optimus:
     # ------------------------------------------------------------------ utils
     def time_ops(self, ops: tuple[Op, ...] | list[Op]) -> _OpListTiming:
         """Time an op list executed serially on one accelerator."""
-        acc = _TimingAccumulator(self._timer)
-        for op in ops:
-            acc.add(op)
-        return acc.freeze()
+        return self._accumulate(((ops, 1.0),))
 
     def time_program(self, program: OpProgram) -> _OpListTiming:
         """Time an op program: each segment once, scaled by its repeat."""
-        acc = _TimingAccumulator(self._timer)
-        for segment in program.segments:
-            weight = float(segment.repeat)
-            for op in segment.ops:
-                acc.add(op, weight)
-        return acc.freeze()
+        return self._accumulate(
+            (segment.ops, float(segment.repeat)) for segment in program.segments
+        )
+
+    def _accumulate(
+        self, spans: Iterable[tuple[Sequence[Op], float]]
+    ) -> _OpListTiming:
+        """Time ``(ops, weight)`` spans serially: each op once, its time
+        scaled by the span's weight, summed in op order."""
+        time_compute = self._timer.time_compute
+        time_comm = self._timer.time_comm
+        memory = Boundedness.MEMORY
+        total = kernel_time = comm_time = 0.0
+        memory_bound = compute_bound = gemm_memory = gemm_compute = flops = 0.0
+        for ops, weight in spans:
+            for op in ops:
+                if isinstance(op, ComputeKernel):
+                    timing = time_compute(op)
+                    elapsed = timing.time * weight
+                    total += elapsed
+                    kernel_time += elapsed
+                    flops += op.flops * weight
+                    if timing.bound is memory:
+                        memory_bound += elapsed
+                        if op.is_gemm:
+                            gemm_memory += elapsed
+                    else:
+                        compute_bound += elapsed
+                        if op.is_gemm:
+                            gemm_compute += elapsed
+                else:
+                    exposed = time_comm(op).exposed_time * weight
+                    total += exposed
+                    comm_time += exposed
+        return _OpListTiming(
+            total=total,
+            compute_kernel_time=kernel_time,
+            comm_exposed_time=comm_time,
+            memory_bound_time=memory_bound,
+            compute_bound_time=compute_bound,
+            gemm_memory_bound_time=gemm_memory,
+            gemm_compute_bound_time=gemm_compute,
+            flops=flops,
+        )
 
     def _time(self, program: OpProgram) -> _OpListTiming:
         """Program timing honoring the ``use_programs`` equivalence switch."""

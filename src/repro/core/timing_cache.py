@@ -22,6 +22,7 @@ the perf benchmarks use it to reproduce the seed's flat-timing cost.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 from repro.arch.system import Accelerator, AnyFabric
@@ -93,11 +94,15 @@ class KernelTimingCache:
     ``n_entries`` no longer account for the detached entries.  Size
     ``max_configs`` to the working set of live configurations (one per
     concurrently-live ``Optimus``).
+
+    Binding is safe to share between threads: the LRU bookkeeping runs
+    under a lock.
     """
 
     def __init__(self, max_configs: int = 64) -> None:
         require_positive("max_configs", max_configs)
         self.max_configs = max_configs
+        self._lock = threading.Lock()
         self._compute: OrderedDict[
             Accelerator, dict[ComputeKernel, KernelTiming]
         ] = OrderedDict()
@@ -115,14 +120,15 @@ class KernelTimingCache:
         return BoundTimings(self, accelerator, compute, comm)
 
     def _sub(self, table: OrderedDict, key) -> dict:
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {}
-        else:
-            table.move_to_end(key)
-        while len(table) > self.max_configs:
-            table.popitem(last=False)
-        return entry
+        with self._lock:
+            entry = table.get(key)
+            if entry is None:
+                entry = table[key] = {}
+            else:
+                table.move_to_end(key)
+            while len(table) > self.max_configs:
+                table.popitem(last=False)
+            return entry
 
     # -- direct lookups ----------------------------------------------------
     def time_compute(
@@ -140,9 +146,10 @@ class KernelTimingCache:
     @property
     def n_entries(self) -> int:
         """Total memoized timings across all configurations."""
-        return sum(len(sub) for sub in self._compute.values()) + sum(
-            len(sub) for sub in self._comm.values()
-        )
+        with self._lock:
+            return sum(len(sub) for sub in self._compute.values()) + sum(
+                len(sub) for sub in self._comm.values()
+            )
 
     @property
     def hit_rate(self) -> float:
@@ -152,10 +159,11 @@ class KernelTimingCache:
 
     def clear(self) -> None:
         """Drop all memoized timings and reset counters."""
-        self._compute.clear()
-        self._comm.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._compute.clear()
+            self._comm.clear()
+            self.hits = 0
+            self.misses = 0
 
 
 class NullTimingCache(KernelTimingCache):

@@ -15,6 +15,9 @@ per-device kernel lists the Optimus evaluator times:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,6 +47,11 @@ from repro.workloads.transformer import (
 #: Bytes of optimizer state per parameter (bf16 weights + grads, fp32 Adam
 #: moments and master copy ≈ 18 B — the usual mixed-precision recipe).
 OPTIMIZER_BYTES_PER_PARAM = 18.0
+
+#: Decode-step programs kept per inference mapping.  An evaluation times
+#: ``decode_samples`` (default 9) context lengths, the same ones for every
+#: system that reuses the mapping.
+_DECODE_PROGRAMS_PER_MAPPING = 16
 
 from repro.workloads.operators import KernelKind
 
@@ -143,6 +151,8 @@ class MappedInference:
     Prefill and decode-step kernel streams are run-length-encoded
     :class:`~repro.workloads.operators.OpProgram` objects; ``prefill_ops``
     and ``decode_ops_at`` flatten them back to the seed representation.
+    ``decode_program_at`` memoizes the last few contexts it built, and a
+    copy rebound to another system shares that memo.
     """
 
     model: LLMConfig
@@ -373,6 +383,7 @@ def map_inference(
         prefill_shape, prefill_shape.n_tokens, Phase.PREFILL
     )
 
+    @functools.lru_cache(maxsize=_DECODE_PROGRAMS_PER_MAPPING)
     def decode_program_at(context: int) -> OpProgram:
         shape = LayerShape(
             n_tokens=batch,
@@ -410,31 +421,35 @@ class MappingCache:
     capacity checks (``fits_memory``) still see the live system.
 
     Hit/miss counters expose the dedup for tests and diagnostics.  The cache
-    is bounded LRU (``max_entries`` distinct mapping keys).
+    is bounded LRU (``max_entries`` distinct mapping keys) and safe to share
+    between threads: a miss builds outside the lock, and when two threads
+    build one key at once both get the first entry stored.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
         require_positive("max_entries", max_entries)
-        from collections import OrderedDict
-
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, MappedTraining | MappedInference]" = (
             OrderedDict()
         )
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def _lookup(self, key: tuple, build: Callable[[], "MappedTraining | MappedInference"]):
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = build()
-            self._entries[key] = entry
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry
+        built = build()
+        with self._lock:
             self.misses += 1
+            entry = self._entries.setdefault(key, built)
+            self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-        else:
-            self._entries.move_to_end(key)
-            self.hits += 1
         return entry
 
     def map_training(
@@ -519,9 +534,10 @@ class MappingCache:
 
     def clear(self) -> None:
         """Drop all cached mappings and reset counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
 
 
 #: Process-wide default shared by the scenario runner (and thus every sweep

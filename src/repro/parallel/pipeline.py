@@ -5,18 +5,30 @@ from: each stage performs ``p - s`` warm-up forwards, then alternates one
 forward / one backward, then drains.  For uniform stages the total is the
 classic ``(m + p - 1)(t_f + t_b)``, i.e. bubble fraction ``(p-1)/(m+p-1)``.
 
-``simulate_1f1b`` is an exact event-driven evaluation of the schedule's
-dependency graph, so non-uniform stages (unequal layer counts, embedding and
-LM-head stages) and point-to-point latencies are handled without
-approximation.
+``simulate_1f1b`` is an exact evaluation of the schedule's dependency
+graph, so non-uniform stages (unequal layer counts, embedding and LM-head
+stages) and point-to-point latencies are handled without approximation.
+The graph depends only on the stage and microbatch counts, so its
+topological order is built once per ``(p, m)`` pair and replayed in a
+single pass for every set of stage times.
 """
 
 from __future__ import annotations
 
+import functools
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import MappingError, require_non_negative, require_positive
+
+#: ``(p, m)`` pairs whose replay order is kept.  A sweep uses a few dozen;
+#: an order costs 9 bytes per operation (2·p·m operations).
+_ORDER_MEMO_PAIRS = 64
+
+# Operation kinds of a replay order.  The first and last stages are split
+# out because their forward / backward has no upstream / downstream input.
+_BWD, _FWD, _BWD_LAST, _FWD_FIRST = range(4)
 
 
 @dataclass(frozen=True)
@@ -49,13 +61,77 @@ def analytic_1f1b(
     ) * p2p_time
 
 
+@functools.lru_cache(maxsize=_ORDER_MEMO_PAIRS)
+def _replay_order(p: int, m: int) -> tuple[bytes, array, array]:
+    """A topological order of the 1F1B dependency graph of ``p`` stages and
+    ``m`` microbatches, as ``(kinds, stages, slots)`` with one entry per
+    operation and ``slot = stage * m + microbatch``.
+
+    Each stage runs its program in order: ``min(m, p - s)`` warm-up
+    forwards, then alternating backward / forward.  Across stages,
+    F(s, j) waits for F(s-1, j) and B(s, j) for B(s+1, j); B(s, j) follows
+    F(s, j) in the stage's own program.  The order is the one an
+    event-driven sweep finds: visit the stages in turn, running each as
+    far as its inputs allow, until every operation has run.
+    """
+    programs = []
+    for s in range(p):
+        warmup = min(m, p - s)
+        program = [(False, j) for j in range(warmup)]
+        for j in range(m):
+            program.append((True, j))
+            if warmup + j < m:
+                program.append((False, warmup + j))
+        programs.append(program)
+
+    # Each stage runs its forwards, and its backwards, in microbatch order,
+    # so "F(s, j) has run" is ``forwards_run[s] > j``.
+    forwards_run = [0] * p
+    backwards_run = [0] * p
+    pointer = [0] * p
+    kinds, stages, slots = bytearray(), array("i"), array("i")
+    while len(kinds) < 2 * p * m:
+        before = len(kinds)
+        for s, program in enumerate(programs):
+            k = pointer[s]
+            while k < len(program):
+                backward, j = program[k]
+                if backward:
+                    if s < p - 1:
+                        if backwards_run[s + 1] <= j:
+                            break
+                        kinds.append(_BWD)
+                    else:
+                        kinds.append(_BWD_LAST)
+                    backwards_run[s] += 1
+                else:
+                    if s > 0:
+                        if forwards_run[s - 1] <= j:
+                            break
+                        kinds.append(_FWD)
+                    else:
+                        kinds.append(_FWD_FIRST)
+                    forwards_run[s] += 1
+                stages.append(s)
+                slots.append(s * m + j)
+                k += 1
+            pointer[s] = k
+        if len(kinds) == before:
+            raise MappingError("1F1B schedule deadlocked (internal error)")
+    return bytes(kinds), stages, slots
+
+
 def simulate_1f1b(
     stage_fwd_times: Sequence[float],
     stage_bwd_times: Sequence[float],
     n_microbatches: int,
     p2p_time: float = 0.0,
 ) -> PipelineTiming:
-    """Event-driven evaluation of the non-interleaved 1F1B schedule.
+    """Exact evaluation of the non-interleaved 1F1B schedule.
+
+    Every operation starts when both its stage is free and its input has
+    arrived (``max``), and ends one stage time later; operations are
+    evaluated in a memoized topological order of the dependency graph.
 
     Parameters
     ----------
@@ -73,60 +149,29 @@ def simulate_1f1b(
     require_non_negative("p2p_time", p2p_time)
     m = n_microbatches
 
-    # Per-stage operation sequences of the schedule.
-    sequences: list[list[tuple[str, int]]] = []
-    for s in range(p):
-        warmup = min(m, p - s)
-        seq: list[tuple[str, int]] = [("F", j) for j in range(warmup)]
-        next_fwd = warmup
-        for j in range(m):
-            seq.append(("B", j))
-            if next_fwd < m:
-                seq.append(("F", next_fwd))
-                next_fwd += 1
-        sequences.append(seq)
-
-    fwd_end: list[list[float | None]] = [[None] * m for _ in range(p)]
-    bwd_end: list[list[float | None]] = [[None] * m for _ in range(p)]
+    kinds, stages, slots = _replay_order(p, m)
+    fwd_end = [0.0] * (p * m)
+    bwd_end = [0.0] * (p * m)
     stage_time = [0.0] * p
-    pointer = [0] * p
-    remaining = sum(len(seq) for seq in sequences)
-
-    while remaining:
-        progressed = False
-        for s in range(p):
-            while pointer[s] < len(sequences[s]):
-                kind, j = sequences[s][pointer[s]]
-                if kind == "F":
-                    if s == 0:
-                        ready = 0.0
-                    else:
-                        upstream = fwd_end[s - 1][j]
-                        if upstream is None:
-                            break
-                        ready = upstream + p2p_time
-                    start = max(stage_time[s], ready)
-                    fwd_end[s][j] = start + stage_fwd_times[s]
-                    stage_time[s] = fwd_end[s][j]
-                else:
-                    own_fwd = fwd_end[s][j]
-                    if own_fwd is None:
-                        break
-                    if s == p - 1:
-                        ready = own_fwd
-                    else:
-                        downstream = bwd_end[s + 1][j]
-                        if downstream is None:
-                            break
-                        ready = max(own_fwd, downstream + p2p_time)
-                    start = max(stage_time[s], ready)
-                    bwd_end[s][j] = start + stage_bwd_times[s]
-                    stage_time[s] = bwd_end[s][j]
-                pointer[s] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise MappingError("1F1B schedule deadlocked (internal error)")
+    # ``ready if ready > t else t`` is ``max(t, ready)`` without the call.
+    for kind, s, i in zip(kinds, stages, slots):
+        t = stage_time[s]
+        if kind == _BWD:
+            ready = fwd_end[i]
+            downstream = bwd_end[i + m] + p2p_time
+            if downstream > ready:
+                ready = downstream
+            t = bwd_end[i] = (ready if ready > t else t) + stage_bwd_times[s]
+        elif kind == _FWD:
+            ready = fwd_end[i - m] + p2p_time
+            t = fwd_end[i] = (ready if ready > t else t) + stage_fwd_times[s]
+        elif kind == _BWD_LAST:
+            ready = fwd_end[i]
+            t = bwd_end[i] = (ready if ready > t else t) + stage_bwd_times[s]
+        else:
+            ready = 0.0
+            t = fwd_end[i] = (ready if ready > t else t) + stage_fwd_times[s]
+        stage_time[s] = t
 
     total = max(stage_time)
     busy = tuple(

@@ -232,7 +232,7 @@ def run_many(
         if digest in outcomes or any(d == digest for d, _ in to_compute):
             continue
         if caching:
-            cached = store.get(scenario)
+            cached = store.get(scenario, _digest=digest)
             if cached is not None:
                 outcomes[digest] = cached
                 continue
@@ -252,7 +252,10 @@ def run_many(
             payload = outcome["artifacts"]
             if persisting:
                 outcomes[digest] = store.put(
-                    scenario, payload, wall_time_s=outcome["wall_time_s"]
+                    scenario,
+                    payload,
+                    wall_time_s=outcome["wall_time_s"],
+                    _digest=digest,
                 )
             else:
                 outcomes[digest] = stored_from_payload(

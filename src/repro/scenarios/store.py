@@ -516,9 +516,14 @@ class ResultStore:
         return path_for_digest(digest)
 
     # -- traffic ------------------------------------------------------------
-    def get(self, scenario: Scenario) -> StoredResult | None:
-        """The stored result, or ``None`` (miss *or* unusable entry)."""
-        digest = self.digest(scenario)
+    def get(
+        self, scenario: Scenario, *, _digest: str | None = None
+    ) -> StoredResult | None:
+        """The stored result, or ``None`` (miss *or* unusable entry).
+
+        ``_digest`` is for callers in this package that already hold
+        ``self.digest(scenario)``."""
+        digest = self.digest(scenario) if _digest is None else _digest
         entry = self._read_entry(digest)
         if entry is None:
             return None
@@ -604,6 +609,7 @@ class ResultStore:
         *,
         provenance: Provenance | None = None,
         wall_time_s: float | None = None,
+        _digest: str | None = None,
     ) -> StoredResult:
         """Store a result (or a pre-built artifact payload) and return the
         stored view.
@@ -616,12 +622,13 @@ class ResultStore:
         are set, :meth:`gc` runs after the write.  Raises
         :class:`~repro.errors.ConfigError` on a read-only backend — use
         :func:`run_cached`, which skips persistence on mirrors.
+        ``_digest`` is as in :meth:`get`.
         """
         if isinstance(result, ScenarioResult):
             payload: Mapping[str, Any] = artifact_payload(result)
         else:
             payload = result
-        digest = self.digest(scenario)
+        digest = self.digest(scenario) if _digest is None else _digest
         if provenance is None:
             provenance = current_provenance(wall_time_s)
         entry = {
@@ -783,19 +790,23 @@ def run_cached(
     if isinstance(store, (str, Path)):
         store = ResultStore(store)
     caching = store is not None and use_cache
+    digest = None
     if caching:
-        cached = store.get(scenario)
+        digest = store.digest(scenario)
+        cached = store.get(scenario, _digest=digest)
         if cached is not None:
             return cached
     t0 = time.perf_counter()
     result = run_scenario(scenario, workers=workers)
     wall_time_s = time.perf_counter() - t0
     if caching and store.writable:
-        return store.put(scenario, result, wall_time_s=wall_time_s)
-    schema = store.schema_version if store is not None else SCHEMA_VERSION
-    return stored_from_payload(
-        scenario, artifact_payload(result), scenario_digest(scenario, schema)
-    )
+        return store.put(
+            scenario, result, wall_time_s=wall_time_s, _digest=digest
+        )
+    if digest is None:
+        schema = store.schema_version if store is not None else SCHEMA_VERSION
+        digest = scenario_digest(scenario, schema)
+    return stored_from_payload(scenario, artifact_payload(result), digest)
 
 
 __all__ = [

@@ -33,6 +33,7 @@ or from the shell: ``python -m repro serve --port 8035``.
 from __future__ import annotations
 
 import gzip
+import socket
 import sys
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -67,6 +68,27 @@ class ReproHTTPServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def shutdown(self) -> None:
+        """Stop ``serve_forever`` now rather than at its next poll.
+
+        The stock loop sees a shutdown request only when its ``select``
+        returns, by default every 0.5 s.  Setting the request and then
+        connecting to the listening socket makes ``select`` return at
+        once; the loop exits before it accepts the wake-up connection.
+        """
+        # The flag BaseServer.shutdown() sets; set first, so the loop that
+        # wakes sees it.
+        self._BaseServer__shutdown_request = True
+        host, port = self.server_address[:2]
+        if host in ("", "0.0.0.0", "::"):
+            ipv6 = self.address_family == socket.AF_INET6
+            host = "::1" if ipv6 else "127.0.0.1"
+        try:
+            socket.create_connection((host, port), timeout=1.0).close()
+        except OSError:
+            pass  # the poll still notices the request
+        super().shutdown()
 
     def server_close(self) -> None:
         super().server_close()

@@ -37,6 +37,12 @@ class KernelKind(enum.Enum):
     ROUTER = "router"
 
 
+#: Kernel kinds in the paper's "GEMM" bucket.
+_GEMM_KINDS = frozenset(
+    (KernelKind.GEMM, KernelKind.ATTN_SCORE, KernelKind.ATTN_CONTEXT)
+)
+
+
 class Phase(enum.Enum):
     """Where in the end-to-end schedule a kernel executes."""
 
@@ -86,7 +92,13 @@ class ComputeKernel:
         Schedule phase.
     is_gemm:
         Whether the kernel belongs to the paper's "GEMM" bucket (Fig. 5
-        inset separates GEMM time from the rest).
+        inset separates GEMM time from the rest).  Derived from ``kind``
+        at construction, not a field.
+
+    The timing memo hashes a kernel on every lookup, so the hash is
+    computed once at construction.  Pickling rebuilds the kernel from its
+    fields, so an unpickled kernel hashes under the receiving process's
+    string-hash seed and still hits that process's memo.
     """
 
     name: str
@@ -114,6 +126,27 @@ class ComputeKernel:
             object.__setattr__(
                 self, "working_set_bytes", self.bytes_read + self.bytes_written
             )
+        object.__setattr__(self, "is_gemm", self.kind in _GEMM_KINDS)
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (
+            self.name,
+            self.kind,
+            self.flops,
+            self.bytes_read,
+            self.bytes_written,
+            self.working_set_bytes,
+            self.weight_bytes,
+            self.resident_set_bytes,
+            self.phase,
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), self._fields())
 
     @property
     def placement_bytes(self) -> float:
@@ -134,15 +167,6 @@ class ComputeKernel:
         """FLOPs per byte (∞ for pure-compute kernels)."""
         total = self.bytes_total
         return self.flops / total if total > 0 else float("inf")
-
-    @property
-    def is_gemm(self) -> bool:
-        """Whether the kernel counts as a GEMM in the paper's breakdown."""
-        return self.kind in (
-            KernelKind.GEMM,
-            KernelKind.ATTN_SCORE,
-            KernelKind.ATTN_CONTEXT,
-        )
 
     def scaled(self, factor: float) -> "ComputeKernel":
         """Kernel with flops/bytes multiplied by ``factor`` (batching)."""
@@ -181,6 +205,25 @@ class CommKernel:
                 f"{self.name} overlap_fraction must be in [0,1], "
                 f"got {self.overlap_fraction}"
             )
+        # Hashed once, rebuilt from fields on unpickle: as ComputeKernel.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (
+            self.name,
+            self.pattern,
+            self.n_bytes,
+            self.participants,
+            self.phase,
+            self.overlap_fraction,
+            self.spans_groups,
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), self._fields())
 
 
 #: Union type for task-graph entries.

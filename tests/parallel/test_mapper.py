@@ -7,10 +7,12 @@ import pytest
 from repro.errors import MappingError
 from repro.parallel.mapper import (
     OPTIMIZER_BYTES_PER_PARAM,
+    MappingCache,
     map_inference,
     map_training,
 )
 from repro.parallel.strategy import ParallelConfig
+from repro.units import TBPS
 from repro.workloads.llm import GPT3_175B, GPT3_76B, LLAMA_405B
 from repro.workloads.operators import CommKernel, ComputeKernel, KernelKind
 
@@ -152,3 +154,36 @@ class TestInferenceMapping:
                 parallel=ParallelConfig(tensor_parallel=8, pipeline_parallel=8),
                 batch=8,
             )
+
+
+class TestDecodeProgramMemo:
+    """Decode-step programs are built once per (mapping, context) and
+    shared by every system a cached mapping is rebound to."""
+
+    def test_repeat_calls_return_the_same_program(self, scd_system_16tbps):
+        mapped = map_inference(LLAMA_405B, scd_system_16tbps, batch=8)
+        program = mapped.decode_program_at(300)
+        assert mapped.decode_program_at(300) is program
+        assert mapped.decode_program_at(301) is not program
+        assert mapped.decode_ops_at(300) == program.flatten()
+
+    def test_rebound_mapping_shares_the_programs(self, scd_system):
+        cache = MappingCache()
+        systems = [scd_system.with_dram_bandwidth(bw * TBPS) for bw in (2, 4, 8)]
+        mapped = [
+            cache.map_inference(LLAMA_405B, system, batch=8) for system in systems
+        ]
+        assert (cache.hits, cache.misses) == (2, 1)
+        assert [m.system for m in mapped] == systems
+        program = mapped[0].decode_program_at(250)
+        assert all(m.decode_program_at(250) is program for m in mapped)
+
+    def test_memo_is_bounded(self, scd_system_16tbps):
+        mapped = map_inference(LLAMA_405B, scd_system_16tbps, batch=8)
+        first = mapped.decode_program_at(200)
+        for context in range(201, 300):
+            mapped.decode_program_at(context)
+        info = mapped.decode_program_at.cache_info()
+        assert info.currsize == info.maxsize < 99
+        assert mapped.decode_program_at(200) is not first
+        assert mapped.decode_program_at(200) == first

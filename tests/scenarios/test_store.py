@@ -113,6 +113,23 @@ class TestHitMissInvalidate:
         assert entry.size_bytes > 0
         assert entry.digest == store.digest(scenario)
 
+    def test_cold_run_digests_the_spec_once(self, store, monkeypatch):
+        calls = []
+
+        def counting(scenario, schema_version=SCHEMA_VERSION):
+            calls.append(scenario.name)
+            return scenario_digest(scenario, schema_version)
+
+        monkeypatch.setattr("repro.scenarios.store.scenario_digest", counting)
+        scenario = tiny_scenario()
+        cold = run_cached(scenario, store)
+        assert len(calls) == 1 and store.stats.puts == 1
+        assert cold.digest == scenario_digest(scenario)
+        assert run_cached(scenario, store).from_cache
+        assert len(calls) == 2
+        run_cached(scenario, None)
+        assert len(calls) == 3
+
     def test_no_cache_bypasses_both_directions(self, store):
         scenario = tiny_scenario()
         result = run_cached(scenario, store, use_cache=False)

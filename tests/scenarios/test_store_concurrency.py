@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.arch.config import SystemConfig
@@ -314,20 +316,32 @@ class TestCorruptionSelfHealMidRace:
                     pass
                 store.put(scenario, payload_for(0, 1))
 
+        writing = threading.Event()
+        writing.set()
+
         def reader(seed: int) -> int:
+            # Read for as long as the corruptor writes (and at least
+            # n_rounds times): readers that finish before the first torn
+            # write would never see one.
             healed = 0
-            for _ in range(n_rounds):
+            rounds = 0
+            while rounds < n_rounds or writing.is_set():
+                rounds += 1
                 hit = store.get(scenario)
                 if hit is None:
                     healed += 1
                 else:
                     check_hit(0, hit)
+                time.sleep(0.0002)  # leave the corruptor the interpreter
             return healed
 
         with ThreadPoolExecutor(4) as pool:
             corrupt_future = pool.submit(corruptor)
             reader_futures = [pool.submit(reader, s) for s in range(3)]
-            corrupt_future.result(timeout=120)
+            try:
+                corrupt_future.result(timeout=120)
+            finally:
+                writing.clear()
             [f.result(timeout=120) for f in reader_futures]
 
         assert store.stats.corrupt > 0  # the sabotage was actually seen

@@ -13,12 +13,15 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
 5. A *mid-compute* ConfigError is no longer a blanket 400: a registry
    (server-owned) spec failing is a 500/``compute-failed``; only a
    client-sent inline spec is blamed as 400/``invalid-scenario``.
+6. ``shutdown()`` stops the accept loop at once: it used to return only
+   after ``serve_forever``'s next select timeout (0.5 s by default).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 
 import pytest
@@ -28,6 +31,7 @@ from repro.scenarios import get
 from repro.scenarios.batch import run_many
 from repro.scenarios.store import ResultStore, scenario_digest
 from repro.serving.app import ServeStats, ServingApp
+from repro.serving.server import create_server
 
 
 @pytest.fixture
@@ -190,3 +194,27 @@ class TestComputeErrorClassification:
         )
         assert with_inline.status == 400
         assert with_inline.body["error"] == "invalid-scenario"
+
+
+class TestShutdownIsImmediate:
+    def test_shutdown_does_not_wait_for_the_poll(self, tmp_path):
+        server = create_server(port=0, cache=f"file://{tmp_path}/store")
+        # A poll this long would hold a polled shutdown for half a minute.
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 30.0}
+        )
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+            conn.close()
+        finally:
+            started = time.monotonic()
+            server.shutdown()
+            elapsed = time.monotonic() - started
+            server.server_close()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert elapsed < 5.0

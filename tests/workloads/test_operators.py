@@ -1,16 +1,25 @@
-"""Kernel-vocabulary tests: FLOP/byte accounting."""
+"""Kernel-vocabulary tests: FLOP/byte accounting, hashing and pickling."""
 
 from __future__ import annotations
+
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.timing_cache import KernelTimingCache
 from repro.errors import ConfigError
 from repro.workloads.operators import (
     CommPattern,
     ComputeKernel,
     KernelKind,
+    Phase,
     all_reduce,
     elementwise,
     embedding_lookup,
@@ -116,3 +125,54 @@ class TestCommKernels:
     def test_point_to_point(self):
         kernel = point_to_point("p2p", 1e6)
         assert kernel.participants == 2
+
+
+#: Builds the same two kernels in a child process and pickles them, with
+#: the child's string-hash value of the name to prove its seed differs.
+_PICKLE_IN_CHILD = """
+import pickle, sys
+from repro.workloads.operators import Phase, all_reduce, gemm
+kernels = (gemm("qkv", 64, 96, 128, phase=Phase.DECODE), all_reduce("ar", 4096.0, 8))
+sys.stdout.buffer.write(pickle.dumps((hash("qkv"), kernels)))
+"""
+
+
+class TestHashAndPickle:
+    def test_equal_kernels_hash_equal(self):
+        kernel = gemm("g", 8, 16, 32)
+        rebuilt = dataclasses.replace(kernel)
+        assert rebuilt is not kernel
+        assert rebuilt == kernel and hash(rebuilt) == hash(kernel)
+        assert hash(kernel.with_residency(1e9)) != hash(kernel)
+
+    def test_kernel_from_another_hash_seed_hits_the_memo(self, scd_system_16tbps):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        local_kernels = (
+            gemm("qkv", 64, 96, 128, phase=Phase.DECODE),
+            all_reduce("ar", 4096.0, 8),
+        )
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _PICKLE_IN_CHILD],
+                env=env, capture_output=True, check=True, timeout=60,
+            ).stdout
+            child_name_hash, kernels = pickle.loads(out)
+            if child_name_hash != hash("qkv"):
+                break
+        assert child_name_hash != hash("qkv"), "child ran under our hash seed"
+
+        for unpickled, local in zip(kernels, local_kernels):
+            assert unpickled == local
+            assert hash(unpickled) == hash(local)
+        compute, comm = kernels
+        assert compute.is_gemm
+
+        cache = KernelTimingCache()
+        timer = cache.bind(scd_system_16tbps.accelerator)
+        timer.time_compute(local_kernels[0])
+        timer.time_comm(local_kernels[1])
+        assert (cache.hits, cache.misses) == (0, 2)
+        timer.time_compute(compute)
+        timer.time_comm(comm)
+        assert (cache.hits, cache.misses) == (2, 2)
