@@ -13,17 +13,18 @@ Subcommands:
 * ``run-all``            — serve every registered scenario through the batch
   runner (``--kind`` filters, ``--workers`` fans scenarios out);
 * ``serve``              — run the HTTP serving daemon over the store
-  (``--port --workers --cache --cache-dir --max-cache-bytes
-  --max-cache-entries --shard``);
+  (``--port --workers --job-workers --max-queue --cache``);
 * ``cache stats|clear|gc`` — inspect, empty or LRU-shrink the result store.
 
 ``run``/``sweep``/``run-all`` consult the store first (re-running a cached
 scenario is a pure backend read; ``served from result store`` is reported
 on stderr), and accept ``--no-cache`` (bypass the store entirely — nothing
-read or written), ``--cache URL`` (a storage-backend address: ``mem://``,
-``file:///path?shard=1``, ``ro:///mirror``, or comma-separated tiers like
-``mem://,file:///path``; supersedes ``--cache-dir``) and ``--cache-dir
-DIR`` (default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/scenarios``).
+read or written).  Every command that touches the store names it with
+``--cache`` (also spelled ``--cache-dir``): a bare cache directory
+(default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/scenarios``) or a
+storage-backend URL — ``mem://``,
+``file:///path?shard=1&max_bytes=N&max_entries=N``, ``ro:///mirror``, or
+comma-separated tiers like ``mem://,file:///path``.
 ``--out DIR`` emits the staged artifacts
 the qml-cutensornet-style pipelines use: ``<name>_raw.json`` (spec +
 per-point values), ``<name>.csv`` (grid scenarios) and ``<name>.txt``
@@ -65,23 +66,6 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _store(args: argparse.Namespace) -> ResultStore:
-    cache = getattr(args, "cache", None)
-    if cache:
-        if getattr(args, "cache_dir", None):
-            # Never silently drop an explicit flag: the operator said two
-            # different things about where the store lives.  (Tier lists
-            # are schemes-only, so the hint wraps bare paths in file://.)
-            first = cache if "://" in cache else f"file://{cache}"
-            raise ConfigError(
-                "--cache and --cache-dir are mutually exclusive; name the "
-                f"directory as a tier instead: --cache "
-                f"\"{first},file://{args.cache_dir}\""
-            )
-        return ResultStore(cache)  # URL addressing (or a bare path)
-    return ResultStore(args.cache_dir)
-
-
 def _execute(args: argparse.Namespace, require_grid: bool) -> int:
     scenario = resolve_scenario(args.name)
     if require_grid and scenario.grid is None:
@@ -92,7 +76,7 @@ def _execute(args: argparse.Namespace, require_grid: bool) -> int:
         return 2
     result = run_cached(
         scenario,
-        _store(args),
+        ResultStore(args.cache),
         use_cache=not args.no_cache,
         workers=args.workers,
     )
@@ -127,7 +111,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         return 1
     batch = run_many(
         names,
-        store=_store(args),
+        store=ResultStore(args.cache),
         use_cache=not args.no_cache,
         workers=args.workers,
     )
@@ -150,23 +134,19 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     import os as _os
 
-    store = _store(args)
+    store = ResultStore(args.cache)
     # A missing or unreadable cache dir is an audit failure *when the
-    # operator named the location* (--cache, --cache-dir, or the env
-    # override): pointing at a wrong mount must exit non-zero with a
-    # structured message, never a silent zero count (or a traceback).
-    # The never-created default dir, by contrast, is just an empty store.
-    explicit_location = bool(
-        getattr(args, "cache", None)
-        or getattr(args, "cache_dir", None)
-        or _os.environ.get(CACHE_DIR_ENV)
-    )
+    # operator named the location* (--cache or the env override):
+    # pointing at a wrong mount must exit non-zero with a structured
+    # message, never a silent zero count (or a traceback).  The
+    # never-created default dir, by contrast, is just an empty store.
+    explicit_location = bool(args.cache or _os.environ.get(CACHE_DIR_ENV))
     cache_dir = store.cache_dir
     if cache_dir is not None and explicit_location:
         if not cache_dir.exists():
             print(
                 f"error: cache-dir-missing: {cache_dir} does not exist "
-                "(nothing cached yet, or the wrong --cache/--cache-dir?)",
+                "(nothing cached yet, or the wrong --cache?)",
                 file=sys.stderr,
             )
             return 2
@@ -254,14 +234,14 @@ def _age_of(created_unix: float) -> str:
 
 
 def _cmd_cache_clear(args: argparse.Namespace) -> int:
-    store = _store(args)
+    store = ResultStore(args.cache)
     removed = store.clear()
     print(f"removed {removed} cached result(s) from {store.url}")
     return 0
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    store = _store(args)
+    store = ResultStore(args.cache)
     if args.max_bytes is None and args.max_entries is None:
         print(
             "error: cache gc needs --max-bytes and/or --max-entries",
@@ -286,11 +266,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.host,
         args.port,
         cache=args.cache,
-        cache_dir=args.cache_dir,
         workers=args.workers,
-        max_cache_bytes=args.max_cache_bytes,
-        max_cache_entries=args.max_cache_entries,
-        shard=args.shard,
         job_workers=args.job_workers,
         max_queue=args.max_queue,
         trust_puts=args.trust_puts,
@@ -302,19 +278,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
-        default=None,
-        metavar="URL",
-        help="result-store backend address: mem://, file:///path?shard=1, "
-        "ro:///mirror, http://peer:8035, ring://a:8035;b:8035?replicas=2, "
-        "or comma-separated tiers such as mem://,file:///path "
-        "(supersedes --cache-dir)",
-    )
-    parser.add_argument(
         "--cache-dir",
+        dest="cache",
         default=None,
-        metavar="DIR",
-        help="result-store location (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro/scenarios)",
+        metavar="URL_OR_DIR",
+        help="the result store: a cache directory (default: "
+        "$REPRO_CACHE_DIR or ~/.cache/repro/scenarios) or a backend URL — "
+        "mem://, file:///path?shard=1&max_bytes=N&max_entries=N, "
+        "ro:///mirror, http://peer:8035, ring://a:8035;b:8035?replicas=2, "
+        "or comma-separated tiers such as mem://,file:///path",
     )
 
 
@@ -401,25 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="queued-job bound; beyond it cold POST /run answers 429 "
         "with Retry-After (default 64)",
-    )
-    p_serve.add_argument(
-        "--max-cache-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LRU-evict the store above this size after every put",
-    )
-    p_serve.add_argument(
-        "--max-cache-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LRU-evict the store above this entry count after every put",
-    )
-    p_serve.add_argument(
-        "--shard",
-        action="store_true",
-        help="write entries under two-hex-prefix shard directories",
     )
     p_serve.add_argument(
         "--trust-puts",

@@ -31,9 +31,10 @@ no workloads mapped, no kernels timed (the cache-correctness suite asserts
 the kernel-timing counters do not move), and the replayed artifacts are
 byte-identical to the cold run's regardless of which backend served them.
 
-Stores are addressable by URL everywhere one is accepted
-(:func:`run_cached`, :func:`~repro.scenarios.batch.run_many`, the serving
-daemon, the CLI's ``--cache``): ``mem://``, ``file:///path?shard=1``,
+A store is named by a URL or a bare cache-dir path, and by nothing else,
+everywhere one is accepted (:func:`run_cached`,
+:func:`~repro.scenarios.batch.run_many`, the serving daemon, the CLI's
+``--cache``): ``mem://``, ``file:///path?shard=1&max_bytes=N&max_entries=N``,
 ``ro:///mirror``, ``http://peer:8035`` (a remote daemon as a tier),
 ``ring://a;b?replicas=2`` (consistent-hash federation), or
 comma-separated tiers — see :mod:`repro.scenarios.backends.url`.
@@ -88,18 +89,22 @@ def default_cache_dir() -> Path:
 
 
 def canonical_spec_json(
-    scenario: Scenario, schema_version: int = SCHEMA_VERSION
+    scenario: "Scenario | Mapping[str, Any]",
+    schema_version: int = SCHEMA_VERSION,
 ) -> str:
-    """The canonical serialization the digest is computed over."""
+    """The canonical serialization the digest is computed over, of a
+    scenario or of its ``to_dict`` form (the spec a stored entry carries)."""
+    spec = scenario.to_dict() if isinstance(scenario, Scenario) else scenario
     return json.dumps(
-        {"schema_version": schema_version, "scenario": scenario.to_dict()},
+        {"schema_version": schema_version, "scenario": spec},
         sort_keys=True,
         separators=(",", ":"),
     )
 
 
 def scenario_digest(
-    scenario: Scenario, schema_version: int = SCHEMA_VERSION
+    scenario: "Scenario | Mapping[str, Any]",
+    schema_version: int = SCHEMA_VERSION,
 ) -> str:
     """Content address of a scenario's result: sha256 of the canonical spec
     JSON + schema version."""
@@ -113,6 +118,72 @@ def is_digest(value: str) -> bool:
     chars) — the validation behind :meth:`ResultStore.read_digest` and the
     serving daemon's ``/results`` routes."""
     return bool(DIGEST_RE.fullmatch(value))
+
+
+class EntryError(ValueError):
+    """Entry bytes failing :func:`parse_entry`; ``slug`` names the check:
+    ``invalid-entry``, ``schema-mismatch`` or ``digest-mismatch``."""
+
+    def __init__(self, slug: str, detail: str) -> None:
+        super().__init__(detail)
+        self.slug = slug
+
+
+def parse_entry(
+    data: bytes,
+    digest: str,
+    schema_version: int = SCHEMA_VERSION,
+    *,
+    verify_spec: bool = False,
+) -> dict[str, Any]:
+    """Decode the stored entry for ``digest``, or raise :class:`EntryError`.
+
+    Every read checks JSON, the format marker, the schema version, the
+    digest field and the artifact shape.  ``verify_spec`` also requires
+    the spec's canonical hash to be ``digest`` (the replication check on
+    ``PUT``; warm reads trust the digest field instead of hashing).
+    """
+    try:
+        entry = json.loads(data)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise EntryError("invalid-entry", f"entry is not JSON: {exc}") from None
+    if not isinstance(entry, dict) or entry.get("format") != STORE_FORMAT:
+        raise EntryError(
+            "invalid-entry",
+            f"not a result-store entry (missing {STORE_FORMAT!r} marker)",
+        )
+    if entry.get("schema_version") != schema_version:
+        raise EntryError(
+            "schema-mismatch",
+            f"entry schema_version {entry.get('schema_version')!r} != "
+            f"store schema_version {schema_version}",
+        )
+    if entry.get("digest") != digest:
+        raise EntryError(
+            "digest-mismatch",
+            f"entry claims digest {str(entry.get('digest'))[:72]!r}, "
+            f"expected {digest!r}",
+        )
+    if verify_spec:
+        scenario = entry.get("scenario")
+        if not isinstance(scenario, dict):
+            raise EntryError(
+                "invalid-entry", "entry carries no scenario spec object"
+            )
+        actual = scenario_digest(scenario, schema_version)
+        if actual != digest:
+            raise EntryError(
+                "digest-mismatch",
+                f"the spec's canonical hash is {actual}, not {digest}",
+            )
+    artifacts = entry.get("artifacts")
+    if (
+        not isinstance(artifacts, dict)
+        or not isinstance(artifacts.get("raw"), dict)
+        or not isinstance(artifacts.get("text"), str)
+    ):
+        raise EntryError("invalid-entry", "entry artifact payload is malformed")
+    return entry
 
 
 @functools.lru_cache(maxsize=1)
@@ -398,15 +469,14 @@ class ResultStore:
     and reported as a miss, so the caller always falls back to recompute.
 
     The backend is chosen by the first argument: a plain path (or nothing)
-    builds the default local-filesystem backend honoring
-    ``shard``/``max_bytes``/``max_entries``; a URL string (``mem://``,
-    ``file:///path?shard=1``, ``ro:///mirror``, ``http://peer:8035``,
-    ``ring://a;b``, comma-separated tiers)
-    routes through :func:`~repro.scenarios.backends.url.backend_from_url`;
-    an explicit ``backend=`` takes anything satisfying
+    builds a plain local cache directory; a URL string (``mem://``,
+    ``file:///path?shard=1&max_bytes=N&max_entries=N``, ``ro:///mirror``,
+    ``http://peer:8035``, ``ring://a;b``, comma-separated tiers) routes
+    through :func:`~repro.scenarios.backends.url.backend_from_url`; an
+    explicit ``backend=`` takes anything satisfying
     :class:`~repro.scenarios.backends.base.StoreBackend`.
 
-    Eviction: ``max_bytes`` / ``max_entries`` cap the default backend with
+    Eviction: the URL's ``max_bytes`` / ``max_entries`` cap a backend with
     LRU semantics over entry mtimes — ``put`` stamps one, a ``get`` hit
     refreshes it, and :meth:`gc` (invoked automatically after every ``put``
     when a cap is set, or explicitly / via CLI ``cache gc``) drops the
@@ -423,28 +493,8 @@ class ResultStore:
         cache_dir: "str | Path | None" = None,
         schema_version: int = SCHEMA_VERSION,
         *,
-        max_bytes: int | None = None,
-        max_entries: int | None = None,
-        shard: bool = False,
         backend: StoreBackend | None = None,
     ) -> None:
-        explicit_knobs = (
-            max_bytes is not None or max_entries is not None or shard
-        )
-        if backend is not None or (
-            isinstance(cache_dir, str) and is_store_url(cache_dir)
-        ):
-            # URL addressing/explicit backends carry their own knobs (as
-            # query parameters / constructor arguments); the keyword knobs
-            # only configure the default backend and must conflict loudly
-            # rather than be silently discarded.
-            if explicit_knobs:
-                raise ConfigError(
-                    "shard/max_bytes/max_entries only configure the "
-                    "default cache-dir backend; with a store URL put them "
-                    "in the URL (file:///path?shard=1&max_bytes=N), with "
-                    "an explicit backend pass them to its constructor"
-                )
         if backend is not None and cache_dir is not None:
             raise ConfigError(
                 "cache_dir and backend are mutually exclusive — an "
@@ -456,10 +506,7 @@ class ResultStore:
             self.backend = backend_from_url(cache_dir)
         else:
             self.backend = LocalFSBackend(
-                Path(cache_dir) if cache_dir else default_cache_dir(),
-                shard=shard,
-                max_bytes=max_bytes,
-                max_entries=max_entries,
+                Path(cache_dir) if cache_dir else default_cache_dir()
             )
         self.schema_version = schema_version
         self.stats = StoreStats()
@@ -468,7 +515,7 @@ class ResultStore:
         #: or warm readers would serialize behind each other.
         self._stats_lock = threading.Lock()
 
-    # -- backend pass-throughs (back-compat surface) ------------------------
+    # -- backend pass-throughs ----------------------------------------------
     @property
     def url(self) -> str:
         """The backend's URL-style address (the ``--cache`` syntax)."""
@@ -484,18 +531,6 @@ class ResultStore:
         """The backing directory, when the backend has one (``mem://``
         stores have no filesystem presence)."""
         return getattr(self.backend, "cache_dir", None)
-
-    @property
-    def shard(self) -> bool:
-        return getattr(self.backend, "shard", False)
-
-    @property
-    def max_bytes(self) -> int | None:
-        return getattr(self.backend, "max_bytes", None)
-
-    @property
-    def max_entries(self) -> int | None:
-        return getattr(self.backend, "max_entries", None)
 
     # -- addressing ---------------------------------------------------------
     def digest(self, scenario: Scenario) -> str:
@@ -521,7 +556,7 @@ class ResultStore:
     ) -> StoredResult | None:
         """The stored result, or ``None`` (miss *or* unusable entry).
 
-        ``_digest`` is for callers in this package that already hold
+        ``_digest`` is for callers that already hold
         ``self.digest(scenario)``."""
         digest = self.digest(scenario) if _digest is None else _digest
         entry = self._read_entry(digest)
@@ -560,18 +595,8 @@ class ResultStore:
                 self.stats.misses += 1
             return None
         try:
-            entry = json.loads(data)
-        except (ValueError, UnicodeDecodeError):
-            return self._corrupt(digest)
-        if (
-            not isinstance(entry, dict)
-            or entry.get("format") != STORE_FORMAT
-            or entry.get("schema_version") != self.schema_version
-            or entry.get("digest") != digest
-            or not isinstance(entry.get("artifacts"), dict)
-            or not isinstance(entry["artifacts"].get("raw"), dict)
-            or not isinstance(entry["artifacts"].get("text"), str)
-        ):
+            entry = parse_entry(data, digest, self.schema_version)
+        except EntryError:
             return self._corrupt(digest)
         with self._stats_lock:
             self.stats.hits += 1
@@ -618,8 +643,8 @@ class ResultStore:
         half-written entry even with many processes hammering one digest.
         Each entry is stamped with :class:`Provenance` (``provenance``
         overrides, ``wall_time_s`` annotates the default stamp); provenance
-        never feeds the digest.  When ``max_bytes``/``max_entries`` caps
-        are set, :meth:`gc` runs after the write.  Raises
+        never feeds the digest.  When the backend is capped, :meth:`gc`
+        runs after the write.  Raises
         :class:`~repro.errors.ConfigError` on a read-only backend — use
         :func:`run_cached`, which skips persistence on mirrors.
         ``_digest`` is as in :meth:`get`.
@@ -811,6 +836,7 @@ def run_cached(
 
 __all__ = [
     "CACHE_DIR_ENV",
+    "EntryError",
     "SCHEMA_VERSION",
     "STALE_TMP_SECONDS",
     "STORE_FORMAT",
@@ -824,6 +850,7 @@ __all__ = [
     "current_provenance",
     "default_cache_dir",
     "is_digest",
+    "parse_entry",
     "run_cached",
     "scenario_digest",
     "stored_from_payload",

@@ -1,9 +1,9 @@
 """Digest-cached scenario serving daemon (``python -m repro serve``).
 
-The HTTP/IPC front-end over the content-addressed result store and the
-batch runner: ``GET /scenarios`` lists the registry, ``POST /run``
-executes named scenarios, inline specs or whole batches through
-:func:`~repro.scenarios.batch.run_many`, and warm results are served
+The HTTP/IPC front-end over the content-addressed result store:
+``GET /scenarios`` lists the registry, ``POST /run`` runs named
+scenarios, inline specs or whole batches as jobs on
+:mod:`~repro.serving.jobs` (the one cold path), and warm results are served
 straight from the :class:`~repro.scenarios.store.ResultStore` as pure
 file reads with the spec digest as the ``ETag`` (``If-None-Match`` ⇒
 ``304``).  Routing lives in :mod:`~repro.serving.app` (socket-free,

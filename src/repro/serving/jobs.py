@@ -15,6 +15,10 @@ Job lifecycle (one digest, one job)::
     submit() ──► queued ──► running ──► done    (result in the store)
                                    └──► failed  (structured error kept)
 
+:meth:`JobManager.run` is the same submission for a caller that needs
+the result in hand (``?wait=1``): it blocks until the job is terminal,
+and the worker hands it the :class:`StoredResult` without keeping one.
+
 Terminal jobs are retained (capped, FIFO-evicted) so ``GET
 /jobs/<digest>`` can answer "done, result at /results/<digest>" or
 "failed, here is why" long after the worker moved on; a *re*-submission
@@ -24,7 +28,7 @@ manager lock — callers never touch live :class:`Job` state.
 
 The worker pool starts lazily on first submit and runs daemon threads;
 :meth:`JobManager.shutdown` wakes and joins them (jobs still queued are
-abandoned, a job mid-compute finishes first).  Compute failures are
+failed, a job mid-compute finishes first).  Compute failures are
 classified by the spec's *origin*: an inline (client-supplied) spec that
 blows up mid-compute is the client's error (``invalid-scenario``); a
 registry spec is server-owned, so the same failure is ``compute-failed``
@@ -38,6 +42,7 @@ import math
 import threading
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import Future, wait as wait_futures
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -92,8 +97,7 @@ class Job:
     """One digest's computation, from submission to terminal state.
 
     Mutable state is only ever touched under the manager lock; external
-    consumers get plain-dict snapshots.  ``done_event`` fires on either
-    terminal state (:meth:`JobManager.wait` blocks on it).
+    consumers get plain-dict snapshots.
     """
 
     digest: str
@@ -105,7 +109,6 @@ class Job:
     created_unix: float = field(default_factory=time.time)
     submitted_monotonic: float = field(default_factory=time.monotonic)
     started_monotonic: float | None = None
-    finished_monotonic: float | None = None
     queue_wait_s: float | None = None
     wall_time_s: float | None = None
     #: Structured failure ({"error": slug, "detail": text}); never a
@@ -117,7 +120,10 @@ class Job:
     from_cache: bool = False
     #: How many duplicate submissions coalesced onto this job.
     coalesced: int = 0
-    done_event: threading.Event = field(default_factory=threading.Event)
+    #: Resolves to the :class:`StoredResult` (a failed job: its ``error``)
+    #: for whoever blocks on the job; dropped once the job is terminal, so
+    #: a retained job never pins a result payload.
+    future: "Future | None" = field(default_factory=Future)
 
 
 @dataclass
@@ -154,9 +160,9 @@ class JobManager:
         computes); defaults to ``run_cached(scenario, store,
         workers=fanout_workers)``.
     on_terminal:
-        Optional callback invoked (outside the lock) once per job
-        reaching a terminal state — the serving layer bumps its
-        ``computed``/``served_from_store`` counters here.
+        Optional callback invoked once per job reaching a terminal state,
+        under the lock and before any waiter wakes — the serving layer
+        bumps its ``computed``/``served_from_store`` counters here.
     """
 
     def __init__(
@@ -193,7 +199,6 @@ class JobManager:
         self._jobs: dict[str, Job] = {}  # in-flight: queued + running
         self._terminal: OrderedDict[str, Job] = OrderedDict()
         self._threads: list[threading.Thread] = []
-        self._running = 0
         #: EMA of completed compute wall times, feeding Retry-After.
         self._avg_wall_s: float | None = None
         self._shutdown = False
@@ -225,19 +230,36 @@ class JobManager:
         flight, coalesce exactly like single submissions.
         """
         with self._cond:
-            needed = len(
-                {digest for _, digest, _ in specs if digest not in self._jobs}
-            )
-            if len(self._queue) + needed > self.max_queue:
-                self.counters.rejected += 1
-                raise QueueFullError(
-                    len(self._queue), self.max_queue, self._retry_after_locked()
-                )
             return self._submit_locked(specs)
+
+    def run(
+        self, specs: "list[tuple[Scenario, str, str]]"
+    ) -> "dict[str, StoredResult | dict[str, str]]":
+        """Submit like :meth:`submit_many`, then block until every job is
+        terminal.
+
+        Returns, per digest, the job's :class:`StoredResult` — or, for a
+        failed job, its structured ``{"error", "detail"}``.  Raises
+        :class:`QueueFullError` exactly as :meth:`submit_many` does.
+        """
+        with self._cond:
+            self._submit_locked(specs)
+            futures = {
+                digest: self._jobs[digest].future for _, digest, _ in specs
+            }
+        return {digest: future.result() for digest, future in futures.items()}
 
     def _submit_locked(
         self, specs: "list[tuple[Scenario, str, str]]"
     ) -> dict[str, dict[str, Any]]:
+        needed = len(
+            {digest for _, digest, _ in specs if digest not in self._jobs}
+        )
+        if len(self._queue) + needed > self.max_queue:
+            self.counters.rejected += 1
+            raise QueueFullError(
+                len(self._queue), self.max_queue, self._retry_after_locked()
+            )
         snapshots: dict[str, dict[str, Any]] = {}
         for scenario, digest, origin in specs:
             job = self._jobs.get(digest)
@@ -248,11 +270,6 @@ class JobManager:
                     job, coalesced_onto_existing=True
                 )
                 continue
-            if len(self._queue) >= self.max_queue:
-                self.counters.rejected += 1
-                raise QueueFullError(
-                    len(self._queue), self.max_queue, self._retry_after_locked()
-                )
             # A retained terminal job for this digest is superseded: a
             # resubmission after failure (or after store eviction) gets a
             # fresh run, and status queries must see the new job.
@@ -285,10 +302,11 @@ class JobManager:
         unknown digest.
         """
         with self._cond:
-            job = self._jobs.get(digest) or self._terminal.get(digest)
-        if job is None:
-            return False
-        return job.done_event.wait(timeout)
+            job = self._jobs.get(digest)
+            if job is None:
+                return digest in self._terminal
+            future = job.future
+        return bool(wait_futures([future], timeout).done)
 
     def list_jobs(self, max_terminal: int = 32) -> list[dict[str, Any]]:
         """Snapshots of every in-flight job plus the most recent terminal
@@ -320,7 +338,8 @@ class JobManager:
                 "workers": self.n_workers,
                 "max_queue": self.max_queue,
                 "queued": len(self._queue),
-                "running": self._running,
+                # In flight = queued + running.
+                "running": len(self._jobs) - len(self._queue),
                 "retained_done": terminal_done,
                 "retained_failed": len(self._terminal) - terminal_done,
                 "submitted": self.counters.submitted,
@@ -331,11 +350,6 @@ class JobManager:
                 "avg_wall_s": self._avg_wall_s,
                 "retry_after_s": self._retry_after_locked(),
             }
-
-    def retry_after_s(self) -> int:
-        """Current backlog estimate, in whole seconds (≥ 1)."""
-        with self._cond:
-            return self._retry_after_locked()
 
     def _retry_after_locked(self) -> int:
         # Depth × recent average wall time / workers, floored at 1 s; an
@@ -404,7 +418,6 @@ class JobManager:
                 job.state = RUNNING
                 job.started_monotonic = now
                 job.queue_wait_s = now - job.submitted_monotonic
-                self._running += 1
             error: dict[str, str] | None = None
             result: StoredResult | None = None
             try:
@@ -433,10 +446,8 @@ class JobManager:
         error: dict[str, str] | None,
     ) -> None:
         with self._cond:
-            now = time.monotonic()
-            job.finished_monotonic = now
             job.wall_time_s = (
-                now - job.started_monotonic
+                time.monotonic() - job.started_monotonic
                 if job.started_monotonic is not None
                 else None
             )
@@ -466,24 +477,28 @@ class JobManager:
             self._terminal[job.digest] = job
             while len(self._terminal) > self.retention:
                 self._terminal.popitem(last=False)
-            self._running -= 1
-        job.done_event.set()
-        if self._on_terminal is not None:
-            try:
-                self._on_terminal(job)
-            except Exception:  # noqa: BLE001 — a stats hook must not kill
-                pass  # the worker loop
+            future, job.future = job.future, None
+            if self._on_terminal is not None:
+                try:
+                    self._on_terminal(job)
+                except Exception:  # noqa: BLE001 — a stats hook must not
+                    pass  # kill the worker loop
+        future.set_result(result if job.state == DONE else dict(job.error))
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop the worker pool (idempotent).
 
-        Queued jobs are abandoned where they stand; a job mid-compute
-        finishes (its thread is joined with ``timeout``).
+        Jobs still queued fail, so nothing blocks on them forever; a job
+        mid-compute finishes (its thread is joined with ``timeout``).
         """
         with self._cond:
             self._shutdown = True
             self._cond.notify_all()
             threads = list(self._threads)
+            abandoned = [self._jobs[digest] for digest in self._queue]
+            self._queue.clear()
+        for job in abandoned:
+            self._finish(job, None, {"error": "internal", "detail": "shutdown"})
         for thread in threads:
             thread.join(timeout=timeout)
 

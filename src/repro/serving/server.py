@@ -8,8 +8,9 @@ error semantics live in the app (where they are fuzz-tested without
 sockets).
 
 The server is threaded so warm traffic scales: every worker thread serves
-store hits as pure file reads concurrently, while cold computes are
-serialized by the app's compute lock.  ``HTTP/1.1`` keep-alive is enabled
+store hits as pure file reads concurrently, while cold computes run on
+the app's job engine (a handler thread that waits on one just blocks).
+``HTTP/1.1`` keep-alive is enabled
 (every response carries an exact ``Content-Length``); over-size uploads
 are rejected *before* the body is read, and the connection is closed so an
 unread body can never desynchronize the stream.
@@ -22,7 +23,7 @@ structured 413 an honestly-huge body would.
 
 Usage::
 
-    server = create_server(port=0, store=ResultStore(cache_dir))
+    server = create_server(port=0, cache="mem://,file:///var/cache/repro")
     threading.Thread(target=server.serve_forever, daemon=True).start()
     ...
     server.shutdown(); server.server_close()
@@ -37,7 +38,6 @@ import socket
 import sys
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.scenarios.store import ResultStore
@@ -297,11 +297,7 @@ def create_server(
     *,
     store: ResultStore | None = None,
     cache: str | None = None,
-    cache_dir: str | Path | None = None,
     workers: int | None = None,
-    max_cache_bytes: int | None = None,
-    max_cache_entries: int | None = None,
-    shard: bool = False,
     max_body_bytes: int = MAX_BODY_BYTES,
     job_workers: int | None = None,
     max_queue: int | None = None,
@@ -310,14 +306,14 @@ def create_server(
 ) -> ReproHTTPServer:
     """Build a ready-to-serve daemon (``port=0`` binds an ephemeral port).
 
-    Pass a :class:`ResultStore` directly, a ``cache`` backend URL
-    (``mem://,file:///path`` stacks a hot tier over the cache dir — see
-    :mod:`repro.scenarios.backends.url`; supersedes the other store
-    knobs), or the store knobs
-    (``cache_dir``/``max_cache_bytes``/``max_cache_entries``/``shard``)
-    to have one built.  ``job_workers``/``max_queue`` size the async job
-    engine behind cold ``POST /run`` (CLI ``--job-workers``/
-    ``--max-queue``); ``None`` keeps the app defaults.  ``trust_puts``
+    Pass a :class:`ResultStore` as ``store``, or name one by ``cache``: a
+    store URL or a bare cache-dir path
+    (``mem://,file:///path?shard=1&max_bytes=N`` stacks a hot tier over a
+    sharded, size-capped cache dir — see
+    :mod:`repro.scenarios.backends.url`); with neither, the default cache
+    dir.  ``job_workers``/``max_queue`` size the job engine behind cold
+    ``POST /run`` (CLI ``--job-workers``/``--max-queue``); ``None`` keeps
+    the app defaults.  ``trust_puts``
     stores ``PUT /results/<digest>`` bodies opaquely instead of verifying
     them against the digest (CLI ``--trust-puts`` — trusted clusters
     only).
@@ -327,38 +323,13 @@ def create_server(
             "store and cache are mutually exclusive — pass the URL or a "
             "ready-built ResultStore, not both"
         )
-    if store is None and cache is not None:
-        # Compare against None/False, not truthiness: an explicit 0 cap is
-        # a real knob and must conflict just as loudly.
-        if (
-            cache_dir is not None
-            or max_cache_bytes is not None
-            or max_cache_entries is not None
-            or shard
-        ):
-            # Explicit store knobs must never be silently discarded: with
-            # URL addressing they belong in the URL's query parameters.
-            raise ConfigError(
-                "--cache is mutually exclusive with --cache-dir/"
-                "--max-cache-bytes/--max-cache-entries/--shard; put them "
-                "in the URL instead, e.g. "
-                "file:///path?shard=1&max_bytes=N&max_entries=N"
-            )
-        store = ResultStore(cache)
-    if store is None:
-        store = ResultStore(
-            cache_dir,
-            max_bytes=max_cache_bytes,
-            max_entries=max_cache_entries,
-            shard=shard,
-        )
     job_knobs: dict = {}
     if job_workers is not None:
         job_knobs["job_workers"] = job_workers
     if max_queue is not None:
         job_knobs["max_queue"] = max_queue
     app = ServingApp(
-        store,
+        store if store is not None else cache,
         workers=workers,
         max_body_bytes=max_body_bytes,
         trust_puts=trust_puts,

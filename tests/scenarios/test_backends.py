@@ -207,7 +207,7 @@ class TestCorruptHealPreservesOtherLayout:
         of the same digest down with it."""
         scenario = tiny_scenario("two-layouts")
         flat = ResultStore(tmp_path)
-        sharded = ResultStore(tmp_path, shard=True)
+        sharded = ResultStore(f"file://{tmp_path}?shard=1")
         sharded.put(scenario, payload("good-sharded-copy"))
         digest = flat.digest(scenario)
         # Plant a corrupt flat copy — the one a flat reader serves first.
@@ -618,17 +618,17 @@ class TestUrlAddressing:
         assert store.cache_dir == tmp_path / "plain"
 
     def test_url_plus_keyword_knobs_conflict_loudly(self, tmp_path):
-        """Keyword knobs configure the default backend only — next to a
-        URL (or an explicit backend) they must never be silently dropped."""
-        with pytest.raises(ConfigError, match="put them in the URL"):
+        """The URL is the only store configuration: the keyword knobs are
+        gone, so passing one fails loudly instead of being dropped."""
+        with pytest.raises(TypeError, match="max_bytes"):
             ResultStore(f"file://{tmp_path}", max_bytes=1_000)
-        with pytest.raises(ConfigError, match="constructor"):
+        with pytest.raises(TypeError, match="shard"):
             ResultStore(backend=InMemoryBackend(), shard=True)
         with pytest.raises(ConfigError, match="mutually exclusive"):
             ResultStore(tmp_path / "dir", backend=InMemoryBackend())
-        # The knobs keep working for the default cache-dir backend.
-        store = ResultStore(tmp_path / "d", max_entries=4, shard=True)
-        assert store.max_entries == 4 and store.shard
+        # The URL spelling configures the cache-dir backend.
+        store = ResultStore(f"file://{tmp_path}/d?max_entries=4&shard=1")
+        assert store.backend.max_entries == 4 and store.backend.shard
 
     @pytest.mark.parametrize(
         "bad, match",

@@ -218,7 +218,8 @@ class TestCacheCommands:
 
 
 class TestCacheUrlFlag:
-    """`--cache URL` backend addressing, superseding `--cache-dir`."""
+    """`--cache URL` backend addressing (`--cache-dir` is its second
+    spelling)."""
 
     def test_tiered_cache_url_serves_from_the_file_tier(
         self, capsys, tmp_path
@@ -234,24 +235,6 @@ class TestCacheUrlFlag:
         second = capsys.readouterr()
         assert "served from result store" in second.err
         assert second.out == first.out
-
-    def test_cache_with_cache_dir_is_a_loud_conflict(self, capsys, tmp_path):
-        """Two different statements about where the store lives must never
-        silently drop one of them."""
-        assert main(
-            [
-                "run",
-                "fig3c-blade-spec",
-                "--cache",
-                f"file://{tmp_path / 'a'}",
-                "--cache-dir",
-                str(tmp_path / "b"),
-            ]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "mutually exclusive" in err
-        assert not (tmp_path / "a").exists()
-        assert not (tmp_path / "b").exists()
 
     def test_ro_mirror_reads_but_never_writes(self, capsys, tmp_path):
         mirror = tmp_path / "mirror"

@@ -418,7 +418,7 @@ class TestDigestIgnoresStorageMetadata:
 
         rng = random.Random(0x54A2)
         flat = ResultStore(tmp_path / "flat")
-        sharded = ResultStore(tmp_path / "sharded", shard=True)
+        sharded = ResultStore(f"file://{tmp_path}/sharded?shard=1")
         for _ in range(N_CASES):
             scenario = gen_scenario(rng)
             assert flat.digest(scenario) == sharded.digest(scenario)

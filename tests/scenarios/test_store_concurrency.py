@@ -166,7 +166,7 @@ class TestThreadStress:
         assert_store_consistent(tmp_path / "threads")
 
     def test_gc_racing_puts_keeps_the_cap(self, tmp_path):
-        store = ResultStore(tmp_path / "gc-race", max_entries=3)
+        store = ResultStore(f"file://{tmp_path}/gc-race?max_entries=3")
         n_workers = 6
 
         def worker(seed: int) -> None:

@@ -99,7 +99,7 @@ class TestGcMaxBytes:
 
 class TestAutoGcOnPut:
     def test_put_enforces_configured_caps(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=2)
+        store = ResultStore(f"file://{tmp_path}?max_entries=2")
         for i in range(5):
             # File mtimes tick on the kernel's coarse clock (~ms); space
             # the puts so the LRU order can never tie.
@@ -132,7 +132,7 @@ class TestAutoGcOnPut:
 
 class TestSharding:
     def test_sharded_layout_two_hex_prefix(self, tmp_path):
-        store = ResultStore(tmp_path, shard=True)
+        store = ResultStore(f"file://{tmp_path}?shard=1")
         scenario = tiny_scenario("sharded")
         store.put(scenario, payload())
         digest = store.digest(scenario)
@@ -144,13 +144,13 @@ class TestSharding:
 
     def test_sharding_does_not_change_the_digest(self, tmp_path):
         flat = ResultStore(tmp_path / "flat")
-        sharded = ResultStore(tmp_path / "sharded", shard=True)
+        sharded = ResultStore(f"file://{tmp_path}/sharded?shard=1")
         scenario = tiny_scenario()
         assert flat.digest(scenario) == sharded.digest(scenario)
 
     def test_flat_reader_finds_sharded_entries_and_vice_versa(self, tmp_path):
         scenario = tiny_scenario("cross-layout")
-        writer = ResultStore(tmp_path, shard=True)
+        writer = ResultStore(f"file://{tmp_path}?shard=1")
         writer.put(scenario, payload("sharded-write"))
         flat_reader = ResultStore(tmp_path)
         hit = flat_reader.get(scenario)
@@ -162,7 +162,7 @@ class TestSharding:
         assert writer.n_entries == 2
 
     def test_gc_and_clear_cover_both_layouts(self, tmp_path):
-        sharded = ResultStore(tmp_path, shard=True)
+        sharded = ResultStore(f"file://{tmp_path}?shard=1")
         flat = ResultStore(tmp_path)
         put_n(sharded, 2, "sh")
         put_n(flat, 2, "fl")
@@ -179,7 +179,7 @@ class TestSharding:
         self, tmp_path
     ):
         scenario = tiny_scenario("probe")
-        sharded = ResultStore(tmp_path, shard=True)
+        sharded = ResultStore(f"file://{tmp_path}?shard=1")
         flat = ResultStore(tmp_path)
         digest = flat.digest(scenario)
         assert not flat.contains(digest)
@@ -190,7 +190,7 @@ class TestSharding:
 
     def test_invalidate_reaches_either_layout(self, tmp_path):
         scenario = tiny_scenario("inval-cross")
-        ResultStore(tmp_path, shard=True).put(scenario, payload())
+        ResultStore(f"file://{tmp_path}?shard=1").put(scenario, payload())
         flat = ResultStore(tmp_path)
         assert flat.invalidate(scenario)
         assert flat.get(scenario) is None

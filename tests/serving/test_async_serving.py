@@ -4,7 +4,8 @@ Cold ``POST /run`` is a job submission: these tests pin the 202 body,
 the ``/jobs`` polling lifecycle through to the 303 redirect, duplicate
 coalescing, queue-full 429s with ``Retry-After``, failed-job reporting,
 and the ``?wait=1`` / ``Prefer: wait`` escape hatch back to the
-synchronous contract.  Slow and failing computes are injected onto
+synchronous contract, which rides the same job engine (bounded queue,
+coalescing).  Slow and failing computes are injected onto
 ``app.jobs`` so every race is deterministic; one burst test runs real
 computes under real threads.
 """
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.scenarios import get
-from repro.scenarios.store import ResultStore
+from repro.scenarios.store import ResultStore, run_cached
 from repro.serving.app import ServingApp
 
 from test_jobs import GatedCompute  # sibling test module
@@ -80,14 +82,24 @@ class TestAcceptedFlow:
         assert app.jobs.counters.submitted == 1  # no second job
 
     def test_status_for_digest_computed_outside_the_engine(self, app):
-        # A digest computed synchronously never met the job engine, but
-        # /jobs/<digest> still answers "done" from store existence.
+        # A waited compute runs as a job too, so /jobs/<digest> answers
+        # "done" for it; the store-existence fallback for a digest the
+        # engine never saw is pinned by the next test.
         sync = post_run(app, {"scenario": "table1"}, path="/run?wait=1")
         assert sync.status == 200
         digest = sync.body["digest"]
         status = app.handle("GET", f"/jobs/{digest}")
         assert status.status == 303
         assert status.body["status"] == "done"
+
+    def test_status_for_digest_stored_by_another_writer(self, app):
+        # Computed by the CLI (or a previous daemon life): the job engine
+        # never saw it, but the stored result answers "done".
+        stored = run_cached(get("table1"), app.store)
+        status = app.handle("GET", f"/jobs/{stored.digest}")
+        assert status.status == 303
+        assert status.body["status"] == "done"
+        assert app.jobs.counters.submitted == 0
 
     def test_unknown_and_malformed_job_digests(self, app):
         unknown = app.handle("GET", "/jobs/" + "0" * 64)
@@ -340,6 +352,68 @@ class TestWaitEscapeHatch:
         assert response.body["stats"]["n_computed"] == 1
         assert response.body["stats"]["n_deduplicated"] == 1
         assert response.body["entries"][0]["artifacts"]["text"]
+
+
+class TestWaitRidesTheJobEngine:
+    """``?wait=1`` submits a job like any cold request, then blocks: it
+    meets the same bounded queue and joins an in-flight job for its
+    digest instead of computing it a second time."""
+
+    def test_wait_at_a_full_queue_is_429_with_retry_after(self, tmp_path):
+        app = ServingApp(
+            ResultStore(tmp_path / "store"), job_workers=1, max_queue=1
+        )
+        compute = GatedCompute()
+        app.jobs._compute = compute
+        try:
+            assert post_run(app, {"scenario": "table1"}).status == 202
+            assert compute.started.wait(10)  # worker busy
+            assert post_run(app, {"scenario": "fig7-gpu"}).status == 202
+            for payload in (
+                {"scenario": "fig3c-blade-spec"},
+                {"scenarios": ["fig3c-blade-spec"]},
+            ):
+                rejected = post_run(app, payload, path="/run?wait=1")
+                assert rejected.status == 429
+                assert rejected.body["error"] == "overloaded"
+                assert int(rejected.headers["Retry-After"]) >= 1
+            assert compute.calls == 1
+        finally:
+            compute.release.set()
+            app.close()
+
+    def test_wait_coalesces_onto_the_in_flight_job(self, app):
+        compute = GatedCompute()
+        app.jobs._compute = compute
+        assert post_run(app, {"scenario": "table1"}).status == 202
+        assert compute.started.wait(10)
+        replies = []
+        waiter = threading.Thread(
+            target=lambda: replies.append(
+                post_run(app, {"scenario": "table1"}, path="/run?wait=1")
+            )
+        )
+        waiter.start()
+        deadline = time.monotonic() + 10
+        while app.jobs.counters.coalesced < 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        compute.release.set()
+        waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert app.jobs.counters.coalesced == 1
+        assert replies[0].status == 200
+        assert replies[0].body["from_cache"] is False
+        assert compute.calls == 1
+        assert app.handle("GET", "/stats").body["server"]["computed"] == 1
+
+    def test_waited_result_is_not_retained_by_the_job(self, app):
+        # The terminal job kept for /jobs holds no result payload: only
+        # the requests that waited on it ever saw the StoredResult.
+        response = post_run(app, {"scenario": "table1"}, path="/run?wait=1")
+        assert response.status == 200
+        job = app.jobs._terminal[response.body["digest"]]
+        assert job.future is None
+        assert app.handle("GET", f"/jobs/{job.digest}").status == 303
 
 
 class TestAsyncBatch:

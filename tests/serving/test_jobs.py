@@ -8,7 +8,11 @@ deterministically, without real scenario computes or sockets.
 
 from __future__ import annotations
 
+import dataclasses
+import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -311,6 +315,35 @@ class TestRetentionAndStats:
         manager.shutdown()
         assert all(not t.is_alive() for t in manager._threads)
 
+    def test_shutdown_fails_queued_jobs_instead_of_stranding_waiters(
+        self, store
+    ):
+        compute = GatedCompute()
+        manager = make_manager(store, compute, n_workers=1)
+        try:
+            manager.submit(SCENARIO, "a" * 64)
+            assert compute.started.wait(10)  # the only worker is busy
+            outcomes = []
+            waiter = threading.Thread(
+                target=lambda: outcomes.append(
+                    manager.run([(SCENARIO, "b" * 64, "registry")])
+                )
+            )
+            waiter.start()
+            deadline = time.monotonic() + 10
+            while manager.stats()["queued"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            manager.shutdown(timeout=0.1)
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            assert outcomes == [
+                {"b" * 64: {"error": "internal", "detail": "shutdown"}}
+            ]
+            assert manager.describe("b" * 64)["status"] == FAILED
+        finally:
+            compute.release.set()
+            manager.shutdown()
+
     def test_knob_validation(self, store):
         with pytest.raises(ConfigError):
             JobManager(store, n_workers=0)
@@ -318,3 +351,80 @@ class TestRetentionAndStats:
             JobManager(store, max_queue=0)
         with pytest.raises(ConfigError):
             JobManager(store, retention=-1)
+
+
+class TestRunHandsResultsToWaiters:
+    def test_run_returns_results_and_errors_per_digest(self, store):
+        def compute(scenario):
+            if scenario.name == "broken":
+                raise ConfigError("broken spec")
+            return fake_result(scenario)
+
+        broken = dataclasses.replace(SCENARIO, name="broken")
+        manager = make_manager(store, compute)
+        try:
+            outcomes = manager.run(
+                [
+                    (SCENARIO, "a" * 64, "registry"),
+                    (broken, "b" * 64, "inline"),
+                    (SCENARIO, "a" * 64, "registry"),
+                ]
+            )
+            assert outcomes["a" * 64].text == "fake"
+            assert outcomes["b" * 64] == {
+                "error": "invalid-scenario",
+                "detail": "broken spec",
+            }
+            assert manager.counters.coalesced == 1
+            # The retained terminal jobs hold no result.
+            assert manager._terminal["a" * 64].future is None
+        finally:
+            manager.shutdown()
+
+    def test_many_waiters_each_get_their_own_result(self, store):
+        """Threads blocking in run() on a few shared digests, with a tiny
+        switch interval: every waiter is answered with its own digest's
+        result, and no submission is lost or left in flight."""
+        scenarios = [
+            dataclasses.replace(SCENARIO, name=f"contended-{i}")
+            for i in range(4)
+        ]
+        digests = [store.digest(scenario) for scenario in scenarios]
+
+        def compute(scenario):
+            return fake_result(scenario, store.digest(scenario))
+
+        manager = make_manager(store, compute, n_workers=2)
+        n_threads, rounds = 8, 25
+        wrong = []
+
+        def waiter(seed):
+            rng = random.Random(seed)
+            for _ in range(rounds):
+                index = rng.randrange(len(scenarios))
+                digest = digests[index]
+                outcome = manager.run([(scenarios[index], digest, "registry")])
+                if outcome[digest].digest != digest:
+                    wrong.append(digest)
+
+        threads = [
+            threading.Thread(target=waiter, args=(seed,))
+            for seed in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            manager.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        counters = manager.counters
+        assert counters.submitted + counters.coalesced == n_threads * rounds
+        assert counters.done == counters.submitted
+        assert counters.failed == counters.rejected == 0
+        assert manager.stats()["queued"] == manager.stats()["running"] == 0

@@ -16,7 +16,7 @@ from repro.serving import create_server
 
 
 def test_serve_smoke(tmp_path):
-    store = ResultStore(tmp_path / "cache", max_entries=16)
+    store = ResultStore(f"file://{tmp_path}/cache?max_entries=16")
     server = create_server(port=0, store=store)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -68,21 +68,33 @@ def test_workers_arm_a_thread_safe_fanout_start_method(
 
 
 def test_create_server_rejects_cache_url_plus_store_knobs(tmp_path):
-    """Explicit store knobs are never silently discarded next to --cache."""
+    """A store is named by its URL alone: the keyword store knobs are
+    gone, so passing one fails loudly instead of being dropped."""
     import pytest
 
     from repro.errors import ConfigError
 
-    with pytest.raises(ConfigError, match="mutually exclusive"):
+    with pytest.raises(TypeError, match="max_cache_bytes"):
         create_server(
             port=0, cache="mem://", max_cache_bytes=1_000_000
         )
-    with pytest.raises(ConfigError, match="mutually exclusive"):
+    with pytest.raises(TypeError, match="cache_dir"):
         create_server(port=0, cache="mem://", cache_dir=tmp_path)
-    # Explicit zero caps are real knobs too — truthiness must not let
-    # them slip through as "unset".
-    with pytest.raises(ConfigError, match="mutually exclusive"):
+    with pytest.raises(TypeError, match="max_cache_entries"):
         create_server(port=0, cache="mem://", max_cache_entries=0)
+    # The URL carries every one of them.
+    server = create_server(
+        port=0, cache=f"file://{tmp_path}/c?shard=1&max_bytes=1000&max_entries=0"
+    )
+    try:
+        backend = server.app.store.backend
+        assert (backend.shard, backend.max_bytes, backend.max_entries) == (
+            True,
+            1000,
+            0,
+        )
+    finally:
+        server.server_close()
     # A ready-built store and a cache URL are two different answers to
     # the same question.
     with pytest.raises(ConfigError, match="mutually exclusive"):
@@ -97,22 +109,20 @@ def test_serve_cli_flags_parse():
             "serve",
             "--port", "0",
             "--workers", "2",
-            "--cache-dir", "/tmp/x",
-            "--max-cache-bytes", "1000000",
-            "--max-cache-entries", "64",
+            "--cache",
+            "file:///tmp/x?shard=1&max_bytes=1000000&max_entries=64",
             "--job-workers", "4",
             "--max-queue", "16",
-            "--shard",
             "--verbose",
         ]
     )
     assert args.port == 0
     assert args.workers == 2
-    assert args.cache_dir == "/tmp/x"
-    assert args.max_cache_bytes == 1_000_000
-    assert args.max_cache_entries == 64
+    assert args.cache == "file:///tmp/x?shard=1&max_bytes=1000000&max_entries=64"
     assert args.job_workers == 4
     assert args.max_queue == 16
-    assert args.shard is True
     assert args.quiet is False
     assert args.fn.__name__ == "_cmd_serve"
+    # --cache-dir is a second spelling of --cache.
+    args = build_parser().parse_args(["serve", "--cache-dir", "/tmp/x"])
+    assert args.cache == "/tmp/x"

@@ -211,11 +211,11 @@ class TestBatchRun:
 
     def test_warm_batch_streams_past_a_held_compute_lock(self, live_server):
         """An all-warm batch is pure file reads; it must not queue behind
-        someone's cold compute."""
+        someone's cold compute, nor touch the job engine at all."""
         live_server.post_json(
             "/run?wait=1", {"scenarios": [CHEAP_TABLE, "table1"]}
         )
-        with live_server.app._compute_lock:  # a cold compute in flight
+        with live_server.app.jobs._cond:  # the job engine held mid-update
             reply = live_server.post_json(
                 "/run", {"scenarios": [CHEAP_TABLE, "table1"]}
             )

@@ -12,9 +12,15 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
    used to accept ``"+100"``, ``" 100 "`` and ``"1_0"``.
 5. A *mid-compute* ConfigError is no longer a blanket 400: a registry
    (server-owned) spec failing is a 500/``compute-failed``; only a
-   client-sent inline spec is blamed as 400/``invalid-scenario``.
+   client-sent inline spec is blamed as 400/``invalid-scenario``.  The
+   compute runs on the job engine even for ``?wait=1``, so the failure
+   is injected there.
 6. ``shutdown()`` stops the accept loop at once: it used to return only
    after ``serve_forever``'s next select timeout (0.5 s by default).
+7. A cold ``POST /run`` on a read-only store is answered with the
+   artifacts: it used to 202, and the job's 303 then led to a 404.
+8. A warm ``POST /run`` hashes its spec once (the store lookup used to
+   digest it a second time).
 """
 
 from __future__ import annotations
@@ -154,7 +160,7 @@ class TestComputeErrorClassification:
         def boom(*args, **kwargs):
             raise ConfigError("registry recipe bug")
 
-        monkeypatch.setattr("repro.serving.app.run_cached", boom)
+        monkeypatch.setattr("repro.serving.jobs.run_cached", boom)
         response = app.handle(
             "POST", "/run?wait=1", json.dumps({"scenario": "table1"}).encode()
         )
@@ -167,7 +173,7 @@ class TestComputeErrorClassification:
         def boom(*args, **kwargs):
             raise ConfigError("inline spec bug")
 
-        monkeypatch.setattr("repro.serving.app.run_cached", boom)
+        monkeypatch.setattr("repro.serving.jobs.run_cached", boom)
         spec = get("fig3c-blade-spec").to_dict()
         response = app.handle(
             "POST", "/run?wait=1", json.dumps({"scenario": spec}).encode()
@@ -179,7 +185,7 @@ class TestComputeErrorClassification:
         def boom(*args, **kwargs):
             raise ConfigError("mid-compute failure")
 
-        monkeypatch.setattr("repro.serving.app.run_many", boom)
+        monkeypatch.setattr("repro.serving.jobs.run_cached", boom)
         all_registry = app.handle(
             "POST",
             "/run?wait=1",
@@ -194,6 +200,52 @@ class TestComputeErrorClassification:
         )
         assert with_inline.status == 400
         assert with_inline.body["error"] == "invalid-scenario"
+
+
+class TestReadOnlyStoreAnswersColdRunsInline:
+    def test_cold_single_and_batch_return_artifacts(self, tmp_path):
+        mirror = tmp_path / "mirror"
+        mirror.mkdir()
+        ro_app = ServingApp(ResultStore(f"ro://{mirror}"))
+        try:
+            single = ro_app.handle(
+                "POST", "/run", json.dumps({"scenario": "table1"}).encode()
+            )
+            assert single.status == 200
+            assert single.body["from_cache"] is False
+            assert single.body["artifacts"]["text"]
+            batch = ro_app.handle(
+                "POST",
+                "/run",
+                json.dumps(
+                    {"scenarios": ["table1", "fig3c-blade-spec"]}
+                ).encode(),
+            )
+            assert batch.status == 200
+            assert [e["from_cache"] for e in batch.body["entries"]] == [
+                False,
+                False,
+            ]
+            assert all(e["artifacts"]["text"] for e in batch.body["entries"])
+            assert list(mirror.iterdir()) == []  # nothing written
+        finally:
+            ro_app.close()
+
+
+class TestWarmRunDigestsOnce:
+    def test_warm_post_run_hashes_its_spec_once(self, app, monkeypatch):
+        payload = json.dumps({"scenario": "table1"}).encode()
+        assert app.handle("POST", "/run?wait=1", payload).status == 200
+        calls = []
+
+        def counting(scenario, schema):
+            calls.append(scenario.name)
+            return scenario_digest(scenario, schema)
+
+        monkeypatch.setattr("repro.scenarios.store.scenario_digest", counting)
+        warm = app.handle("POST", "/run", payload)
+        assert warm.status == 200 and warm.body["from_cache"] is True
+        assert calls == ["table1"]
 
 
 class TestShutdownIsImmediate:
