@@ -300,7 +300,7 @@ def _measure_warm_serving() -> dict:
 
         # Warm HTTP serving: one POST /run per scenario on a keep-alive
         # connection against the live threaded daemon.
-        with launch_daemon(store=store) as daemon:
+        with launch_daemon(cache=store) as daemon:
             connection = http.client.HTTPConnection(
                 daemon.host, daemon.port, timeout=60
             )
@@ -325,7 +325,7 @@ def _measure_warm_serving() -> dict:
         # file reads (asserted via the file tier's per-tier stats).
         tiered = ResultStore(f"mem://,file://{tmp}")
         file_tier = tiered.backend.tiers[1]
-        with launch_daemon(store=tiered) as daemon:
+        with launch_daemon(cache=tiered) as daemon:
             connection = http.client.HTTPConnection(
                 daemon.host, daemon.port, timeout=60
             )
@@ -360,8 +360,8 @@ def _measure_warm_serving() -> dict:
         # remote daemon, so every read exercises the federation wire
         # (raw entry GET, ETag revalidation, gzip) instead of the local
         # filesystem.  Still compute-free.
-        with launch_daemon(store=ResultStore(tmp)) as peer:
-            peer_store = ResultStore(backend=HTTPPeerBackend(peer.url))
+        with launch_daemon(cache=ResultStore(tmp)) as peer:
+            peer_store = ResultStore(HTTPPeerBackend(peer.url))
             counters = (cache.hits, cache.misses)
             t0 = time.perf_counter()
             federated = run_many(SERVE_SCENARIOS, store=peer_store)
@@ -407,7 +407,7 @@ def _measure_cold_async_serving() -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-jobs-") as tmp:
         store = ResultStore(tmp)
         with launch_daemon(
-            store=store, job_workers=COLD_JOB_WORKERS
+            cache=store, job_workers=COLD_JOB_WORKERS
         ) as daemon:
             host, port = daemon.host, daemon.port
             failures: list[str] = []

@@ -35,14 +35,18 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import statistics as _statistics
 import sys
 import time as _time
 
 from repro.errors import ConfigError
 from repro.scenarios import REGISTRY, get
 from repro.scenarios.batch import resolve_scenario, run_many
-from repro.scenarios.store import CACHE_DIR_ENV, ResultStore, run_cached
+from repro.scenarios.store import (
+    CACHE_DIR_ENV,
+    ResultStore,
+    provenance_summary,
+    run_cached,
+)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -173,20 +177,12 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"entries        {len(entries)}")
     print(f"total bytes    {sum(entry.size_bytes for entry in entries)}")
     # Entry-age summary over provenance creation stamps — how a shared
-    # mirror is audited for staleness.  Pre-provenance entries (no stamp)
-    # are counted, never folded in as fabricated 1970 ages.
-    stamps = sorted(
-        entry.provenance.created_unix
-        for entry in entries
-        if entry.provenance is not None
-    )
-    print(f"oldest created {_age_of(stamps[0]) if stamps else '-'}")
-    print(f"newest created {_age_of(stamps[-1]) if stamps else '-'}")
-    # statistics.median, exactly like /stats, so both audit surfaces
-    # report the same number for the same mirror.
-    median = _statistics.median(stamps) if stamps else None
-    print(f"median created {_age_of(median) if median is not None else '-'}")
-    print(f"pre-provenance {len(entries) - len(stamps)}")
+    # mirror is audited for staleness (the same summary as /stats).
+    summary = provenance_summary(entries)
+    for word in ("oldest", "newest", "median"):
+        stamp = summary[f"{word}_created_unix"]
+        print(f"{word} created {_age_of(stamp) if stamp is not None else '-'}")
+    print(f"pre-provenance {summary['entries_missing_provenance']}")
     for entry in entries:
         print(
             f"  {entry.digest[:12]}  {entry.kind:9s} "

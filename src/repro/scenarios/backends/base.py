@@ -40,7 +40,7 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import Any, Iterable, Iterator, Protocol, runtime_checkable
 
 #: Marker every entry file carries so foreign JSON is never misread as a
 #: result.  Lives here (not in ``store``) so backends can cheaply probe
@@ -145,15 +145,11 @@ class StoreBackend(Protocol):
     #: Whether writes/deletes are accepted.  The front-end never attempts
     #: to heal (discard) corrupt entries on a read-only backend.
     writable: bool
-    #: Whether the backend relies on a post-write :meth:`gc` pass to hold
-    #: its size caps — drives the front-end's auto-gc after every put.
-    #: Inline self-evicting backends (``mem://``) report ``False``.
-    capped: bool
 
     def read(self, digest: str) -> bytes | None:
         """The entry bytes, or ``None`` on a miss.  Counts hit/miss and
-        refreshes the served copy's LRU position (a read *is* a use — no
-        separate ``touch`` round trip on the hot path)."""
+        refreshes the served copy's LRU position: a read is the only
+        "use" of an entry."""
         ...
 
     def peek(self, digest: str) -> bytes | None:
@@ -163,7 +159,9 @@ class StoreBackend(Protocol):
 
     def write(self, digest: str, data: bytes) -> None:
         """Store the entry bytes atomically (a concurrent reader sees the
-        old entry, the new entry, or a miss — never a torn write)."""
+        old entry, the new entry, or a miss — never a torn write).  A
+        capped backend leaves itself within its caps, so a write its caps
+        refuse at once reads back as a miss."""
         ...
 
     def delete(self, digest: str) -> bool:
@@ -179,10 +177,6 @@ class StoreBackend(Protocol):
 
     def contains(self, digest: str) -> bool:
         """Cheap existence probe — no read, no stats traffic."""
-        ...
-
-    def touch(self, digest: str) -> None:
-        """Refresh an entry's LRU position; losing a race is harmless."""
         ...
 
     def entries(self) -> Iterator[BackendEntry]:
@@ -206,7 +200,7 @@ class StoreBackend(Protocol):
 
     def stats(self) -> dict[str, Any]:
         """Plain-data description + counters (the ``/stats`` per-tier
-        block): kind, url, writability, sizes, :class:`BackendStats`."""
+        block): kind, url, writability, caps, sizes, :class:`BackendStats`."""
         ...
 
 
@@ -222,6 +216,58 @@ class CountersMixin:
             setattr(
                 self.counters, counter, getattr(self.counters, counter) + n
             )
+
+
+def entry_totals(entries: Iterable[BackendEntry]) -> dict[str, int]:
+    """The ``n_entries``/``total_bytes`` pair of a :meth:`StoreBackend.stats`
+    block, from one pass over ``entries``."""
+    count = total = 0
+    for entry in entries:
+        count += 1
+        total += entry.size_bytes
+    return {"n_entries": count, "total_bytes": total}
+
+
+def union_entries(backends: Iterable[StoreBackend]) -> Iterator[BackendEntry]:
+    """Every digest held by any of ``backends`` once, the first holder's
+    metadata winning — how composite backends (tier stacks, rings) count
+    a digest that lives in several places."""
+    seen: set[str] = set()
+    for backend in backends:
+        for entry in backend.entries():
+            if entry.digest not in seen:
+                seen.add(entry.digest)
+                yield entry
+
+
+def union_gc(
+    backends: Iterable[StoreBackend],
+    max_bytes: int | None,
+    max_entries: int | None,
+    *,
+    sweep_tmp: bool,
+) -> list[str]:
+    """Apply the same caps to each of ``backends`` (each holds its own
+    budget); a digest evicted from several is one logical eviction."""
+    return list(
+        dict.fromkeys(
+            digest
+            for backend in backends
+            for digest in backend.gc(
+                max_bytes, max_entries, sweep_tmp=sweep_tmp
+            )
+        )
+    )
+
+
+def union_clear(backends: Iterable[StoreBackend]) -> int:
+    """Empty each of ``backends``; returns how many *logical* entries went
+    (a digest held by several backends is one entry)."""
+    backends = list(backends)
+    removed = {entry.digest for entry in union_entries(backends)}
+    for backend in backends:
+        backend.clear()
+    return len(removed)
 
 
 def plausible_entry(data: bytes, digest: str) -> bool:
@@ -251,5 +297,9 @@ __all__ = [
     "BackendStats",
     "CountersMixin",
     "StoreBackend",
+    "entry_totals",
     "plausible_entry",
+    "union_clear",
+    "union_entries",
+    "union_gc",
 ]

@@ -35,6 +35,10 @@ from repro.scenarios.backends.base import (
     BackendEntry,
     CountersMixin,
     StoreBackend,
+    entry_totals,
+    union_clear,
+    union_entries,
+    union_gc,
 )
 from repro.scenarios.backends.http import (
     DEFAULT_TIMEOUT_S,
@@ -122,7 +126,6 @@ class HashRingBackend(CountersMixin):
     """
 
     writable = True
-    capped = False
     cache_dir = None
     max_bytes = None
     max_entries = None
@@ -239,18 +242,8 @@ class HashRingBackend(CountersMixin):
             peer.contains(digest) for _, peer in self._owner_backends(digest)
         )
 
-    def touch(self, digest: str) -> None:
-        for _, peer in self._owner_backends(digest):
-            peer.touch(digest)
-
     def entries(self) -> Iterator[BackendEntry]:
-        seen: set[str] = set()
-        for peer in self.peers.values():
-            for entry in peer.entries():
-                if entry.digest in seen:
-                    continue
-                seen.add(entry.digest)
-                yield entry
+        return union_entries(self.peers.values())
 
     def gc(
         self,
@@ -261,35 +254,16 @@ class HashRingBackend(CountersMixin):
     ) -> list[str]:
         """Per-node gc with the given caps (each shard holds its own
         budget, mirroring per-tier gc in a tiered store)."""
-        evicted: list[str] = []
-        seen: set[str] = set()
-        for peer in self.peers.values():
-            for digest in peer.gc(
-                max_bytes, max_entries, sweep_tmp=sweep_tmp
-            ):
-                if digest not in seen:
-                    seen.add(digest)
-                    evicted.append(digest)
-        if evicted:
-            self._count("evictions", len(evicted))
+        evicted = union_gc(
+            self.peers.values(), max_bytes, max_entries, sweep_tmp=sweep_tmp
+        )
+        self._count("evictions", len(evicted))
         return evicted
 
     def clear(self) -> int:
-        unique = {entry.digest for entry in self.entries()}
-        for peer in self.peers.values():
-            peer.clear()
-        return len(unique)
+        return union_clear(self.peers.values())
 
     def stats(self) -> dict[str, Any]:
-        node_blocks = []
-        for node in self.ring.nodes:
-            peer = self.peers[node]
-            block = peer.stats()
-            block["node"] = node
-            node_blocks.append(block)
-        unique: dict[str, int] = {}
-        for entry in self.entries():
-            unique[entry.digest] = entry.size_bytes
         return {
             "kind": "ring",
             "url": self.url,
@@ -298,10 +272,12 @@ class HashRingBackend(CountersMixin):
             "vnodes": self.ring.vnodes,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
-            "n_entries": len(unique),
-            "total_bytes": sum(unique.values()),
+            **entry_totals(self.entries()),
             "counters": self.counters.to_dict(),
-            "nodes": node_blocks,
+            "nodes": [
+                self.peers[node].stats() | {"node": node}
+                for node in self.ring.nodes
+            ],
         }
 
 

@@ -13,8 +13,8 @@ Wire protocol (all raw-entry traffic, distinct from the human/JSON view):
   returns the stored entry bytes verbatim (no server-side validation — the
   local front-end owns corruption policy, same as for file bytes).
 * ``If-None-Match: "<digest>"`` revalidates a locally cached copy: a
-  ``304`` moves an ETag instead of a body, and counts as a *use* of the
-  entry on the peer (its LRU position refreshes).
+  ``304`` moves an ETag instead of a body, and the peer answers it with
+  a read, so it counts as a *use* there (its LRU position refreshes).
 * ``PUT /results/<digest>`` replicates an entry to the peer; the daemon
   verifies the digest against the body's canonical spec hash unless it
   runs with ``--trust-puts``.
@@ -44,6 +44,7 @@ from repro.scenarios.backends.base import (
     DIGEST_RE,
     BackendEntry,
     CountersMixin,
+    entry_totals,
 )
 
 #: The raw-entry representation of ``/results/<digest>``: stored bytes
@@ -91,7 +92,6 @@ class HTTPPeerBackend(CountersMixin):
     """A remote serving daemon as a digest-addressed storage tier."""
 
     writable = True
-    capped = False
     cache_dir = None
     max_bytes = None
     max_entries = None
@@ -350,11 +350,6 @@ class HTTPPeerBackend(CountersMixin):
             return False
         return status in (200, 304)
 
-    def touch(self, digest: str) -> None:
-        # A raw-entry revalidation counts as a use on the peer: the 304
-        # path refreshes the entry's LRU position there.
-        self._fetch(digest)
-
     def entries(self) -> Iterator[BackendEntry]:
         headers = {"Accept-Encoding": "gzip"} if self.use_gzip else {}
         try:
@@ -430,8 +425,7 @@ class HTTPPeerBackend(CountersMixin):
             self._revalidation_bytes = 0
         return removed
 
-    def describe(self) -> dict[str, Any]:
-        """Static description + counters, without touching the peer."""
+    def stats(self) -> dict[str, Any]:
         with self._revalidation_lock:
             reval_bytes = self._revalidation_bytes
             reval_entries = len(self._revalidation_cache)
@@ -449,14 +443,8 @@ class HTTPPeerBackend(CountersMixin):
                 "n_entries": reval_entries,
             },
             "counters": self.counters.to_dict(),
+            **entry_totals(self.entries()),
         }
-
-    def stats(self) -> dict[str, Any]:
-        entries = list(self.entries())
-        info = self.describe()
-        info["n_entries"] = len(entries)
-        info["total_bytes"] = sum(e.size_bytes for e in entries)
-        return info
 
 
 def _error_detail(body: bytes) -> str:

@@ -27,6 +27,7 @@ from repro.scenarios.backends.base import (
     STALE_TMP_SECONDS,
     BackendEntry,
     CountersMixin,
+    entry_totals,
 )
 
 
@@ -40,10 +41,11 @@ class LocalFSBackend(CountersMixin):
     flipping sharding on an existing cache dir never orphans entries — new
     writes just land in the new layout.
 
-    ``max_bytes``/``max_entries`` are this tier's LRU caps; the front-end
-    (or an explicit :meth:`gc`) enforces them.
+    ``max_bytes``/``max_entries`` are this tier's LRU caps: every
+    :meth:`write` ends with a :meth:`gc` pass when either is set.
     """
 
+    kind = "file"
     writable = True
 
     def __init__(
@@ -70,11 +72,6 @@ class LocalFSBackend(CountersMixin):
     def cache_dir(self) -> Path:
         """The directory entries live in (the front-end's ``cache_dir``)."""
         return self.root
-
-    @property
-    def capped(self) -> bool:
-        """Whether this tier relies on post-write gc to hold its caps."""
-        return self.max_bytes is not None or self.max_entries is not None
 
     def __repr__(self) -> str:
         return f"LocalFSBackend({str(self.root)!r}, shard={self.shard})"
@@ -141,6 +138,10 @@ class LocalFSBackend(CountersMixin):
             except OSError:
                 pass
         self._count("writes")
+        if self.max_bytes is not None or self.max_entries is not None:
+            # The tier holds its own caps, whoever writes to it (a put, a
+            # replicated PUT, a tier promotion).
+            self.gc(sweep_tmp=False)
 
     def delete(self, digest: str) -> bool:
         removed = False
@@ -174,14 +175,6 @@ class LocalFSBackend(CountersMixin):
 
     def contains(self, digest: str) -> bool:
         return any(path.exists() for path in self._candidate_paths(digest))
-
-    def touch(self, digest: str) -> None:
-        for path in self._candidate_paths(digest):
-            try:
-                os.utime(path)
-                return
-            except OSError:
-                continue
 
     # -- introspection ------------------------------------------------------
     def _entry_paths(self) -> list[Path]:
@@ -297,26 +290,17 @@ class LocalFSBackend(CountersMixin):
                 except OSError:
                     continue
 
-    def describe(self) -> dict[str, Any]:
-        """The scan-free part of :meth:`stats` (descriptor + counters) —
-        composite backends add sizes from their own single entry pass."""
+    def stats(self) -> dict[str, Any]:
         return {
-            "kind": "file",
+            "kind": self.kind,
             "url": self.url,
             "writable": self.writable,
             "shard": self.shard,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
             "counters": self.counters.to_dict(),
+            **entry_totals(self.entries()),
         }
-
-    def stats(self) -> dict[str, Any]:
-        count = 0
-        total = 0
-        for entry in self.entries():
-            count += 1
-            total += entry.size_bytes
-        return self.describe() | {"n_entries": count, "total_bytes": total}
 
 
 __all__ = ["LocalFSBackend"]

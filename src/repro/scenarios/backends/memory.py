@@ -53,10 +53,6 @@ class InMemoryBackend(CountersMixin):
     def url(self) -> str:
         return "mem://"
 
-    #: The byte/entry caps are enforced inline on every write, so no
-    #: post-write gc pass is ever needed.
-    capped = False
-
     def __repr__(self) -> str:
         return (
             f"InMemoryBackend(max_bytes={self.max_bytes}, "
@@ -113,13 +109,6 @@ class InMemoryBackend(CountersMixin):
         with self._lock:
             return digest in self._store
 
-    def touch(self, digest: str) -> None:
-        with self._lock:
-            hit = self._store.get(digest)
-            if hit is not None:
-                self._store[digest] = (hit[0], time.time())
-                self._store.move_to_end(digest)
-
     # -- introspection ------------------------------------------------------
     def entries(self) -> Iterator[BackendEntry]:
         with self._lock:
@@ -174,8 +163,10 @@ class InMemoryBackend(CountersMixin):
             self._count("deletes", removed)
             return removed
 
-    def describe(self) -> dict[str, Any]:
-        """The scan-free part of :meth:`stats` (descriptor + counters)."""
+    def stats(self) -> dict[str, Any]:
+        with self._lock:
+            count = len(self._store)
+            total = self._total_bytes
         return {
             "kind": "mem",
             "url": self.url,
@@ -183,13 +174,9 @@ class InMemoryBackend(CountersMixin):
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
             "counters": self.counters.to_dict(),
+            "n_entries": count,
+            "total_bytes": total,
         }
-
-    def stats(self) -> dict[str, Any]:
-        with self._lock:
-            count = len(self._store)
-            total = self._total_bytes
-        return self.describe() | {"n_entries": count, "total_bytes": total}
 
 
 __all__ = ["DEFAULT_MEM_MAX_BYTES", "InMemoryBackend"]

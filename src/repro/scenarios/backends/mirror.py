@@ -3,7 +3,7 @@
 An rsync'd, NFS-exported or object-store-mounted cache dir already *is* a
 valid store (the entry layout is backend-agnostic), but it belongs to
 whoever populates it: this backend reads it and refuses everything else.
-Writes raise; deletes, touches and gc are no-ops — in particular a corrupt
+Writes raise; deletes and gc are no-ops — in particular a corrupt
 entry is **skipped, not healed** (the front-end only deletes corrupt
 entries on writable backends), and entry mtimes are never perturbed, so
 the mirror's own LRU bookkeeping stays the producer's.
@@ -16,7 +16,6 @@ team-wide result set while keeping local traffic local.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
 
 from repro.errors import ConfigError
 from repro.scenarios.backends.localfs import LocalFSBackend
@@ -25,6 +24,7 @@ from repro.scenarios.backends.localfs import LocalFSBackend
 class ReadOnlyMirrorBackend(LocalFSBackend):
     """A :class:`LocalFSBackend` with every mutation disarmed."""
 
+    kind = "ro"
     writable = False
 
     def __init__(self, root: str | Path) -> None:
@@ -50,12 +50,8 @@ class ReadOnlyMirrorBackend(LocalFSBackend):
     def discard(self, digest: str) -> bool:
         return False
 
-    def touch(self, digest: str) -> None:
-        # Never perturb the producer's mtimes (its LRU bookkeeping).
-        return None
-
     def _utime(self, path) -> None:
-        # Reads must not refresh mirror mtimes either.
+        # Reads never perturb the producer's mtimes (its LRU bookkeeping).
         return None
 
     def gc(
@@ -69,13 +65,6 @@ class ReadOnlyMirrorBackend(LocalFSBackend):
 
     def clear(self) -> int:
         return 0
-
-    def describe(self) -> dict[str, Any]:
-        description = super().describe()
-        description["kind"] = "ro"
-        description["url"] = self.url
-        description["writable"] = False
-        return description
 
 
 __all__ = ["ReadOnlyMirrorBackend"]

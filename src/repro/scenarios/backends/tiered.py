@@ -23,7 +23,9 @@ Policies, in one place:
 * **write** — write-back to the *first writable* tier only; lower tiers
   fill by their own producers (a CLI run against ``file://``, an rsync to
   the mirror) or stay cold.  This keeps a put as cheap as its hottest
-  tier.
+  tier.  Each tier holds its own caps on every write, so a write (or a
+  promotion) that a tier's caps refuse at once falls through as refused
+  admission.
 * **delete/gc/clear** — fan out to every writable tier; read-only tiers
   are untouched by construction.
 
@@ -44,7 +46,11 @@ from repro.scenarios.backends.base import (
     BackendEntry,
     CountersMixin,
     StoreBackend,
+    entry_totals,
     plausible_entry,
+    union_clear,
+    union_entries,
+    union_gc,
 )
 
 
@@ -83,10 +89,9 @@ class TieredStore(CountersMixin):
     def writable(self) -> bool:
         return any(tier.writable for tier in self.tiers)
 
-    #: Tier caps are enforced inline by :meth:`write`/:meth:`_promote` on
-    #: exactly the tiers a write lands in, so the front-end's post-put gc
-    #: (which would scan *every* capped tier per put) is never needed.
-    capped = False
+    @property
+    def _writable_tiers(self) -> list[StoreBackend]:
+        return [tier for tier in self.tiers if tier.writable]
 
     @property
     def cache_dir(self) -> Path | None:
@@ -140,15 +145,11 @@ class TieredStore(CountersMixin):
             except (OSError, ConfigError):
                 continue
             if not upper.contains(digest):
-                # Admission refused (oversized for the tier's budget):
-                # not a promotion — the stats must keep telling the truth
+                # Admission refused (the tier's caps cannot hold it): not
+                # a promotion — the stats must keep telling the truth
                 # about which digests actually became hot.
                 continue
             self._count("promotions")
-            if getattr(upper, "capped", False):
-                # Promotion bypasses the front-end's post-put gc, so a
-                # size-capped tier enforces its caps here.
-                upper.gc(sweep_tmp=False)
 
     def peek(self, digest: str) -> bytes | None:
         for tier in self.tiers:
@@ -165,17 +166,11 @@ class TieredStore(CountersMixin):
             writable = True
             tier.write(digest, data)
             if not tier.contains(digest):
-                # The tier refused admission (an entry bigger than a
-                # mem:// tier's whole budget): fall through so the write
-                # still lands in a roomier tier below instead of nowhere.
+                # The tier refused admission (its caps cannot hold the
+                # entry): fall through so the write still lands in a
+                # roomier tier below instead of nowhere.
                 continue
             self._count("writes")
-            if getattr(tier, "capped", False):
-                # Caps are enforced inline on the tier the write actually
-                # landed in — the front-end's post-put gc is skipped for
-                # tiered stores (``capped`` below), so an untouched capped
-                # tier is never re-scanned per put.
-                tier.gc(sweep_tmp=False)
             if self.write_policy == "first":
                 return
         if not writable:
@@ -208,25 +203,10 @@ class TieredStore(CountersMixin):
     def contains(self, digest: str) -> bool:
         return any(tier.contains(digest) for tier in self.tiers)
 
-    def touch(self, digest: str) -> None:
-        # Refresh the hottest copy only: touching every tier would drag
-        # filesystem syscalls into a mem-tier hit for no LRU benefit (the
-        # lower copy's position catches up on its next real read).
-        for tier in self.tiers:
-            if tier.contains(digest):
-                tier.touch(digest)  # read-only tiers no-op internally
-                return
-
     # -- introspection ------------------------------------------------------
     def entries(self) -> Iterator[BackendEntry]:
         """Union over tiers, hottest tier's metadata winning per digest."""
-        seen: set[str] = set()
-        for tier in self.tiers:
-            for entry in tier.entries():
-                if entry.digest in seen:
-                    continue
-                seen.add(entry.digest)
-                yield entry
+        return union_entries(self.tiers)
 
     # -- eviction -----------------------------------------------------------
     def gc(
@@ -242,57 +222,19 @@ class TieredStore(CountersMixin):
         The returned digests are deduplicated: a promoted digest evicted
         from several tiers is one logical eviction, matching how
         :meth:`entries`/:meth:`stats` count it as one entry."""
-        seen: set[str] = set()
-        evicted: list[str] = []
-        for tier in self.tiers:
-            if not tier.writable:
-                continue
-            for digest in tier.gc(
-                max_bytes, max_entries, sweep_tmp=sweep_tmp
-            ):
-                if digest not in seen:
-                    seen.add(digest)
-                    evicted.append(digest)
-        return evicted
+        return union_gc(
+            self._writable_tiers, max_bytes, max_entries, sweep_tmp=sweep_tmp
+        )
 
     def clear(self) -> int:
         """Empty every writable tier; counts *logical* entries removed (a
         promoted digest's several copies are one entry)."""
-        unique = {
-            entry.digest
-            for tier in self.tiers
-            if tier.writable
-            for entry in tier.entries()
-        }
-        for tier in self.tiers:
-            if tier.writable:
-                tier.clear()
-        return len(unique)
+        return union_clear(self._writable_tiers)
 
     def stats(self) -> dict[str, Any]:
-        """One entry pass per tier fills the per-tier blocks *and* the
-        deduplicated top-level totals — a promoted digest present in
-        several tiers is counted once (first/hottest copy wins), exactly
-        like :meth:`entries` and the front-end's ``disk_usage``."""
-        tier_stats = []
-        seen: set[str] = set()
-        union_bytes = 0
-        for tier in self.tiers:
-            tier_entries = list(tier.entries())
-            describe = getattr(tier, "describe", tier.stats)
-            tier_stats.append(
-                describe()
-                | {
-                    "n_entries": len(tier_entries),
-                    "total_bytes": sum(
-                        entry.size_bytes for entry in tier_entries
-                    ),
-                }
-            )
-            for entry in tier_entries:
-                if entry.digest not in seen:
-                    seen.add(entry.digest)
-                    union_bytes += entry.size_bytes
+        """Each tier's own block, plus top-level totals over
+        :meth:`entries` — a promoted digest present in several tiers is
+        counted once, exactly like the front-end's ``disk_usage``."""
         return {
             "kind": "tiered",
             "url": self.url,
@@ -300,10 +242,9 @@ class TieredStore(CountersMixin):
             "write_policy": self.write_policy,
             "max_bytes": None,  # tiers own their caps
             "max_entries": None,
-            "n_entries": len(seen),
-            "total_bytes": union_bytes,
+            **entry_totals(self.entries()),
             "counters": self.counters.to_dict(),
-            "tiers": tier_stats,
+            "tiers": [tier.stats() for tier in self.tiers],
         }
 
 

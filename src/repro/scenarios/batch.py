@@ -36,6 +36,7 @@ from repro.analysis.sweep import SweepGrid, run_sweep
 from repro.core.timing_cache import default_timing_cache
 from repro.errors import ConfigError
 from repro.parallel.mapper import default_mapping_cache
+from repro.scenarios.backends import StoreBackend
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Scenario
@@ -172,10 +173,9 @@ def _compute_payload(scenario: Scenario | None = None) -> dict[str, Any]:
 def run_many(
     items: Iterable["Scenario | str | Path"],
     *,
-    store: "ResultStore | str | Path | None" = None,
+    store: "ResultStore | str | Path | StoreBackend | None" = None,
     use_cache: bool = True,
     workers: int | None = None,
-    digests: "list[str] | None" = None,
 ) -> BatchResult:
     """Serve a batch of scenarios, compute-once per unique spec.
 
@@ -185,34 +185,22 @@ def run_many(
         Scenarios, registry names, or paths to scenario JSON files.
     store:
         The result store to consult/populate (``None`` = no persistence):
-        a :class:`ResultStore`, a cache directory path, or a backend URL
-        (``mem://``, ``file:///path?shard=1``, ``ro:///mirror``, or
-        comma-separated tiers).  Read-only stores are consulted but never
-        written.
+        a :class:`ResultStore`, or anything that names one — a cache
+        directory path, a backend URL (``mem://``, ``file:///path?shard=1``,
+        ``ro:///mirror``, or comma-separated tiers) or a backend object.
+        Read-only stores are consulted but never written.
     use_cache:
         ``False`` bypasses the store in both directions (``--no-cache``).
     workers:
         ``> 1`` fans *whole scenarios* out over worker processes via the
         sweep driver (grids inside each scenario stay serial per worker);
         falls back to serial exactly like any other sweep.
-    digests:
-        Precomputed content addresses aligned with ``items`` (one per
-        item, the store's schema), so a caller that already digested
-        every spec — the serving daemon's warmness probe — does not pay
-        for hashing each one a second time.  Only valid when every item
-        is already a :class:`Scenario`.
     """
-    if isinstance(store, (str, Path)):
+    if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
     scenarios = [resolve_scenario(item) for item in items]
     schema = store.schema_version if store is not None else SCHEMA_VERSION
-    if digests is None:
-        digests = [scenario_digest(scenario, schema) for scenario in scenarios]
-    elif len(digests) != len(scenarios):
-        raise ConfigError(
-            f"digests must align with items: got {len(digests)} digests "
-            f"for {len(scenarios)} scenarios"
-        )
+    digests = [scenario_digest(scenario, schema) for scenario in scenarios]
     caching = store is not None and use_cache
     persisting = caching and store.writable
 

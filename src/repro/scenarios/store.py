@@ -37,7 +37,9 @@ everywhere one is accepted (:func:`run_cached`,
 ``--cache``): ``mem://``, ``file:///path?shard=1&max_bytes=N&max_entries=N``,
 ``ro:///mirror``, ``http://peer:8035`` (a remote daemon as a tier),
 ``ring://a;b?replicas=2`` (consistent-hash federation), or
-comma-separated tiers — see :mod:`repro.scenarios.backends.url`.
+comma-separated tiers — see :mod:`repro.scenarios.backends.url`.  Each of
+those places also takes a ready-built :class:`ResultStore`, or a backend
+object, which :class:`ResultStore` wraps.
 
 :func:`run_cached` is the store-aware single-scenario entry point; the
 batch runner (:mod:`repro.scenarios.batch`) and the CLI both route through
@@ -56,7 +58,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ConfigError
 from repro.scenarios.backends import (
@@ -66,7 +68,11 @@ from repro.scenarios.backends import (
     backend_from_url,
     is_store_url,
 )
-from repro.scenarios.backends.base import DIGEST_RE, STALE_TMP_SECONDS
+from repro.scenarios.backends.base import (
+    DIGEST_RE,
+    STALE_TMP_SECONDS,
+    entry_totals,
+)
 from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.spec import Scenario
 
@@ -412,7 +418,6 @@ class StoreStats:
     puts: int = 0
     invalidations: int = 0
     corrupt: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -426,7 +431,6 @@ class StoreStats:
             "puts": self.puts,
             "invalidations": self.invalidations,
             "corrupt": self.corrupt,
-            "evictions": self.evictions,
             "lookups": self.lookups,
             "hit_rate": self.hit_rate,
         }
@@ -468,20 +472,20 @@ class ResultStore:
     the backend is writable* (a read-only mirror is skipped, never healed)
     and reported as a miss, so the caller always falls back to recompute.
 
-    The backend is chosen by the first argument: a plain path (or nothing)
-    builds a plain local cache directory; a URL string (``mem://``,
-    ``file:///path?shard=1&max_bytes=N&max_entries=N``, ``ro:///mirror``,
-    ``http://peer:8035``, ``ring://a;b``, comma-separated tiers) routes
-    through :func:`~repro.scenarios.backends.url.backend_from_url`; an
-    explicit ``backend=`` takes anything satisfying
+    The backend is named by the one ``location`` argument: a plain path
+    (or nothing) builds a plain local cache directory; a URL string
+    (``mem://``, ``file:///path?shard=1&max_bytes=N&max_entries=N``,
+    ``ro:///mirror``, ``http://peer:8035``, ``ring://a;b``,
+    comma-separated tiers) routes through
+    :func:`~repro.scenarios.backends.url.backend_from_url`; anything else
+    is taken as a ready-built
     :class:`~repro.scenarios.backends.base.StoreBackend`.
 
     Eviction: the URL's ``max_bytes`` / ``max_entries`` cap a backend with
     LRU semantics over entry mtimes — ``put`` stamps one, a ``get`` hit
-    refreshes it, and :meth:`gc` (invoked automatically after every ``put``
-    when a cap is set, or explicitly / via CLI ``cache gc``) drops the
-    least-recently-used entries until the caps hold.  Tiered backends cap
-    their tiers individually (a ``mem://`` tier self-evicts inline).
+    refreshes it.  A capped backend holds its caps on every write (each
+    tier of a tiered stack its own), and :meth:`gc` (CLI ``cache gc``)
+    drops the least-recently-used entries on demand.
 
     Every instance is safe to share across threads, and many processes may
     point at one cache dir: writes are atomic, readers treat torn/competing
@@ -490,24 +494,16 @@ class ResultStore:
 
     def __init__(
         self,
-        cache_dir: "str | Path | None" = None,
+        location: "str | Path | StoreBackend | None" = None,
         schema_version: int = SCHEMA_VERSION,
-        *,
-        backend: StoreBackend | None = None,
     ) -> None:
-        if backend is not None and cache_dir is not None:
-            raise ConfigError(
-                "cache_dir and backend are mutually exclusive — an "
-                "explicit backend already knows where its entries live"
+        if isinstance(location, str) and is_store_url(location):
+            location = backend_from_url(location)
+        elif location is None or isinstance(location, (str, os.PathLike)):
+            location = LocalFSBackend(
+                Path(location) if location else default_cache_dir()
             )
-        if backend is not None:
-            self.backend: StoreBackend = backend
-        elif isinstance(cache_dir, str) and is_store_url(cache_dir):
-            self.backend = backend_from_url(cache_dir)
-        else:
-            self.backend = LocalFSBackend(
-                Path(cache_dir) if cache_dir else default_cache_dir()
-            )
+        self.backend: StoreBackend = location
         self.schema_version = schema_version
         self.stats = StoreStats()
         #: Guards counter updates only — backend I/O itself needs no lock
@@ -600,9 +596,6 @@ class ResultStore:
             return self._corrupt(digest)
         with self._stats_lock:
             self.stats.hits += 1
-        # No explicit touch: a backend read refreshes the served copy's
-        # LRU position itself, so a mem-tier hit stays free of filesystem
-        # syscalls.
         return entry
 
     def contains(self, digest: str) -> bool:
@@ -643,8 +636,8 @@ class ResultStore:
         half-written entry even with many processes hammering one digest.
         Each entry is stamped with :class:`Provenance` (``provenance``
         overrides, ``wall_time_s`` annotates the default stamp); provenance
-        never feeds the digest.  When the backend is capped, :meth:`gc`
-        runs after the write.  Raises
+        never feeds the digest.  A capped backend holds its caps on the
+        write itself.  Raises
         :class:`~repro.errors.ConfigError` on a read-only backend — use
         :func:`run_cached`, which skips persistence on mirrors.
         ``_digest`` is as in :meth:`get`.
@@ -673,11 +666,6 @@ class ResultStore:
         )
         with self._stats_lock:
             self.stats.puts += 1
-        # Auto-gc whenever the backend relies on a post-write pass for its
-        # caps — including caps configured on individual tiers of a tiered
-        # stack (mem:// tiers self-evict inline and never need this).
-        if getattr(self.backend, "capped", False):
-            self.gc(sweep_tmp=False)
         return stored_from_payload(
             scenario, payload, digest, provenance=provenance
         )
@@ -699,11 +687,7 @@ class ResultStore:
 
     # -- eviction -----------------------------------------------------------
     def gc(
-        self,
-        max_bytes: int | None = None,
-        max_entries: int | None = None,
-        *,
-        sweep_tmp: bool = True,
+        self, max_bytes: int | None = None, max_entries: int | None = None
     ) -> list[str]:
         """Enforce the size caps by LRU eviction; returns evicted digests.
 
@@ -712,14 +696,10 @@ class ResultStore:
         Explicit arguments override the backend's configured caps for this
         call; with no cap at all this only sweeps stale temp files on
         filesystem backends.  On a tiered backend the caps apply per
-        writable tier; read-only mirrors are never evicted from.
+        writable tier; read-only mirrors are never evicted from.  Each
+        evicting backend counts its own ``counters.evictions``.
         """
-        evicted = self.backend.gc(
-            max_bytes, max_entries, sweep_tmp=sweep_tmp
-        )
-        with self._stats_lock:
-            self.stats.evictions += len(evicted)
-        return evicted
+        return self.backend.gc(max_bytes, max_entries)
 
     # -- introspection ------------------------------------------------------
     def _entry_paths(self) -> list[Path]:
@@ -747,12 +727,8 @@ class ResultStore:
         """``(n_entries, total_bytes)`` in a single backend scan — what a
         polled monitoring endpoint should call instead of reading the two
         properties (and scanning twice)."""
-        count = 0
-        total = 0
-        for entry in self.backend.entries():
-            count += 1
-            total += entry.size_bytes
-        return count, total
+        totals = entry_totals(self.backend.entries())
+        return totals["n_entries"], totals["total_bytes"]
 
     def entries(self) -> Iterator[StoreEntry]:
         """Stored metadata per entry (unreadable entries are skipped).
@@ -789,17 +765,49 @@ class ResultStore:
                 continue
 
 
+def provenance_summary(entries: Iterable[StoreEntry]) -> dict[str, Any]:
+    """Age and origin of ``entries`` from their provenance stamps — the
+    one summary behind ``/stats`` → ``store.provenance`` and the CLI's
+    ``cache stats``, so both audit surfaces report the same numbers.
+
+    Oldest/newest/median run over *stamped* entries only: the
+    ``created_unix=0.0`` age-dating sentinel of pre-provenance entries
+    must not leak a fabricated 1970 timestamp into a dashboard.
+    """
+    # Imported here: statistics pulls decimal and fractions in with it,
+    # which no cold compute or warm read should pay for.
+    import statistics
+
+    entries = list(entries)
+    stamped = [e.provenance for e in entries if e.provenance is not None]
+    stamps = sorted(p.created_unix for p in stamped)
+    return {
+        "entries_scanned": len(entries),
+        "entries_with_provenance": len(stamped),
+        "entries_missing_provenance": len(entries) - len(stamped),
+        "oldest_created_unix": stamps[0] if stamps else None,
+        "newest_created_unix": stamps[-1] if stamps else None,
+        "median_created_unix": statistics.median(stamps) if stamps else None,
+        "hosts": sorted({p.host for p in stamped}),
+        "code_revs": sorted(
+            {p.code_rev for p in stamped if p.code_rev is not None}
+        ),
+    }
+
+
 def run_cached(
     scenario: Scenario,
-    store: "ResultStore | str | Path | None" = None,
+    store: "ResultStore | str | Path | StoreBackend | None" = None,
     *,
     use_cache: bool = True,
     workers: int | None = None,
 ) -> StoredResult:
     """Run a scenario through the result store.
 
-    ``store`` may be a :class:`ResultStore`, a cache directory path, or a
-    backend URL (``mem://``, ``file:///path``, ``ro:///mirror``, tiers).
+    ``store`` may be a :class:`ResultStore`, or anything that names one
+    (a cache directory path, a backend URL — ``mem://``, ``file:///path``,
+    ``ro:///mirror``, tiers — or a backend object); ``None`` runs without
+    a store.
     A URL builds a fresh store *per call* — fine for filesystem backends
     (the entries persist), pointless for a bare ``mem://`` (the tier dies
     with the call); to share an in-memory tier across calls, build one
@@ -812,7 +820,7 @@ def run_cached(
     both directions — nothing is read *or* written (the CLI's
     ``--no-cache``).
     """
-    if isinstance(store, (str, Path)):
+    if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
     caching = store is not None and use_cache
     digest = None
@@ -851,6 +859,7 @@ __all__ = [
     "default_cache_dir",
     "is_digest",
     "parse_entry",
+    "provenance_summary",
     "run_cached",
     "scenario_digest",
     "stored_from_payload",

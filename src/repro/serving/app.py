@@ -86,15 +86,15 @@ from __future__ import annotations
 
 import itertools
 import json
-import statistics
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ConfigError
-from repro.scenarios.backends.http import ENTRY_CONTENT_TYPE
+from repro.scenarios.backends import ENTRY_CONTENT_TYPE, StoreBackend
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.spec import Scenario
 from repro.scenarios.store import (
@@ -103,11 +103,11 @@ from repro.scenarios.store import (
     StoredResult,
     is_digest,
     parse_entry,
+    provenance_summary,
 )
 from repro.serving.jobs import (
     DEFAULT_JOB_WORKERS,
     DEFAULT_MAX_QUEUE,
-    DEFAULT_RETENTION,
     DONE,
     JobManager,
     QueueFullError,
@@ -260,20 +260,19 @@ class ServingApp:
 
     def __init__(
         self,
-        store: "ResultStore | str | None" = None,
+        store: "ResultStore | str | Path | StoreBackend | None" = None,
         *,
         workers: int | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         job_workers: int = DEFAULT_JOB_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        job_retention: int = DEFAULT_RETENTION,
         trust_puts: bool = False,
     ) -> None:
-        if isinstance(store, str):
-            # URL addressing: mem://, file:///path?shard=1, ro:///mirror,
-            # comma-separated tiers, or a bare cache-dir path.
-            store = ResultStore(store)
-        self.store = store if store is not None else ResultStore()
+        # Anything that names a store (a URL, a bare cache-dir path, a
+        # backend) goes through ResultStore; None is the default cache dir.
+        self.store = (
+            store if isinstance(store, ResultStore) else ResultStore(store)
+        )
         self.workers = workers
         self.max_body_bytes = max_body_bytes
         #: ``PUT /results/<digest>`` verification policy.  ``False``
@@ -302,7 +301,6 @@ class ServingApp:
             n_workers=job_workers,
             max_queue=max_queue,
             fanout_workers=workers,
-            retention=job_retention,
             on_terminal=self._job_finished,
         )
 
@@ -422,36 +420,9 @@ class ServingApp:
         # top-level n_entries/total_bytes are read out of the same block
         # instead of a second disk_usage() walk.
         backend_block = self.store.backend.stats()
-        n_entries = backend_block["n_entries"]
-        total_bytes = backend_block["total_bytes"]
-        scanned = list(
+        provenance_block = provenance_summary(
             itertools.islice(self.store.entries(), MAX_STATS_PROVENANCE_SCAN)
         )
-        with_provenance = [e for e in scanned if e.provenance is not None]
-        # Min/max over *stamped* entries only: the created_unix=0.0
-        # age-dating sentinel of pre-provenance entries must not leak a
-        # fabricated 1970 timestamp into a dashboard.
-        stamps = [e.provenance.created_unix for e in with_provenance]
-        provenance_block = {
-            "entries_scanned": len(scanned),
-            "entries_with_provenance": len(with_provenance),
-            "entries_missing_provenance": len(scanned) - len(with_provenance),
-            "oldest_created_unix": min(stamps) if stamps else None,
-            "newest_created_unix": max(stamps) if stamps else None,
-            "median_created_unix": (
-                statistics.median(stamps) if stamps else None
-            ),
-            "hosts": sorted(
-                {entry.provenance.host for entry in with_provenance}
-            ),
-            "code_revs": sorted(
-                {
-                    entry.provenance.code_rev
-                    for entry in with_provenance
-                    if entry.provenance.code_rev is not None
-                }
-            ),
-        }
         cache_dir = self.store.cache_dir
         return Response(
             200,
@@ -466,8 +437,8 @@ class ServingApp:
                     ),
                     "schema_version": self.store.schema_version,
                     # stat-only: never scales with cached payload bytes.
-                    "n_entries": n_entries,
-                    "total_bytes": total_bytes,
+                    "n_entries": backend_block["n_entries"],
+                    "total_bytes": backend_block["total_bytes"],
                     "counters": self.store.stats.to_dict(),
                     # Per-backend (and, for tiered stores, per-tier)
                     # breakdown, caps and layout included — how shared
@@ -557,24 +528,17 @@ class ServingApp:
             return bad
         # Peers negotiate the *stored entry bytes* (the federation wire
         # format) instead of the reconstructed JSON view.
-        wants_entry = ENTRY_CONTENT_TYPE in headers.get("accept", "")
+        if ENTRY_CONTENT_TYPE in headers.get("accept", ""):
+            return self._serve_raw_entry(digest, headers)
         # The representation is immutable per digest: a matching validator
         # plus a stat-only existence probe answers the bodyless 304 without
         # reading (or even JSON-parsing) the artifact payload.
         if if_none_match_matches(headers.get("if-none-match"), digest):
             if self.store.contains(digest):
-                if wants_entry:
-                    # A raw-entry revalidation is a peer serving this
-                    # entry out of its local copy — that's a *use*, so it
-                    # must refresh the entry's LRU position exactly like a
-                    # body-moving read would have.
-                    self.store.backend.touch(digest)
                 return Response(304, None, {"ETag": etag_for(digest)})
             return error_response(
                 404, "unknown-digest", f"no stored result {digest!r}"
             )
-        if wants_entry:
-            return self._serve_raw_entry(digest)
         entry = self.store.read_digest(digest)
         if entry is None:
             return error_response(
@@ -591,12 +555,17 @@ class ServingApp:
             {"ETag": etag_for(entry["digest"])},
         )
 
-    def _serve_raw_entry(self, digest: str) -> Response:
+    def _serve_raw_entry(
+        self, digest: str, headers: Mapping[str, str]
+    ) -> Response:
         """The stored entry bytes, verbatim — no validation, no healing.
 
         Serving torn bytes is deliberate: the backend contract is opaque
         storage, and the *reading* front-end (on the peer that asked)
-        detects corruption and drives the heal via ``DELETE``.
+        detects corruption and drives the heal via ``DELETE``.  A
+        revalidation (matching ``If-None-Match``) reads too: a peer
+        serving the entry out of its local copy is a *use*, so it
+        refreshes the LRU position exactly like a body-moving read.
         """
         try:
             data = self.store.backend.read(digest)
@@ -606,6 +575,8 @@ class ServingApp:
             return error_response(
                 404, "unknown-digest", f"no stored result {digest!r}"
             )
+        if if_none_match_matches(headers.get("if-none-match"), digest):
+            return Response(304, None, {"ETag": etag_for(digest)})
         self._count("entry_reads")
         return Response(
             200,
@@ -643,10 +614,6 @@ class ServingApp:
                 status = 409 if exc.slug == "schema-mismatch" else 400
                 return error_response(status, exc.slug, str(exc))
         self.store.backend.write(digest, body)
-        if getattr(self.store.backend, "capped", False):
-            # Same policy as a local put: capped backends hold their size
-            # budget through a post-write gc pass.
-            self.store.gc(sweep_tmp=False)
         self._count("entry_puts")
         return Response(
             201,

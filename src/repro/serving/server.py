@@ -38,8 +38,8 @@ import socket
 import sys
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
-from repro.errors import ConfigError
 from repro.scenarios.store import ResultStore
 from repro.serving.app import MAX_BODY_BYTES, Response, ServingApp, error_response
 
@@ -295,8 +295,7 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    store: ResultStore | None = None,
-    cache: str | None = None,
+    cache: "ResultStore | str | Path | None" = None,
     workers: int | None = None,
     max_body_bytes: int = MAX_BODY_BYTES,
     job_workers: int | None = None,
@@ -306,11 +305,11 @@ def create_server(
 ) -> ReproHTTPServer:
     """Build a ready-to-serve daemon (``port=0`` binds an ephemeral port).
 
-    Pass a :class:`ResultStore` as ``store``, or name one by ``cache``: a
-    store URL or a bare cache-dir path
+    ``cache`` is the store: a ready-built :class:`ResultStore`, or a
+    store URL or a bare cache-dir path that names one
     (``mem://,file:///path?shard=1&max_bytes=N`` stacks a hot tier over a
     sharded, size-capped cache dir — see
-    :mod:`repro.scenarios.backends.url`); with neither, the default cache
+    :mod:`repro.scenarios.backends.url`); ``None`` is the default cache
     dir.  ``job_workers``/``max_queue`` size the job engine behind cold
     ``POST /run`` (CLI ``--job-workers``/``--max-queue``); ``None`` keeps
     the app defaults.  ``trust_puts``
@@ -318,18 +317,13 @@ def create_server(
     them against the digest (CLI ``--trust-puts`` — trusted clusters
     only).
     """
-    if store is not None and cache is not None:
-        raise ConfigError(
-            "store and cache are mutually exclusive — pass the URL or a "
-            "ready-built ResultStore, not both"
-        )
     job_knobs: dict = {}
     if job_workers is not None:
         job_knobs["job_workers"] = job_workers
     if max_queue is not None:
         job_knobs["max_queue"] = max_queue
     app = ServingApp(
-        store if store is not None else cache,
+        cache,
         workers=workers,
         max_body_bytes=max_body_bytes,
         trust_puts=trust_puts,

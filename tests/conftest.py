@@ -19,7 +19,7 @@ def live_daemon(tmp_path):
     """Factory for live in-process daemons.
 
     Each call launches one daemon on an ephemeral port (its own temp
-    cache dir unless ``cache=``/``store=`` is given) and registers a
+    cache dir unless ``cache=`` is given) and registers a
     guaranteed ``shutdown()`` + ``server_close()`` teardown.  Shared by
     the backend-conformance, federation, wire-fuzz and gzip suites so
     none of them hand-rolls servers.
@@ -28,7 +28,7 @@ def live_daemon(tmp_path):
     counter = itertools.count()
 
     def launch(**server_kwargs):
-        if "cache" not in server_kwargs and "store" not in server_kwargs:
+        if "cache" not in server_kwargs:
             server_kwargs["cache"] = (
                 f"file://{tmp_path}/daemon-{next(counter)}"
             )

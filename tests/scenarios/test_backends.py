@@ -86,7 +86,7 @@ def backend(request, tmp_path):
 
 @pytest.fixture
 def store(backend):
-    return ResultStore(backend=backend)
+    return ResultStore(backend)
 
 
 class TestConformancePutGet:
@@ -157,7 +157,6 @@ class TestConformanceLRU:
         }
         assert store.get(scenarios[0]) is not None
         assert store.get(scenarios[3]) is not None
-        assert store.stats.evictions == 2
 
     def test_byte_cap_empties_down(self, store):
         for i in range(3):
@@ -226,10 +225,10 @@ class TestDigestIgnoresStorageMetadata:
         artifact bytes."""
         scenario = tiny_scenario("portable")
         stores = [
-            ResultStore(backend=LocalFSBackend(tmp_path / "a")),
-            ResultStore(backend=InMemoryBackend()),
+            ResultStore(LocalFSBackend(tmp_path / "a")),
+            ResultStore(InMemoryBackend()),
             ResultStore(
-                backend=TieredStore(
+                TieredStore(
                     [InMemoryBackend(), LocalFSBackend(tmp_path / "b")]
                 )
             ),
@@ -274,6 +273,18 @@ class TestInMemoryBackend:
         assert not backend.contains(huge)  # refused admission
         assert backend.contains(small)  # ... without evicting the rest
         assert backend.stats()["counters"]["evictions"] == 0
+
+
+class TestLocalFSBackendCaps:
+    def test_direct_writes_hold_the_entry_cap(self, tmp_path):
+        """A capped file backend holds its caps on every write, not only on
+        writes that a front-end follows with a gc pass."""
+        backend = LocalFSBackend(tmp_path / "fs", max_entries=2)
+        for i in range(4):
+            digest = f"{i:064x}"
+            backend.write(digest, entry_bytes(digest))
+        assert len(list(backend.entries())) == 2
+        assert backend.counters.evictions == 2
 
 
 class TestReadOnlyMirror:
@@ -344,7 +355,7 @@ class TestTieredStore:
     def test_write_back_lands_in_the_first_writable_tier(self, tmp_path):
         mem = InMemoryBackend()
         fs = LocalFSBackend(tmp_path / "fs")
-        store = ResultStore(backend=TieredStore([mem, fs]))
+        store = ResultStore(TieredStore([mem, fs]))
         scenario = tiny_scenario("write-back")
         store.put(scenario, payload())
         digest = store.digest(scenario)
@@ -363,7 +374,7 @@ class TestTieredStore:
 
         mem = InMemoryBackend()
         fs = LocalFSBackend(tmp_path / "fs")
-        store = ResultStore(backend=TieredStore([mem, fs]))
+        store = ResultStore(TieredStore([mem, fs]))
         digest = store.digest(scenario)
 
         first = store.get(scenario)
@@ -384,8 +395,8 @@ class TestTieredStore:
         scenario = tiny_scenario("masked")
         fs = LocalFSBackend(tmp_path / "fs")
         mem = InMemoryBackend()
-        store = ResultStore(backend=TieredStore([mem, fs]))
-        ResultStore(backend=fs).put(scenario, payload("durable"))
+        store = ResultStore(TieredStore([mem, fs]))
+        ResultStore(fs).put(scenario, payload("durable"))
         mem.write(store.digest(scenario), b"{ torn hot copy")
         hit = store.get(scenario)
         assert hit is not None and hit.text == "durable"
@@ -414,7 +425,7 @@ class TestTieredStore:
         mem = InMemoryBackend()
         fs = LocalFSBackend(tmp_path / "fs")
         store = ResultStore(
-            backend=TieredStore([mem, fs], write_policy="all")
+            TieredStore([mem, fs], write_policy="all")
         )
         scenario = tiny_scenario("durable")
         store.put(scenario, payload())
@@ -432,7 +443,6 @@ class TestTieredStore:
         store = ResultStore(
             f"file://{tmp_path}/capped?max_entries=2,ro://{tmp_path}/mirror"
         )
-        assert not store.backend.capped  # self-capping, like mem://
         for i in range(5):
             store.put(tiny_scenario(f"cap-{i}"), payload(str(i)))
             time.sleep(0.02)
@@ -446,7 +456,7 @@ class TestTieredStore:
             producer.put(scenario, payload())
         capped = LocalFSBackend(tmp_path / "upper", max_entries=2)
         store = ResultStore(
-            backend=TieredStore(
+            TieredStore(
                 [capped, LocalFSBackend(tmp_path / "lower")]
             )
         )
@@ -454,6 +464,24 @@ class TestTieredStore:
             assert store.get(scenario) is not None  # promote
             time.sleep(0.02)
         assert len(list(capped.entries())) <= 2
+
+    def test_a_write_the_tier_caps_evict_at_once_falls_through(
+        self, tmp_path
+    ):
+        """A write that a file tier's caps evict at once was refused, like
+        an oversized mem:// write: the put lands in the roomier tier
+        below, and reading it back is no promotion."""
+        tight = LocalFSBackend(tmp_path / "tight", max_bytes=16)
+        roomy = LocalFSBackend(tmp_path / "roomy")
+        store = ResultStore(TieredStore([tight, roomy]))
+        scenario = tiny_scenario("too-big-for-the-tight-tier")
+        store.put(scenario, payload())
+        digest = store.digest(scenario)
+        assert not tight.contains(digest) and roomy.contains(digest)
+        assert tight.counters.evictions == 1
+        assert store.get(scenario) is not None  # roomy hit, promotion refused
+        assert store.backend.counters.promotions == 0
+        assert not tight.contains(digest)
 
     def test_hot_mem_hit_never_touches_file_tier_mtimes(self, tmp_path):
         import os
@@ -493,7 +521,7 @@ class TestTieredStore:
         broken_root = tmp_path / "broken"
         broken_root.write_text("a file where the hot tier wants a dir")
         store = ResultStore(
-            backend=TieredStore(
+            TieredStore(
                 [
                     LocalFSBackend(broken_root),
                     LocalFSBackend(tmp_path / "good"),
@@ -512,7 +540,7 @@ class TestTieredStore:
         promotions are never counted as promotions."""
         tiny_mem = InMemoryBackend(max_bytes=64)
         fs = LocalFSBackend(tmp_path / "fs")
-        store = ResultStore(backend=TieredStore([tiny_mem, fs]))
+        store = ResultStore(TieredStore([tiny_mem, fs]))
         scenario = tiny_scenario("oversized")
         store.put(scenario, payload("x" * 4096))  # far over the mem budget
         digest = store.digest(scenario)
@@ -549,14 +577,13 @@ class TestTieredStore:
         scenario = tiny_scenario("gc-dedup")
         ResultStore(tmp_path / "fs").put(scenario, payload())
         store = ResultStore(
-            backend=TieredStore(
+            TieredStore(
                 [InMemoryBackend(), LocalFSBackend(tmp_path / "fs")]
             )
         )
         assert store.get(scenario) is not None  # promote: copy in both
         evicted = store.gc(max_entries=0)
         assert evicted == [store.digest(scenario)]  # once, not per tier
-        assert store.stats.evictions == 1
 
         ResultStore(tmp_path / "fs").put(scenario, payload())
         assert store.get(scenario) is not None
@@ -623,8 +650,10 @@ class TestUrlAddressing:
         with pytest.raises(TypeError, match="max_bytes"):
             ResultStore(f"file://{tmp_path}", max_bytes=1_000)
         with pytest.raises(TypeError, match="shard"):
-            ResultStore(backend=InMemoryBackend(), shard=True)
-        with pytest.raises(ConfigError, match="mutually exclusive"):
+            ResultStore(InMemoryBackend(), shard=True)
+        # A backend object goes where a URL or a path does: there is no
+        # second ``backend=`` argument to conflict with the first.
+        with pytest.raises(TypeError, match="backend"):
             ResultStore(tmp_path / "dir", backend=InMemoryBackend())
         # The URL spelling configures the cache-dir backend.
         store = ResultStore(f"file://{tmp_path}/d?max_entries=4&shard=1")

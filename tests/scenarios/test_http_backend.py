@@ -92,7 +92,10 @@ class TestRevalidation:
         time.sleep(0.02)  # mtimes must not tie on coarse fs clocks
         backend.write(second, entry_bytes(second))
         time.sleep(0.02)
-        backend.touch(first)
+        # A read of a locally held copy revalidates (304): the peer answers
+        # it with a read of its own, which is a use there.
+        assert backend.read(first) == entry_bytes(first)
+        assert backend.counters.revalidations == 1
         by_mtime = sorted(
             daemon.store.backend.entries(), key=lambda e: e.mtime
         )
@@ -263,7 +266,7 @@ class TestMaliciousPeer:
     def test_store_front_end_survives(self, hostile_peer, mode):
         hostile_peer.mode = mode
         store = ResultStore(
-            backend=HTTPPeerBackend(hostile_peer.url, timeout=10)
+            HTTPPeerBackend(hostile_peer.url, timeout=10)
         )
         # Never an exception, never a poisoned result: hostile bytes are
         # caught by front-end validation and read as a miss.
@@ -300,7 +303,7 @@ class TestMaliciousPeer:
         self, hostile_peer
     ):
         store = ResultStore(
-            backend=TieredStore(
+            TieredStore(
                 [
                     InMemoryBackend(),
                     HTTPPeerBackend(hostile_peer.url, timeout=10),

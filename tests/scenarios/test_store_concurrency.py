@@ -180,7 +180,7 @@ class TestThreadStress:
         # Every put auto-gc'd; with the dust settled the cap holds exactly.
         store.gc()
         assert store.n_entries <= 3
-        assert store.stats.evictions > 0
+        assert store.backend.counters.evictions > 0
         assert_store_consistent(tmp_path / "gc-race")
 
 
@@ -198,7 +198,7 @@ class TestTieredThreadStress:
 
         fs = LocalFSBackend(tmp_path / "tiered-fs")
         mem = InMemoryBackend()
-        store = ResultStore(backend=TieredStore([mem, fs]))
+        store = ResultStore(TieredStore([mem, fs]))
         return store, mem, fs
 
     def test_tiered_store_under_thread_fire(self, tmp_path):

@@ -56,7 +56,7 @@ class TestGcMaxEntries:
         evicted = store.gc(max_entries=2)
         assert len(evicted) == 3
         assert store.n_entries == 2
-        assert store.stats.evictions == 3
+        assert store.backend.counters.evictions == 3
         # The two *newest* survive.
         assert store.get(scenarios[3]) is not None
         assert store.get(scenarios[4]) is not None
@@ -76,7 +76,7 @@ class TestGcMaxEntries:
         store = ResultStore(tmp_path)
         put_n(store, 2)
         assert store.gc(max_entries=5) == []
-        assert store.stats.evictions == 0
+        assert store.backend.counters.evictions == 0
 
 
 class TestGcMaxBytes:
@@ -106,7 +106,7 @@ class TestAutoGcOnPut:
             time.sleep(0.02)
             store.put(tiny_scenario(f"auto-{i}"), payload(str(i)))
             assert store.n_entries <= 2
-        assert store.stats.evictions == 3
+        assert store.backend.counters.evictions == 3
         # The most recent put always survives its own gc.
         assert store.get(tiny_scenario("auto-4")) is not None
 
@@ -114,7 +114,7 @@ class TestAutoGcOnPut:
         store = ResultStore(tmp_path)
         put_n(store, 4)
         assert store.n_entries == 4
-        assert store.stats.evictions == 0
+        assert store.backend.counters.evictions == 0
 
     def test_gc_sweeps_stale_tmp_files(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -80,5 +80,5 @@ class LiveServer:
 @pytest.fixture
 def live_server(isolated_cache_dir):
     """A daemon over the isolated store; shut down cleanly afterwards."""
-    with launch_daemon(store=ResultStore(isolated_cache_dir)) as daemon:
+    with launch_daemon(cache=ResultStore(isolated_cache_dir)) as daemon:
         yield LiveServer(daemon.server)

@@ -401,6 +401,23 @@ class TestEntryPutRoutes:
         assert response.body["verified"] is True
         assert app.handle("GET", f"/results/{digest}").status == 200
 
+    @pytest.mark.parametrize("trust_puts", [False, True])
+    def test_puts_keep_a_capped_store_within_its_caps(
+        self, tmp_path, trust_puts
+    ):
+        from tests.serving.test_federation import produce_entry
+
+        app = ServingApp(
+            f"file://{tmp_path}/capped?max_entries=1", trust_puts=trust_puts
+        )
+        for name in ("capped-a", "capped-b", "capped-c"):
+            digest, entry = produce_entry(name)
+            response = app.handle("PUT", f"/results/{digest}", entry)
+            assert response.status == 201
+            assert response.body["verified"] is not trust_puts
+            assert app.store.n_entries == 1
+        assert app.store.backend.counters.evictions == 2
+
     def test_read_only_store_rejects_puts(self, tmp_path):
         from tests.serving.test_federation import produce_entry
 

@@ -27,7 +27,7 @@ def produce_entry(
 ) -> tuple[str, bytes]:
     """(digest, entry bytes) exactly as a producer store would write them."""
     backend = InMemoryBackend()
-    store = ResultStore(backend=backend)
+    store = ResultStore(backend)
     scenario = tiny_scenario(name)
     store.put(
         scenario,

@@ -17,7 +17,7 @@ from repro.serving import create_server
 
 def test_serve_smoke(tmp_path):
     store = ResultStore(f"file://{tmp_path}/cache?max_entries=16")
-    server = create_server(port=0, store=store)
+    server = create_server(port=0, cache=store)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -72,8 +72,6 @@ def test_create_server_rejects_cache_url_plus_store_knobs(tmp_path):
     gone, so passing one fails loudly instead of being dropped."""
     import pytest
 
-    from repro.errors import ConfigError
-
     with pytest.raises(TypeError, match="max_cache_bytes"):
         create_server(
             port=0, cache="mem://", max_cache_bytes=1_000_000
@@ -95,9 +93,9 @@ def test_create_server_rejects_cache_url_plus_store_knobs(tmp_path):
         )
     finally:
         server.server_close()
-    # A ready-built store and a cache URL are two different answers to
-    # the same question.
-    with pytest.raises(ConfigError, match="mutually exclusive"):
+    # A ready-built store is passed as ``cache`` too: there is no second
+    # store argument to conflict with it.
+    with pytest.raises(TypeError, match="store"):
         create_server(
             port=0, store=ResultStore(tmp_path / "s"), cache="mem://"
         )

@@ -384,7 +384,7 @@ class TestTieredDaemon:
 
         store = ResultStore(f"mem://,file://{cache_dir}")
         mem_tier, file_tier = store.backend.tiers
-        server = create_server(port=0, store=store)
+        server = create_server(port=0, cache=store)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

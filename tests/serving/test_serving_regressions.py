@@ -4,7 +4,7 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
 
 1. ``/stats`` ``runs`` counts 304-revalidated runs too (the counter used
    to be bumped *after* the ``If-None-Match`` early return).
-2. ``POST /run`` batches digest every scenario exactly once (the app's
+2. ``POST /run`` batches digest every item exactly once (the app's
    warmness probe and :func:`run_many` used to each hash every spec).
 3. ``uptime_s`` derives from the monotonic clock — a wall-clock step
    (NTP, ``date -s``) can never make uptime jump or go negative.
@@ -21,6 +21,12 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
    artifacts: it used to 202, and the job's 303 then led to a 404.
 8. A warm ``POST /run`` hashes its spec once (the store lookup used to
    digest it a second time).
+9. A store named by a ``Path`` (or given as a backend object) is built
+   into a :class:`ResultStore` like a URL is: the app used to keep the
+   ``Path`` itself, so every request, ``/healthz`` included, was a 500.
+10. A raw-entry revalidation (``If-None-Match`` with the entry media
+    type) is answered by a backend read, so the peer's use of its copy
+    shows in the serving backend's counters and LRU.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.scenarios import get
+from repro.scenarios.backends import ENTRY_CONTENT_TYPE, InMemoryBackend
 from repro.scenarios.batch import run_many
-from repro.scenarios.store import ResultStore, scenario_digest
+from repro.scenarios.store import ResultStore, run_cached, scenario_digest
 from repro.serving.app import ServeStats, ServingApp
 from repro.serving.server import create_server
 
@@ -66,42 +73,21 @@ class TestStatsCount304Runs:
 
 
 class TestBatchDigestsOnce:
-    def test_run_many_reuses_the_callers_digest_list(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path / "store")
-        scenarios = [get("table1"), get("fig7-gpu")]
-        digests = [store.digest(scenario) for scenario in scenarios]
+    def test_batch_endpoint_never_rehashes_specs(self, app, monkeypatch):
+        body = json.dumps({"scenarios": ["table1", "table1"]}).encode()
+        assert app.handle("POST", "/run?wait=1", body).status == 200  # warm
         calls = []
 
         def counting(scenario, schema):
             calls.append(scenario.name)
             return scenario_digest(scenario, schema)
 
-        monkeypatch.setattr("repro.scenarios.batch.scenario_digest", counting)
-        run_many(scenarios, store=store, digests=digests)
-        assert calls == []  # the caller's list was trusted, not re-hashed
-        run_many(scenarios, store=store)
-        assert len(calls) == len(scenarios)  # without it, hashed once each
-
-    def test_run_many_rejects_misaligned_digests(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(ConfigError, match="align"):
-            run_many(
-                [get("table1")], store=store, digests=["0" * 64, "1" * 64]
-            )
-
-    def test_batch_endpoint_never_rehashes_specs(self, app, monkeypatch):
-        def boom(scenario, schema):
-            raise AssertionError(
-                "run_many re-digested a spec the app already hashed"
-            )
-
-        monkeypatch.setattr("repro.scenarios.batch.scenario_digest", boom)
-        response = app.handle(
-            "POST",
-            "/run?wait=1",
-            json.dumps({"scenarios": ["table1", "table1"]}).encode(),
-        )
+        monkeypatch.setattr("repro.scenarios.store.scenario_digest", counting)
+        response = app.handle("POST", "/run?wait=1", body)
         assert response.status == 200
+        assert response.body["stats"]["n_from_store"] == 1
+        # One hash per item: the warm reads reuse the batch's digests.
+        assert calls == ["table1", "table1"]
 
 
 class TestMonotonicUptime:
@@ -270,3 +256,52 @@ class TestShutdownIsImmediate:
             thread.join(timeout=60)
         assert not thread.is_alive()
         assert elapsed < 5.0
+
+
+class TestAnyStoreArgument:
+    def test_serving_app_takes_a_path(self, tmp_path):
+        app = ServingApp(tmp_path / "store")
+        try:
+            reply = app.handle(
+                "POST",
+                "/run?wait=1",
+                json.dumps({"scenario": "table1"}).encode(),
+            )
+            assert reply.status == 200
+            assert app.store.cache_dir == tmp_path / "store"
+        finally:
+            app.close()
+
+    def test_create_server_takes_a_path(self, tmp_path):
+        server = create_server(port=0, cache=tmp_path / "store")
+        try:
+            assert server.app.handle("GET", "/healthz").status == 200
+        finally:
+            server.server_close()
+
+    def test_run_cached_and_run_many_take_a_backend(self):
+        backend = InMemoryBackend()
+        cold = run_cached(get("table1"), backend)
+        assert not cold.from_cache and backend.contains(cold.digest)
+        (entry,) = run_many(["table1"], store=backend).entries
+        assert entry.from_cache
+
+
+class TestRawRevalidationIsARead:
+    def test_raw_entry_304_counts_one_backend_read(self, app):
+        warm = app.handle(
+            "POST", "/run?wait=1", json.dumps({"scenario": "table1"}).encode()
+        )
+        digest = warm.body["digest"]
+        counters = app.store.backend.counters
+        hits, misses = counters.hits, counters.misses
+        reply = app.handle(
+            "GET",
+            f"/results/{digest}",
+            headers={
+                "Accept": ENTRY_CONTENT_TYPE,
+                "If-None-Match": f'"{digest}"',
+            },
+        )
+        assert reply.status == 304 and reply.body is None
+        assert (counters.hits, counters.misses) == (hits + 1, misses)
