@@ -5,17 +5,15 @@ Uses the library as a downstream architect would:
 
 * rank parallelization strategies for GPT3-76B on the blade via the
   registered `dse` scenario (the paper's "we assess the most optimal
-  mapping"; strategy candidates fan out through the sweep driver),
+  mapping"),
 * scale the blade (4x4 ... 10x10 SPUs; the paper caps at ~100 per blade),
 * trade datalink wire count against achieved training throughput.
 
 The custom grid studies run through the declarative ``repro.analysis.sweep``
-driver; pass ``--workers N`` to fan everything out over worker processes.
+driver.
 
-Run:  python examples/design_space_exploration.py [--workers N]
+Run:  python examples/design_space_exploration.py
 """
-
-import argparse
 
 from repro import scenarios
 from repro.analysis.figures import TRAINING_PARALLEL
@@ -28,9 +26,9 @@ from repro.units import TBPS
 from repro.workloads import GPT3_76B
 
 
-def strategy_search(workers: int | None = None) -> None:
+def strategy_search() -> None:
     """Rank (TP, PP, DP) decompositions for GPT3-76B on 64 SPUs."""
-    result = scenarios.get("dse").run(workers=workers)
+    result = scenarios.get("dse").run()
     print("=== Strategy search: GPT3-76B, B=64, 64 SPUs @16 TBps ===")
     print(f"{'TP':>3s} {'PP':>3s} {'DP':>3s} {'s/batch':>9s} {'PF/SPU':>7s}")
     for entry in result.strategies[:8]:
@@ -56,7 +54,7 @@ def _blade_scaling_point(side: int, batch: int) -> tuple[float, int, StrategyRes
     return blade.dram_bandwidth_per_spu, system.n_accelerators, best
 
 
-def blade_scaling(workers: int | None = None) -> None:
+def blade_scaling() -> None:
     """Scale the SPU array; DRAM and network BW scale with it (Sec. IV-C)."""
     print("\n=== Blade scaling: GPT3-76B training, B=128 ===")
     print(
@@ -67,7 +65,6 @@ def blade_scaling(workers: int | None = None) -> None:
         _blade_scaling_point,
         SweepGrid.product(side=(4, 8, 10)),
         common={"batch": 128},
-        workers=workers,
     )
     for point in sweep.points:
         side = point["side"]
@@ -97,7 +94,7 @@ def _datalink_scaling_point(factor: float, batch: int) -> tuple[float, float]:
     return bw_per_spu, report.time_per_batch
 
 
-def datalink_scaling(workers: int | None = None) -> None:
+def datalink_scaling() -> None:
     """Scale datalink wires: the paper notes the 30 TBps baseline 'can be
     increased or decreased based on the power budget, metal layers, ...'."""
     print("\n=== Datalink scaling: GPT3-76B training, B=128, 8x8 blade ===")
@@ -106,7 +103,6 @@ def datalink_scaling(workers: int | None = None) -> None:
         _datalink_scaling_point,
         SweepGrid.product(factor=(1.0, 4.0, 16.0, 34.0)),
         common={"batch": 128},
-        workers=workers,
     )
     for point in sweep.points:
         bw_per_spu, time_per_batch = point.value
@@ -114,17 +110,9 @@ def datalink_scaling(workers: int | None = None) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan sweep grids out over N worker processes (default: serial)",
-    )
-    args = parser.parse_args()
-    strategy_search(workers=args.workers)
-    blade_scaling(workers=args.workers)
-    datalink_scaling(workers=args.workers)
+    strategy_search()
+    blade_scaling()
+    datalink_scaling()
 
 
 if __name__ == "__main__":

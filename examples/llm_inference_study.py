@@ -7,23 +7,16 @@ The figure data comes from the registered scenarios (`fig7-bandwidth`,
 — the same specs the `python -m repro` CLI runs — while the L2 study keeps
 its kernel-level analysis from `repro.analysis.figures`.
 
-Run:  python examples/llm_inference_study.py [--workers N]
+Run:  python examples/llm_inference_study.py
 """
-
-import argparse
 
 from repro import scenarios
 from repro.analysis.figures import l2_kv_cache_study
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="fan scenario grids out over N worker processes")
-    workers = parser.parse_args().workers
-
     print("=== Fig. 7: Llama-405B inference, B=8, I/O 200/200, 64 SPUs ===")
-    bw = scenarios.get("fig7-bandwidth").run(workers=workers)
+    bw = scenarios.get("fig7-bandwidth").run()
     bandwidths = bw.axis("system.dram_bandwidth_tbps")
     latencies = bw.series("latency")
     print(f"{'BW/SPU':>8s} {'latency s':>10s}")
@@ -36,7 +29,7 @@ def main() -> None:
     )
 
     print("\nInset (a): DRAM latency sweep at 16 TBps")
-    lat = scenarios.get("fig7-dram-latency").run(workers=workers)
+    lat = scenarios.get("fig7-dram-latency").run()
     for lat_ns, pf in zip(
         lat.axis("system.dram_latency_ns"), lat.series("achieved_pflops_per_pu")
     ):
@@ -45,7 +38,7 @@ def main() -> None:
     gpu_ref = scenarios.get("fig7-gpu").run()
     print("\nInset (b): batch sweep at 16 TBps (GPU reference: "
           f"{gpu_ref.series('latency')[0]:.2f} s at B=8)")
-    batch_sweep = scenarios.get("fig7-batch").run(workers=workers)
+    batch_sweep = scenarios.get("fig7-batch").run()
     for b, latency, pf in zip(
         batch_sweep.axis("workload.batch"),
         batch_sweep.series("latency"),
@@ -54,14 +47,14 @@ def main() -> None:
         print(f"  B={b:4d}: latency {latency:6.3f} s, {pf:.3f} PFLOP/s/SPU")
 
     print("\n=== Fig. 8a: single-blade inference speed-up vs 64 H100s (B=8) ===")
-    fig8a = scenarios.get("fig8-models").run(workers=workers)
+    fig8a = scenarios.get("fig8-models").run()
     for name, speedup in zip(
         fig8a.axis("workload.model"), fig8a.series("speedup")
     ):
         print(f"  {name:14s} {speedup:5.1f}x   (paper: 8.9-10.6x band)")
 
     print("\n=== Fig. 8b: Llama-405B speed-up & KV cache vs batch ===")
-    fig8b = scenarios.get("fig8-batch").run(workers=workers)
+    fig8b = scenarios.get("fig8-batch").run()
     cap = scenarios.get("fig8-batch").ref_system.build().total_memory_capacity
     print(f"  64-GPU memory capacity: {cap / 1e12:.2f} TB")
     for b, speedup, kv in zip(

@@ -7,10 +7,8 @@ results, and renders terminal plots: the cryo-DRAM bandwidth sweep shows the
 memory-bound -> compute-bound crossover of the forward GEMMs, the model
 comparison the 3.5-4.4x per-batch speed-up over 64 H100s.
 
-Run:  python examples/llm_training_study.py [--workers N]
+Run:  python examples/llm_training_study.py
 """
-
-import argparse
 
 from repro import scenarios
 
@@ -22,13 +20,8 @@ def bar(fraction: float, width: int = 32) -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="fan scenario grids out over N worker processes")
-    workers = parser.parse_args().workers
-
     print("=== Fig. 5: GPT3-76B training, B=128, TP=8/PP=8/DP=1, 64 SPUs ===")
-    fig5 = scenarios.get("fig5").run(workers=workers)
+    fig5 = scenarios.get("fig5").run()
     bandwidths = fig5.axis("system.dram_bandwidth_tbps")
     pflops = fig5.series("achieved_pflops_per_pu")
     peak = max(pflops)
@@ -55,7 +48,7 @@ def main() -> None:
     )
 
     print("\n=== Fig. 6: training time per batch, SPU (16 TBps) vs H100 ===")
-    fig6 = scenarios.get("fig6").run(workers=workers)
+    fig6 = scenarios.get("fig6").run()
     print(
         f"{'model':12s} {'unit':5s} {'total s':>8s} {'compute':>8s} "
         f"{'comm':>8s} {'others':>8s} {'PF/unit':>8s}"

@@ -11,8 +11,7 @@ builds its scenario from the registry's parameterized builders, executes it
 through :func:`repro.scenarios.runner.run_scenario` — the one path that
 routes every experiment through the sweep driver, the mapping cache and the
 memoized timing engine — and reshapes the extracted series into the
-figure-result dataclasses.  Pass ``workers=N`` to any generator to fan the
-grid out over worker processes.
+figure-result dataclasses.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ def fig5_training_bandwidth_sweep(
     bandwidths_tbps: tuple[float, ...] = (0.5, 1, 2, 4, 8, 16, 32, 64),
     batch: int = 128,
     model: LLMConfig = GPT3_76B,
-    workers: int | None = None,
 ) -> Fig5Result:
     """Reproduce Fig. 5 (+ inset): bandwidth sweep 0.5–64 TBps per SPU."""
     # Imported lazily: the registry's builders live above this module in the
@@ -83,9 +81,7 @@ def fig5_training_bandwidth_sweep(
     from repro.scenarios.registry import fig5_scenario
     from repro.scenarios.runner import run_scenario
 
-    result = run_scenario(
-        fig5_scenario(tuple(bandwidths_tbps), batch, model), workers=workers
-    )
+    result = run_scenario(fig5_scenario(tuple(bandwidths_tbps), batch, model))
     return Fig5Result(
         bandwidths=tuple(bandwidths_tbps),
         achieved_pflops_per_spu=result.series("achieved_pflops_per_pu"),
@@ -129,15 +125,13 @@ def fig6_training_models(
     batch: int = 64,
     dram_bandwidth_per_spu: float = DEFAULT_SPU_BANDWIDTH,
     models: tuple[LLMConfig, ...] = (GPT3_18B, GPT3_76B, GPT3_175B),
-    workers: int | None = None,
 ) -> Fig6Result:
     """Reproduce Fig. 6 (+ inset): per-batch breakdown SPU vs GPU."""
     from repro.scenarios.registry import fig6_scenario
     from repro.scenarios.runner import run_scenario
 
     result = run_scenario(
-        fig6_scenario(batch, dram_bandwidth_per_spu / TBPS, models),
-        workers=workers,
+        fig6_scenario(batch, dram_bandwidth_per_spu / TBPS, models)
     )
     # Axis values are zoo names, or inline LLMConfigs for custom models.
     return Fig6Result(
@@ -187,7 +181,6 @@ def fig7_inference(
     batch: int = 8,
     io_tokens: tuple[int, int] = (200, 200),
     model: LLMConfig = LLAMA_405B,
-    workers: int | None = None,
 ) -> Fig7Result:
     """Reproduce Fig. 7 and both insets (four scenarios, one result)."""
     from repro.scenarios.registry import (
@@ -200,18 +193,15 @@ def fig7_inference(
 
     spu_bandwidth_tbps = DEFAULT_SPU_BANDWIDTH / TBPS
     bw_result = run_scenario(
-        fig7_bandwidth_scenario(tuple(bandwidths_tbps), batch, io_tokens, model),
-        workers=workers,
+        fig7_bandwidth_scenario(tuple(bandwidths_tbps), batch, io_tokens, model)
     )
     latency_result = run_scenario(
         fig7_latency_scenario(
             tuple(dram_latencies_ns), batch, io_tokens, model, spu_bandwidth_tbps
-        ),
-        workers=workers,
+        )
     )
     batch_result = run_scenario(
-        fig7_batch_scenario(tuple(batches), io_tokens, model, spu_bandwidth_tbps),
-        workers=workers,
+        fig7_batch_scenario(tuple(batches), io_tokens, model, spu_bandwidth_tbps)
     )
     gpu_result = run_scenario(fig7_gpu_scenario(batch, io_tokens, model))
 
@@ -253,7 +243,6 @@ def fig8_inference_speedup(
     batch: int = 8,
     io_tokens: tuple[int, int] = (200, 200),
     dram_bandwidth_per_spu: float = DEFAULT_SPU_BANDWIDTH,
-    workers: int | None = None,
 ) -> Fig8Result:
     """Reproduce Fig. 8: per-model speed-ups and the Llama-405B batch sweep."""
     from repro.scenarios.registry import (
@@ -264,12 +253,10 @@ def fig8_inference_speedup(
 
     bandwidth_tbps = dram_bandwidth_per_spu / TBPS
     model_result = run_scenario(
-        fig8_models_scenario(models, batch, io_tokens, bandwidth_tbps),
-        workers=workers,
+        fig8_models_scenario(models, batch, io_tokens, bandwidth_tbps)
     )
     batch_result = run_scenario(
-        fig8_batch_scenario(tuple(batches), io_tokens, LLAMA_405B, bandwidth_tbps),
-        workers=workers,
+        fig8_batch_scenario(tuple(batches), io_tokens, LLAMA_405B, bandwidth_tbps)
     )
     return Fig8Result(
         model_names=tuple(model.name for model in models),

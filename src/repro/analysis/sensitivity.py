@@ -65,13 +65,12 @@ def inference_speedup_sensitivity(
     batch: int = 8,
     io_tokens: tuple[int, int] = (200, 200),
     dram_bandwidth_per_spu: float = 16 * TBPS,
-    workers: int | None = None,
 ) -> SensitivityResult:
     """Perturb each calibrated knob and measure the Fig. 8 speed-up swing."""
     scenario = sensitivity_scenario(
         model, batch, io_tokens, dram_bandwidth_per_spu / TBPS
     )
-    result = run_scenario(scenario, workers=workers)
+    result = run_scenario(scenario)
     speedups = result.series("speedup")
 
     # Grid layout (see sensitivity_scenario): [baseline,

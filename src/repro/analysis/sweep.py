@@ -1,4 +1,4 @@
-"""Declarative parameter-grid sweeps with optional process fan-out.
+"""Declarative parameter-grid sweeps.
 
 The figure generators, sensitivity analysis and design-space-exploration
 examples all reduce to the same shape: evaluate one point function over a
@@ -17,23 +17,15 @@ Grids come in three flavors:
   e.g. a per-knob low/high perturbation);
 * :meth:`SweepGrid.explicit` — an explicit list of parameter dicts.
 
-``run_sweep(..., workers=N)`` fans points out over a
-:class:`concurrent.futures.ProcessPoolExecutor`.  The point function, every
-parameter, and every *returned value* must be picklable (top-level
-functions, the frozen config dataclasses and the report types all are —
-``MappedInference``, which closes over a local function, is not).  A
-non-picklable point function or parameter, and sandboxes where worker
-processes cannot start, degrade gracefully to the serial path; a
-non-picklable return value raises from the worker.  Within one process,
-all points share the process-wide kernel-timing cache, so serial sweeps
-are already fast — fan-out pays off for thousand-point grids of
-*distinct* configurations.
+Every point runs in the calling process, on the process-wide mapping and
+kernel-timing caches: the paper's grids are a few dozen points at most, at
+about a millisecond each, so a worker pool's start-up and pickling would
+cost more than it saves.
 """
 
 from __future__ import annotations
 
 import itertools
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -300,116 +292,22 @@ def _from_cell(cell: str) -> Any:
         return cell
 
 
-#: Multiprocessing start method for the fan-out pool; ``None`` keeps the
-#: platform default (``fork`` on Linux — fastest, and workers inherit the
-#: parent's warm caches).  Processes that run threads — the serving daemon
-#: — must set ``"forkserver"``/``"spawn"`` before fanning out: forking a
-#: multithreaded process can clone a lock mid-acquire and deadlock the
-#: child in bootstrap.
-FANOUT_START_METHOD: str | None = None
-
-
-def _pool_probe() -> None:
-    """No-op task used to confirm worker processes actually start."""
-
-
-def _call_point(payload: tuple) -> Any:
-    """Top-level trampoline so pool workers can unpickle the call."""
-    fn, params, common = payload
-    return fn(**params, **common)
-
-
-def _picklable(obj: Any) -> bool:
-    try:
-        pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
-
-
 def run_sweep(
     fn: Callable[..., Any],
     grid: SweepGrid,
     *,
     common: Mapping[str, Any] | None = None,
-    workers: int | None = None,
 ) -> SweepResult:
-    """Evaluate ``fn(**point, **common)`` over every grid point.
+    """Evaluate ``fn(**point, **common)`` over every grid point, in order.
 
-    Parameters
-    ----------
-    fn:
-        The point function.  For process fan-out it must be a top-level
-        (picklable) callable.
-    grid:
-        The parameter grid.
-    common:
-        Extra keyword arguments passed to every point.
-    workers:
-        ``None``/``0``/``1`` — evaluate serially (sharing this process's
-        kernel-timing cache).  ``> 1`` — fan points out over that many
-        worker processes; falls back to serial when the point function is
-        not picklable or process pools are unavailable.
+    ``common`` holds extra keyword arguments passed to every point.
     """
     common = dict(common or {})
-    params_list = list(grid.points())
-
-    values: list[Any] | None = None
-    if workers and workers > 1 and len(params_list) > 1:
-        values = _run_in_processes(fn, params_list, common, workers)
-    if values is None:
-        values = [fn(**params, **common) for params in params_list]
-
     points = tuple(
-        SweepPoint(params=params, value=value)
-        for params, value in zip(params_list, values)
+        SweepPoint(params=params, value=fn(**params, **common))
+        for params in grid.points()
     )
     return SweepResult(grid=grid, points=points)
-
-
-def _run_in_processes(
-    fn: Callable[..., Any],
-    params_list: list[dict[str, Any]],
-    common: dict[str, Any],
-    workers: int,
-) -> list[Any] | None:
-    """Process fan-out; ``None`` means "use the serial path instead"."""
-    if not (_picklable(fn) and _picklable(common) and _picklable(params_list)):
-        return None
-    import concurrent.futures
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        mp_context = None
-        if FANOUT_START_METHOD is not None:
-            import multiprocessing
-
-            mp_context = multiprocessing.get_context(FANOUT_START_METHOD)
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context
-        )
-    except (OSError, PermissionError, ValueError):
-        # ValueError: the requested start method does not exist on this
-        # platform — degrade to the serial path like any other pool failure.
-        return None
-    try:
-        # Worker spawn is lazy; probe now so sandboxes without process
-        # support are detected here, not mid-sweep.
-        pool.submit(_pool_probe).result()
-    except (OSError, PermissionError, BrokenProcessPool):
-        pool.shutdown(wait=False, cancel_futures=True)
-        return None
-
-    try:
-        with pool:
-            payloads = [(fn, params, common) for params in params_list]
-            return list(pool.map(_call_point, payloads))
-    except BrokenProcessPool:
-        # Killed workers degrade to the serial path.  Anything raised *by*
-        # a point function — including OSError — is a genuine point failure
-        # and propagates, as does the (unclassifiable) pickling error a
-        # worker raises when a point's return value cannot cross the pipe.
-        return None
 
 
 __all__ = ["SweepGrid", "SweepPoint", "SweepResult", "run_sweep"]

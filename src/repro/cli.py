@@ -8,15 +8,13 @@ Subcommands:
 * ``run NAME_OR_FILE``   — execute a registered scenario *or a user scenario
   JSON file* (``python -m repro run path/to/scenario.json``) and print the
   rendered result;
-* ``sweep NAME_OR_FILE`` — same, but requires a sweep grid and supports
-  ``--workers N`` process fan-out;
 * ``run-all``            — serve every registered scenario through the batch
-  runner (``--kind`` filters, ``--workers`` fans scenarios out);
+  runner (``--kind`` filters);
 * ``serve``              — run the HTTP serving daemon over the store
-  (``--port --workers --job-workers --max-queue --cache``);
+  (``--port --job-workers --max-queue --cache``);
 * ``cache stats|clear|gc`` — inspect, empty or LRU-shrink the result store.
 
-``run``/``sweep``/``run-all`` consult the store first (re-running a cached
+``run``/``run-all`` consult the store first (re-running a cached
 scenario is a pure backend read; ``served from result store`` is reported
 on stderr), and accept ``--no-cache`` (bypass the store entirely — nothing
 read or written).  Every command that touches the store names it with
@@ -38,7 +36,7 @@ import argparse
 import sys
 import time as _time
 
-from repro.errors import ConfigError
+from repro.errors import ReproError
 from repro.scenarios import REGISTRY, get
 from repro.scenarios.batch import resolve_scenario, run_many
 from repro.scenarios.store import (
@@ -70,19 +68,11 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _execute(args: argparse.Namespace, require_grid: bool) -> int:
-    scenario = resolve_scenario(args.name)
-    if require_grid and scenario.grid is None:
-        print(
-            f"scenario {scenario.name!r} has no sweep grid; use `run` instead",
-            file=sys.stderr,
-        )
-        return 2
+def _cmd_run(args: argparse.Namespace) -> int:
     result = run_cached(
-        scenario,
+        resolve_scenario(args.name),
         ResultStore(args.cache),
         use_cache=not args.no_cache,
-        workers=args.workers,
     )
     print(result.render())
     if result.from_cache:
@@ -94,14 +84,6 @@ def _execute(args: argparse.Namespace, require_grid: bool) -> int:
         for path in result.write_artifacts(args.out):
             print(f"wrote {path}")
     return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    return _execute(args, require_grid=False)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    return _execute(args, require_grid=True)
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
@@ -117,7 +99,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         names,
         store=ResultStore(args.cache),
         use_cache=not args.no_cache,
-        workers=args.workers,
     )
     width = max(len(name) for name in names)
     for entry in batch.entries:
@@ -262,7 +243,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.host,
         args.port,
         cache=args.cache,
-        workers=args.workers,
         job_workers=args.job_workers,
         max_queue=args.max_queue,
         trust_puts=args.trust_puts,
@@ -287,12 +267,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_execute_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan work out over N worker processes",
-    )
     parser.add_argument(
         "--out",
         default=None,
@@ -323,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_show.add_argument("name")
     p_show.set_defaults(fn=_cmd_show)
 
-    for command, fn, help_text in (
-        ("run", _cmd_run, "execute a scenario (registry name or JSON file)"),
-        ("sweep", _cmd_sweep, "execute a grid scenario"),
-    ):
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("name", metavar="name_or_file")
-        _add_execute_flags(p)
-        p.set_defaults(fn=fn)
+    p_run = sub.add_parser(
+        "run", help="execute a scenario (registry name or JSON file)"
+    )
+    p_run.add_argument("name", metavar="name_or_file")
+    _add_execute_flags(p_run)
+    p_run.set_defaults(fn=_cmd_run)
 
     p_all = sub.add_parser(
         "run-all", help="serve every registered scenario through the batch runner"
@@ -347,12 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--port", type=int, default=8035, help="port (0 = ephemeral)"
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan cold computes out over N worker processes",
     )
     p_serve.add_argument(
         "--job-workers",
@@ -416,7 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except ReproError as exc:
+        # A bad spec, including one that only fails once computed (a
+        # decomposition that cannot be mapped), is the user's error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

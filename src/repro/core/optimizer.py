@@ -31,30 +31,6 @@ class StrategyResult:
         return self.report.time_per_batch
 
 
-def _strategy_point(
-    parallel: ParallelConfig,
-    model: LLMConfig,
-    system: SystemSpec,
-    batch: int,
-    seq_len: int | None,
-    require_fit: bool,
-) -> StrategyResult | None:
-    """Score one candidate decomposition (``None`` = invalid / doesn't fit).
-
-    Top-level so :func:`repro.analysis.sweep.run_sweep` can fan candidates
-    out over worker processes.
-    """
-    try:
-        mapped = map_training(model, system, parallel, batch, seq_len)
-    except MappingError:
-        return None
-    if require_fit and not mapped.fits_memory:
-        return None
-    return StrategyResult(
-        parallel=parallel, report=Optimus(system).evaluate_training(mapped)
-    )
-
-
 def search_strategies(
     model: LLMConfig,
     system: SystemSpec,
@@ -62,40 +38,31 @@ def search_strategies(
     seq_len: int | None = None,
     max_candidates: int = 64,
     require_fit: bool = False,
-    workers: int | None = None,
 ) -> list[StrategyResult]:
     """Evaluate all valid strategies, best (fastest) first.
 
     ``require_fit`` drops strategies whose static state exceeds device
     memory; ``max_candidates`` bounds the search for very large systems.
-    Candidates are scored through the declarative sweep driver — pass
-    ``workers=N`` to fan them out over worker processes.
+    Candidates that cannot be mapped are skipped.
     """
-    from repro.analysis.sweep import SweepGrid, run_sweep
-
-    candidates = []
+    results: list[StrategyResult] = []
     for count, parallel in enumerate(
         enumerate_strategies(model, system.n_accelerators, batch)
     ):
         if count >= max_candidates:
             break
-        candidates.append(parallel)
-
-    results: list[StrategyResult] = []
-    if candidates:
-        sweep = run_sweep(
-            _strategy_point,
-            SweepGrid.explicit([{"parallel": p} for p in candidates]),
-            common={
-                "model": model,
-                "system": system,
-                "batch": batch,
-                "seq_len": seq_len,
-                "require_fit": require_fit,
-            },
-            workers=workers,
+        try:
+            mapped = map_training(model, system, parallel, batch, seq_len)
+        except MappingError:
+            continue
+        if require_fit and not mapped.fits_memory:
+            continue
+        results.append(
+            StrategyResult(
+                parallel=parallel,
+                report=Optimus(system).evaluate_training(mapped),
+            )
         )
-        results = [value for value in sweep.values() if value is not None]
     if not results:
         raise MappingError(
             f"no valid parallelization strategy for {model.name} on "

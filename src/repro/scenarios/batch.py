@@ -10,16 +10,14 @@ shared pair of process-wide caches:
 * **digest dedup** — items that resolve to the *same* spec (two names for
   one experiment, a file that duplicates a registry entry) are computed
   once and served to every occurrence;
-* **one substrate** — misses are computed in digest order through
-  :func:`~repro.analysis.sweep.run_sweep` over a ``SweepGrid`` *of
-  scenarios*, so the serial path shares the process-wide
-  :class:`~repro.parallel.mapper.MappingCache` and
+* **one substrate** — misses are computed in item order, in this
+  process, through the same compute-and-store step as
+  :func:`~repro.scenarios.store.run_cached`, so they share the
+  process-wide :class:`~repro.parallel.mapper.MappingCache` and
   :class:`~repro.core.timing_cache.KernelTimingCache` across scenarios —
   sweep points that recur across specs (the fig7/fig8 batch grids share
   most of their points) are mapped and kernel-timed once for the whole
-  batch.  ``workers=N`` fans whole scenarios out over worker processes
-  (each worker keeps its own caches; cross-scenario dedup then happens
-  per worker).
+  batch.
 
 The CLI's ``run-all`` and the cache-warm serving benchmark are thin
 wrappers over this function.
@@ -27,26 +25,22 @@ wrappers over this function.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
-from repro.analysis.sweep import SweepGrid, run_sweep
 from repro.core.timing_cache import default_timing_cache
 from repro.errors import ConfigError
 from repro.parallel.mapper import default_mapping_cache
 from repro.scenarios.backends import StoreBackend
 from repro.scenarios.registry import REGISTRY
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Scenario
 from repro.scenarios.store import (
     SCHEMA_VERSION,
     ResultStore,
     StoredResult,
-    artifact_payload,
+    _compute_and_store,
     scenario_digest,
-    stored_from_payload,
 )
 
 
@@ -112,9 +106,8 @@ class BatchEntry:
 class BatchStats:
     """What serving the batch cost.
 
-    Cache counters are deltas over the batch on the *parent* process's
-    shared caches; with process fan-out the workers' traffic is invisible
-    here (each worker holds its own caches).
+    Cache counters are deltas over the batch on this process's shared
+    caches.
     """
 
     n_items: int
@@ -158,24 +151,11 @@ class BatchResult:
         return "\n\n".join(entry.result.render() for entry in self.entries)
 
 
-def _compute_payload(scenario: Scenario | None = None) -> dict[str, Any]:
-    """One batch point: run a scenario, return its artifact payload and its
-    compute wall time (the provenance stamp of the stored entry).
-
-    Top-level (and all-plain-data in and out) so process fan-out can pickle
-    the call and ship the result back.
-    """
-    t0 = time.perf_counter()
-    payload = artifact_payload(run_scenario(scenario))
-    return {"artifacts": payload, "wall_time_s": time.perf_counter() - t0}
-
-
 def run_many(
     items: Iterable["Scenario | str | Path"],
     *,
     store: "ResultStore | str | Path | StoreBackend | None" = None,
     use_cache: bool = True,
-    workers: int | None = None,
 ) -> BatchResult:
     """Serve a batch of scenarios, compute-once per unique spec.
 
@@ -191,10 +171,6 @@ def run_many(
         Read-only stores are consulted but never written.
     use_cache:
         ``False`` bypasses the store in both directions (``--no-cache``).
-    workers:
-        ``> 1`` fans *whole scenarios* out over worker processes via the
-        sweep driver (grids inside each scenario stay serial per worker);
-        falls back to serial exactly like any other sweep.
     """
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
@@ -202,7 +178,6 @@ def run_many(
     schema = store.schema_version if store is not None else SCHEMA_VERSION
     digests = [scenario_digest(scenario, schema) for scenario in scenarios]
     caching = store is not None and use_cache
-    persisting = caching and store.writable
 
     mapping_cache = default_mapping_cache()
     timing_cache = default_timing_cache()
@@ -226,29 +201,12 @@ def run_many(
                 continue
         to_compute.append((digest, scenario))
 
-    # Pass 2: compute the misses — a sweep whose grid points *are* scenarios.
+    # Pass 2: compute the misses, in this process on its shared caches.
     n_from_store = len(outcomes)
-    if to_compute:
-        sweep = run_sweep(
-            _compute_payload,
-            SweepGrid.explicit(
-                [{"scenario": scenario} for _, scenario in to_compute]
-            ),
-            workers=workers,
+    for digest, scenario in to_compute:
+        outcomes[digest] = _compute_and_store(
+            scenario, digest, store if caching else None
         )
-        for (digest, scenario), outcome in zip(to_compute, sweep.values()):
-            payload = outcome["artifacts"]
-            if persisting:
-                outcomes[digest] = store.put(
-                    scenario,
-                    payload,
-                    wall_time_s=outcome["wall_time_s"],
-                    _digest=digest,
-                )
-            else:
-                outcomes[digest] = stored_from_payload(
-                    scenario, payload, digest
-                )
 
     counters1 = (
         mapping_cache.hits,

@@ -6,8 +6,7 @@ recipes, the workload is mapped through the process-wide
 :class:`~repro.parallel.mapper.MappingCache` (points that differ only in
 system parameters map once and re-time per system), and timing runs on the
 memoized op-program engine.  Grids go through
-:func:`repro.analysis.sweep.run_sweep`, so ``workers=N`` fans scenario
-points out over worker processes exactly like any other sweep.
+:func:`repro.analysis.sweep.run_sweep` like any other sweep.
 
 This module always computes; store-aware execution (serve warm results
 from a pluggable storage backend — ``mem://``/``file://``/``ro://``
@@ -110,11 +109,7 @@ def _evaluate_on(scenario: Scenario, system):
 
 
 def _scenario_point(scenario: Scenario | None = None, **axes: Any) -> PointOutcome:
-    """One sweep point: overrides applied, then evaluated.
-
-    Top-level (and all-frozen-dataclass arguments) so process fan-out can
-    pickle the call.
-    """
+    """One sweep point: overrides applied, then evaluated."""
     outcome = evaluate_scenario(apply_axes(scenario, axes))
     return dataclasses.replace(outcome, params=dict(axes))
 
@@ -278,31 +273,29 @@ def _fmt(value: Any) -> str:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-def run_scenario(
-    scenario: Scenario, workers: int | None = None
-) -> ScenarioResult:
+def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Run a scenario end to end.
 
-    Tables render their artifact; DSE scenarios search strategies (fanning
-    candidates out over ``workers``); training/inference scenarios evaluate
-    their point, or their whole grid through :func:`run_sweep`.
+    Tables render their artifact; DSE scenarios search strategies;
+    training/inference scenarios evaluate their point, or their whole grid
+    through :func:`run_sweep`.
     """
     if scenario.kind == "table":
         return _run_table(scenario)
     if scenario.kind == "dse":
-        return _run_dse(scenario, workers)
+        return _run_dse(scenario)
     if scenario.grid is None:
         return ScenarioResult(
             scenario=scenario, outcome=evaluate_scenario(scenario)
         )
-    # The point function never reads the grid, so ship the grid-free spec to
-    # the workers: run_sweep pickles `common` once per point, and an N-row
-    # grid riding along would make serialization O(N²).
+    # The point function never reads the grid, so hand it the grid-free
+    # spec: apply_axes' dataclasses.replace re-runs Scenario validation on
+    # every point, and a grid riding along would re-check every axis each
+    # time.
     sweep = run_sweep(
         _scenario_point,
         scenario.grid,
         common={"scenario": scenario.with_grid(None)},
-        workers=workers,
     )
     return ScenarioResult(scenario=scenario, sweep=sweep)
 
@@ -323,7 +316,7 @@ def _run_table(scenario: Scenario) -> ScenarioResult:
     return ScenarioResult(scenario=scenario, table_rows=rows)
 
 
-def _run_dse(scenario: Scenario, workers: int | None) -> ScenarioResult:
+def _run_dse(scenario: Scenario) -> ScenarioResult:
     workload = scenario.workload
     results = search_strategies(
         workload.llm(),
@@ -331,7 +324,6 @@ def _run_dse(scenario: Scenario, workers: int | None) -> ScenarioResult:
         batch=workload.batch,
         seq_len=workload.seq_len,
         max_candidates=scenario.max_candidates,
-        workers=workers,
     )
     return ScenarioResult(scenario=scenario, strategies=tuple(results))
 

@@ -338,11 +338,11 @@ class Scenario:
         return replace(self, system=self.system.with_overrides(**overrides))
 
     # -- execution (delegates to the runner) --------------------------------
-    def run(self, workers: int | None = None):
+    def run(self):
         """Execute this scenario; see :func:`repro.scenarios.runner.run_scenario`."""
         from repro.scenarios.runner import run_scenario
 
-        return run_scenario(self, workers=workers)
+        return run_scenario(self)
 
     @staticmethod
     def builder(name: str, description: str = "") -> "ScenarioBuilder":

@@ -287,7 +287,7 @@ def artifact_payload(result: ScenarioResult) -> dict[str, Any]:
     stage), ``text`` the rendered figure/table, ``csv`` the
     :meth:`~repro.analysis.sweep.SweepResult.to_csv_text` stage (grid
     scenarios only).  Everything is plain JSON data, so the payload survives
-    the store round trip — and a process-pool hop — bit-exactly.
+    the store round trip bit-exactly.
     """
     payload: dict[str, Any] = {
         "raw": result.to_raw(),
@@ -800,7 +800,6 @@ def run_cached(
     store: "ResultStore | str | Path | StoreBackend | None" = None,
     *,
     use_cache: bool = True,
-    workers: int | None = None,
 ) -> StoredResult:
     """Run a scenario through the result store.
 
@@ -822,23 +821,31 @@ def run_cached(
     """
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
-    caching = store is not None and use_cache
-    digest = None
-    if caching:
-        digest = store.digest(scenario)
-        cached = store.get(scenario, _digest=digest)
-        if cached is not None:
-            return cached
+    if store is None or not use_cache:
+        schema = store.schema_version if store is not None else SCHEMA_VERSION
+        digest = scenario_digest(scenario, schema)
+        return _compute_and_store(scenario, digest, None)
+    digest = store.digest(scenario)
+    cached = store.get(scenario, _digest=digest)
+    if cached is not None:
+        return cached
+    return _compute_and_store(scenario, digest, store)
+
+
+def _compute_and_store(
+    scenario: Scenario, digest: str, store: ResultStore | None
+) -> StoredResult:
+    """Compute one scenario and keep it in ``store`` when that is writable
+    (the one compute-and-store step of :func:`run_cached` and
+    :func:`~repro.scenarios.batch.run_many`).  The entry's ``wall_time_s``
+    spans the compute alone, not the render or the write."""
     t0 = time.perf_counter()
-    result = run_scenario(scenario, workers=workers)
+    result = run_scenario(scenario)
     wall_time_s = time.perf_counter() - t0
-    if caching and store.writable:
+    if store is not None and store.writable:
         return store.put(
             scenario, result, wall_time_s=wall_time_s, _digest=digest
         )
-    if digest is None:
-        schema = store.schema_version if store is not None else SCHEMA_VERSION
-        digest = scenario_digest(scenario, schema)
     return stored_from_payload(scenario, artifact_payload(result), digest)
 
 

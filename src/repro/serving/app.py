@@ -262,7 +262,6 @@ class ServingApp:
         self,
         store: "ResultStore | str | Path | StoreBackend | None" = None,
         *,
-        workers: int | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         job_workers: int = DEFAULT_JOB_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
@@ -273,7 +272,6 @@ class ServingApp:
         self.store = (
             store if isinstance(store, ResultStore) else ResultStore(store)
         )
-        self.workers = workers
         self.max_body_bytes = max_body_bytes
         #: ``PUT /results/<digest>`` verification policy.  ``False``
         #: (default): the body must be a well-formed entry whose canonical
@@ -283,14 +281,6 @@ class ServingApp:
         #: inside a trusted cluster, where the *reading* front-end owns
         #: validation exactly as it does for a shared directory.
         self.trust_puts = trust_puts
-        if workers:
-            # This process runs handler threads; fork-based fan-out could
-            # clone a lock mid-acquire and deadlock the child.  Forkserver
-            # workers start from a clean, threadless helper process.
-            from repro.analysis import sweep
-
-            if sweep.FANOUT_START_METHOD is None:
-                sweep.FANOUT_START_METHOD = "forkserver"
         self.stats = ServeStats()
         self._stats_lock = threading.Lock()
         #: The job engine behind every cold ``POST /run`` (202 or waited,
@@ -300,7 +290,6 @@ class ServingApp:
             self.store,
             n_workers=job_workers,
             max_queue=max_queue,
-            fanout_workers=workers,
             on_terminal=self._job_finished,
         )
 

@@ -3,9 +3,8 @@
 :class:`JobManager` turns a cold ``POST /run`` from a blocking compute
 into a *job*: submissions are digest-keyed, so N concurrent requests for
 one uncomputed digest coalesce onto a single queued computation; a
-bounded FIFO queue feeds a small pool of worker threads (each compute
-still fans out over the ``forkserver`` process pool when the daemon runs
-with ``--workers``); and a full queue rejects new work loudly — the
+bounded FIFO queue feeds a small pool of worker threads, each computing
+in this process; and a full queue rejects new work loudly — the
 serving layer translates :class:`QueueFullError` into a structured
 ``429`` with ``Retry-After`` instead of piling handler threads behind
 one lock.
@@ -46,7 +45,7 @@ from concurrent.futures import Future, wait as wait_futures
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.scenarios.spec import Scenario
 from repro.scenarios.store import ResultStore, StoredResult, run_cached
 
@@ -57,8 +56,7 @@ DONE = "done"
 FAILED = "failed"
 JOB_STATES = (QUEUED, RUNNING, DONE, FAILED)
 
-#: Default worker-thread pool size.  Two threads overlap one compute's
-#: process fan-out with the next job's warm-up without oversubscribing
+#: Default worker-thread pool size.  More threads would only oversubscribe
 #: the GIL (the closed-form evaluation path is pure Python).
 DEFAULT_JOB_WORKERS = 2
 
@@ -103,7 +101,7 @@ class Job:
     digest: str
     scenario: Scenario
     #: ``"registry"`` (server-owned spec) or ``"inline"`` (client-sent) —
-    #: decides whose fault a mid-compute ConfigError is.
+    #: decides whose fault a mid-compute ReproError is.
     origin: str
     state: str = QUEUED
     created_unix: float = field(default_factory=time.time)
@@ -150,15 +148,11 @@ class JobManager:
     max_queue:
         Bound on queued jobs; beyond it :meth:`submit` raises
         :class:`QueueFullError`.
-    fanout_workers:
-        Passed through to :func:`run_cached` — per-compute process
-        fan-out (the daemon's ``--workers``).
     retention:
         How many terminal jobs stay queryable before FIFO eviction.
     compute:
         Override the compute callable (tests inject slow/failing
-        computes); defaults to ``run_cached(scenario, store,
-        workers=fanout_workers)``.
+        computes); defaults to ``run_cached(scenario, store)``.
     on_terminal:
         Optional callback invoked once per job reaching a terminal state,
         under the lock and before any waiter wakes — the serving layer
@@ -171,7 +165,6 @@ class JobManager:
         *,
         n_workers: int = DEFAULT_JOB_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        fanout_workers: int | None = None,
         retention: int = DEFAULT_RETENTION,
         compute: "Callable[[Scenario], StoredResult] | None" = None,
         on_terminal: "Callable[[Job], None] | None" = None,
@@ -185,12 +178,9 @@ class JobManager:
         self.store = store
         self.n_workers = n_workers
         self.max_queue = max_queue
-        self.fanout_workers = fanout_workers
         self.retention = retention
         self._compute = compute or (
-            lambda scenario: run_cached(
-                scenario, self.store, workers=self.fanout_workers
-            )
+            lambda scenario: run_cached(scenario, self.store)
         )
         self._on_terminal = on_terminal
         self.counters = JobCounters()
@@ -422,10 +412,11 @@ class JobManager:
             result: StoredResult | None = None
             try:
                 result = self._compute(job.scenario)
-            except ConfigError as exc:
+            except ReproError as exc:
                 # Whose spec was it?  An inline spec that only blows up
-                # once computed is still the client's bad request; a
-                # registry spec failing is a server-side defect.
+                # once computed (a bad value, a decomposition that cannot
+                # be mapped) is still the client's bad request; a registry
+                # spec failing is a server-side defect.
                 slug = (
                     "invalid-scenario"
                     if job.origin == "inline"

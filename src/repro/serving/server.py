@@ -296,7 +296,6 @@ def create_server(
     port: int = 0,
     *,
     cache: "ResultStore | str | Path | None" = None,
-    workers: int | None = None,
     max_body_bytes: int = MAX_BODY_BYTES,
     job_workers: int | None = None,
     max_queue: int | None = None,
@@ -324,7 +323,6 @@ def create_server(
         job_knobs["max_queue"] = max_queue
     app = ServingApp(
         cache,
-        workers=workers,
         max_body_bytes=max_body_bytes,
         trust_puts=trust_puts,
         **job_knobs,

@@ -1,4 +1,4 @@
-"""Sweep-driver tests: grids, structured results, process fan-out."""
+"""Sweep-driver tests: grids and structured results."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.errors import ConfigError
 
 
 def scaled_sum(x, y=0.0, scale=1.0):
-    """Module-level (hence picklable) point function for fan-out tests."""
+    """A point function taking two axes and a common argument."""
     return (x + y) * scale
 
 
@@ -94,48 +94,12 @@ class TestRunSweep:
         assert result.points[0]["x"] == 4.0
         assert result.points[0].value == 4.0
 
-    def test_process_fanout_matches_serial(self):
-        grid = SweepGrid.product(x=(1.0, 2.0, 3.0, 4.0), y=(0.5, 1.5))
-        serial = run_sweep(scaled_sum, grid, common={"scale": 2.0})
-        fanned = run_sweep(scaled_sum, grid, common={"scale": 2.0}, workers=2)
-        assert fanned.values() == serial.values()
-
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        grid = SweepGrid.product(x=(1.0, 2.0))
-        result = run_sweep(lambda x: x * 3, grid, workers=2)
-        assert result.values() == (3.0, 6.0)
-
-    def test_unavailable_start_method_falls_back_to_serial(self, monkeypatch):
-        """A bogus FANOUT_START_METHOD degrades like any pool failure."""
-        from repro.analysis import sweep as sweep_module
-
-        monkeypatch.setattr(
-            sweep_module, "FANOUT_START_METHOD", "no-such-method"
-        )
-        grid = SweepGrid.product(x=(1.0, 2.0))
-        result = run_sweep(scaled_sum, grid, common={"scale": 2.0}, workers=2)
-        assert result.values() == (2.0, 4.0)
-
     def test_point_error_propagates(self):
         def boom(x):
             raise ValueError("bad point")
 
         with pytest.raises(ValueError, match="bad point"):
             run_sweep(boom, SweepGrid.product(x=(1,)))
-
-
-class TestFigureSweepIntegration:
-    def test_fig5_with_workers_matches_serial(self):
-        from repro.analysis.figures import fig5_training_bandwidth_sweep
-
-        serial = fig5_training_bandwidth_sweep(bandwidths_tbps=(1, 16))
-        fanned = fig5_training_bandwidth_sweep(bandwidths_tbps=(1, 16), workers=2)
-        assert fanned.achieved_pflops_per_spu == pytest.approx(
-            serial.achieved_pflops_per_spu, rel=1e-12
-        )
-        assert fanned.gemm_time_per_layer == pytest.approx(
-            serial.gemm_time_per_layer, rel=1e-12
-        )
 
 
 class TestCsvPersistence:

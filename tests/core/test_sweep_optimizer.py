@@ -55,15 +55,3 @@ class TestOptimizer:
         shallow = GPT3_76B.with_layers(3)
         with pytest.raises(MappingError):
             search_strategies(shallow, small, 13, max_candidates=8)
-
-    def test_workers_fanout_matches_serial(self, scd_system_16tbps):
-        serial = search_strategies(
-            GPT3_76B, scd_system_16tbps, 64, max_candidates=8
-        )
-        fanned = search_strategies(
-            GPT3_76B, scd_system_16tbps, 64, max_candidates=8, workers=2
-        )
-        assert [r.parallel for r in serial] == [r.parallel for r in fanned]
-        assert [r.time_per_batch for r in serial] == pytest.approx(
-            [r.time_per_batch for r in fanned], rel=1e-12
-        )

@@ -230,14 +230,6 @@ class TestDedupAndSharing:
         assert "CMOS" in text and "No. of SPUs" in text
 
 
-class TestWorkersFanout:
-    def test_workers_match_serial(self, tmp_path):
-        serial = run_many(["fig6", "fig7-gpu"])
-        fanned = run_many(["fig6", "fig7-gpu"], workers=2)
-        for a, b in zip(serial.entries, fanned.entries):
-            assert a.result.raw_json() == b.result.raw_json()
-
-
 class TestBatchProvenance:
     def test_computed_entries_record_compute_wall_time(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -1,4 +1,4 @@
-"""CLI tests: `python -m repro` list/show/run/sweep plus staged artifacts."""
+"""CLI tests: `python -m repro` list/show/run plus staged artifacts."""
 
 from __future__ import annotations
 
@@ -104,10 +104,21 @@ class TestRunCaching:
         assert main(["run", str(path)]) == 2
         assert "not a scenario" in capsys.readouterr().err
 
+        # A well-formed spec whose decomposition cannot be mapped fails
+        # only once computed, and is still the user's error.
+        from repro import scenarios
+
+        spec = scenarios.get("fig7-gpu").to_dict()
+        spec["parallel"] = {"tensor_parallel": 128}
+        path = tmp_path / "unmappable.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", str(path), "--no-cache"]) == 2
+        assert "does not match 64 accelerators" in capsys.readouterr().err
+
     def test_cached_artifacts_byte_identical(self, tmp_path):
         cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
-        assert main(["sweep", "fig6", "--out", str(cold_dir)]) == 0
-        assert main(["sweep", "fig6", "--out", str(warm_dir)]) == 0
+        assert main(["run", "fig6", "--out", str(cold_dir)]) == 0
+        assert main(["run", "fig6", "--out", str(warm_dir)]) == 0
         names = sorted(p.name for p in cold_dir.iterdir())
         assert names == sorted(p.name for p in warm_dir.iterdir())
         for name in names:
@@ -318,12 +329,8 @@ class TestCacheGc:
 
 
 class TestSweep:
-    def test_requires_grid(self, capsys):
-        assert main(["sweep", "quickstart-training"]) == 2
-        assert "no sweep grid" in capsys.readouterr().err
-
     def test_writes_staged_artifacts(self, capsys, tmp_path):
-        assert main(["sweep", "fig6", "--out", str(tmp_path)]) == 0
+        assert main(["run", "fig6", "--out", str(tmp_path)]) == 0
         raw = json.loads((tmp_path / "fig6_raw.json").read_text())
         assert Scenario.from_dict(raw["scenario"]).name == "fig6"
         assert len(raw["points"]) == 3
@@ -336,9 +343,6 @@ class TestSweep:
             raw["series"]["speedup"]
         )
         assert "speedup" in (tmp_path / "fig6.txt").read_text()
-
-    def test_workers_flag(self, capsys):
-        assert main(["sweep", "fig6", "--workers", "2"]) == 0
 
 
 class TestSubprocessEntryPoint:

@@ -96,14 +96,6 @@ class TestEvaluationEquivalence:
         assert speedup == pytest.approx(ref_latency / latency)
         assert speedup > 1.0
 
-    def test_workers_fanout_matches_serial(self):
-        scenario = bandwidth_sweep_scenario()
-        serial = run_scenario(scenario)
-        fanned = run_scenario(scenario, workers=2)
-        assert fanned.series("time_per_batch") == pytest.approx(
-            serial.series("time_per_batch"), rel=1e-12
-        )
-
 
 class TestMappingDedup:
     def test_system_only_sweep_maps_once(self):

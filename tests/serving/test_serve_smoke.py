@@ -50,23 +50,6 @@ def test_serve_smoke(tmp_path):
     assert not thread.is_alive()
 
 
-def test_workers_arm_a_thread_safe_fanout_start_method(
-    tmp_path, monkeypatch
-):
-    """A daemon with --workers must not fork its multithreaded process."""
-    from repro.analysis import sweep
-    from repro.serving import ServingApp
-
-    monkeypatch.setattr(sweep, "FANOUT_START_METHOD", None)
-    ServingApp(ResultStore(tmp_path), workers=2)
-    assert sweep.FANOUT_START_METHOD == "forkserver"
-
-    # An operator's explicit choice is never overridden.
-    monkeypatch.setattr(sweep, "FANOUT_START_METHOD", "spawn")
-    ServingApp(ResultStore(tmp_path), workers=2)
-    assert sweep.FANOUT_START_METHOD == "spawn"
-
-
 def test_create_server_rejects_cache_url_plus_store_knobs(tmp_path):
     """A store is named by its URL alone: the keyword store knobs are
     gone, so passing one fails loudly instead of being dropped."""
@@ -106,7 +89,6 @@ def test_serve_cli_flags_parse():
         [
             "serve",
             "--port", "0",
-            "--workers", "2",
             "--cache",
             "file:///tmp/x?shard=1&max_bytes=1000000&max_entries=64",
             "--job-workers", "4",
@@ -115,7 +97,6 @@ def test_serve_cli_flags_parse():
         ]
     )
     assert args.port == 0
-    assert args.workers == 2
     assert args.cache == "file:///tmp/x?shard=1&max_bytes=1000000&max_entries=64"
     assert args.job_workers == 4
     assert args.max_queue == 16

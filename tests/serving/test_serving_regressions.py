@@ -10,11 +10,12 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
    (NTP, ``date -s``) can never make uptime jump or go negative.
 4. ``Content-Length`` parsing is strict ASCII digits — bare ``int()``
    used to accept ``"+100"``, ``" 100 "`` and ``"1_0"``.
-5. A *mid-compute* ConfigError is no longer a blanket 400: a registry
-   (server-owned) spec failing is a 500/``compute-failed``; only a
-   client-sent inline spec is blamed as 400/``invalid-scenario``.  The
-   compute runs on the job engine even for ``?wait=1``, so the failure
-   is injected there.
+5. A *mid-compute* ConfigError or MappingError is no longer a blanket
+   status: a registry (server-owned) spec failing is a
+   500/``compute-failed``; only a client-sent inline spec is blamed as
+   400/``invalid-scenario`` (an unmappable inline decomposition used to
+   be a 500 ``internal``).  The compute runs on the job engine even for
+   ``?wait=1``, so the failure is injected there.
 6. ``shutdown()`` stops the accept loop at once: it used to return only
    after ``serve_forever``'s next select timeout (0.5 s by default).
 7. A cold ``POST /run`` on a read-only store is answered with the
@@ -38,7 +39,7 @@ import time
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MappingError
 from repro.scenarios import get
 from repro.scenarios.backends import ENTRY_CONTENT_TYPE, InMemoryBackend
 from repro.scenarios.batch import run_many
@@ -141,10 +142,19 @@ class TestStrictContentLength:
         assert reply.status == 200
 
 
+#: The library errors a compute can raise once a spec is running.
+COMPUTE_ERRORS = pytest.mark.parametrize(
+    "error", [ConfigError, MappingError], ids=lambda e: e.__name__
+)
+
+
 class TestComputeErrorClassification:
-    def test_registry_spec_failing_mid_compute_is_a_500(self, app, monkeypatch):
+    @COMPUTE_ERRORS
+    def test_registry_spec_failing_mid_compute_is_a_500(
+        self, app, monkeypatch, error
+    ):
         def boom(*args, **kwargs):
-            raise ConfigError("registry recipe bug")
+            raise error("registry recipe bug")
 
         monkeypatch.setattr("repro.serving.jobs.run_cached", boom)
         response = app.handle(
@@ -155,9 +165,12 @@ class TestComputeErrorClassification:
         assert "Traceback" not in response.body["detail"]
         assert app.stats.server_errors == 1
 
-    def test_inline_spec_failing_mid_compute_stays_a_400(self, app, monkeypatch):
+    @COMPUTE_ERRORS
+    def test_inline_spec_failing_mid_compute_stays_a_400(
+        self, app, monkeypatch, error
+    ):
         def boom(*args, **kwargs):
-            raise ConfigError("inline spec bug")
+            raise error("inline spec bug")
 
         monkeypatch.setattr("repro.serving.jobs.run_cached", boom)
         spec = get("fig3c-blade-spec").to_dict()
@@ -167,9 +180,12 @@ class TestComputeErrorClassification:
         assert response.status == 400
         assert response.body["error"] == "invalid-scenario"
 
-    def test_batch_classification_follows_the_origins(self, app, monkeypatch):
+    @COMPUTE_ERRORS
+    def test_batch_classification_follows_the_origins(
+        self, app, monkeypatch, error
+    ):
         def boom(*args, **kwargs):
-            raise ConfigError("mid-compute failure")
+            raise error("mid-compute failure")
 
         monkeypatch.setattr("repro.serving.jobs.run_cached", boom)
         all_registry = app.handle(
@@ -186,6 +202,26 @@ class TestComputeErrorClassification:
         )
         assert with_inline.status == 400
         assert with_inline.body["error"] == "invalid-scenario"
+
+    def test_unmappable_inline_spec_is_a_400(self, app):
+        """A valid spec whose decomposition does not fit its system raises
+        MappingError only once computed: the client's error, waited or
+        polled."""
+        spec = get("fig7-gpu").to_dict()
+        spec["parallel"] = {"tensor_parallel": 128}
+        payload = json.dumps({"scenario": spec}).encode()
+        waited = app.handle("POST", "/run?wait=1", payload)
+        assert waited.status == 400
+        assert waited.body["error"] == "invalid-scenario"
+        assert "does not match 64 accelerators" in waited.body["detail"]
+
+        polled = app.handle("POST", "/run", payload)
+        assert polled.status == 202
+        digest = polled.body["digest"]
+        assert app.jobs.wait(digest, timeout=30)
+        status = app.handle("GET", f"/jobs/{digest}")
+        assert status.body["status"] == "failed"
+        assert status.body["error"]["error"] == "invalid-scenario"
 
 
 class TestReadOnlyStoreAnswersColdRunsInline:
