@@ -14,7 +14,9 @@ A backend stores **opaque bytes per digest** — it never parses artifact
 payloads (the front-end owns validation and the corrupt/self-heal policy).
 The one exception is :class:`~repro.scenarios.backends.tiered.TieredStore`'s
 cheap :func:`plausible_entry` probe, which keeps a corrupt lower tier from
-being promoted into the hot tier.
+being promoted into the hot tier.  That probe and the front-end's reader
+share one definition of the entry layout, at the end of this module
+(:func:`encode_entry`, :func:`entry_spans`).
 
 Concrete backends:
 
@@ -35,12 +37,20 @@ Concrete backends:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Protocol, runtime_checkable
+from typing import (
+    Any,
+    Iterable,
+    Iterator,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 #: Marker every entry file carries so foreign JSON is never misread as a
 #: result.  Lives here (not in ``store``) so backends can cheaply probe
@@ -270,12 +280,147 @@ def union_clear(backends: Iterable[StoreBackend]) -> int:
     return len(removed)
 
 
+class EntryError(ValueError):
+    """Entry bytes failing validation; ``slug`` names the check:
+    ``invalid-entry``, ``schema-mismatch``, ``digest-mismatch`` or
+    ``checksum-mismatch`` (bytes damaged after ``put`` wrote them)."""
+
+    def __init__(self, slug: str, detail: str) -> None:
+        super().__init__(detail)
+        self.slug = slug
+
+
+# -- the entry layout ---------------------------------------------------------
+# How ResultStore.put lays an entry out (drawn in the repro.scenarios.store
+# docstring), and how a reader finds and checks its parts without decoding.
+
+#: The parts an entry lays out, in order, each after its key bytes.
+ENTRY_PARTS = ("scenario", "provenance", "raw", "text", "csv")
+_KEYS = (
+    b'"scenario":',
+    b',"provenance":',
+    b',"artifacts":{"raw":',
+    b',"text":',
+    b',"csv":',
+)
+_ARTIFACTS_KEY = b'{"raw":'
+#: The last bytes of every entry: ``artifacts`` and the entry close, then
+#: its one raw newline (compact JSON holds no other, so a torn write
+#: loses it).
+_ENTRY_END = b"}}\n"
+#: ``lengths`` as ``put`` writes them: one positive integer per part.
+_LENGTHS_RE = re.compile(
+    rb"[1-9][0-9]*(?:,[1-9][0-9]*){%d}" % (len(ENTRY_PARTS) - 1)
+)
+
+
+def entry_head(digest: str) -> bytes:
+    """The first bytes of every entry :meth:`ResultStore.put
+    <repro.scenarios.store.ResultStore.put>` writes for ``digest``."""
+    return b'{"format":"%s","digest":"%s",' % (
+        STORE_FORMAT.encode(),
+        digest.encode(),
+    )
+
+
+def encode_entry(
+    digest: str, schema_version: int, chunks: Sequence[bytes]
+) -> tuple[bytes, dict[str, tuple[int, int]]]:
+    """An entry's bytes, given each of :data:`ENTRY_PARTS` as encoded
+    JSON, and the span of each part in them."""
+    body = b"".join(
+        [piece for pair in zip(_KEYS, chunks) for piece in pair] + [b"}"]
+    )
+    head = entry_head(digest) + b'"schema_version":%d,"lengths":[%s],' % (
+        schema_version,
+        b",".join(b"%d" % len(chunk) for chunk in chunks),
+    )
+    head += b'"sha256":"%s",' % hashlib.sha256(body).hexdigest().encode()
+    data = b"".join((head, body, b"}\n"))
+    return data, _part_spans(len(head), map(len, chunks))
+
+
+def _part_spans(
+    start: int, lengths: Iterable[int]
+) -> dict[str, tuple[int, int]]:
+    spans = {}
+    for part, key, length in zip(ENTRY_PARTS, _KEYS, lengths):
+        start += len(key)
+        spans[part] = (start, start + length)
+        start += length
+    spans["artifacts"] = (spans["raw"][0] - len(_ARTIFACTS_KEY), start + 1)
+    return spans
+
+
+def entry_spans(
+    data: bytes, digest: str, schema_version: int
+) -> dict[str, tuple[int, int]] | None:
+    """The span of each part of ``data`` if it is an entry in ``put``'s
+    layout, or ``None`` if it does not start as ``put`` starts one (its
+    reader must decode it in full).
+
+    Only ``put`` writes that start, always followed by the rest of its
+    layout.  Bytes with that start that break the layout or the sha256
+    were damaged after the write, in a value or where the checksum cannot
+    see (a key, a length): :class:`EntryError` ``checksum-mismatch``;
+    ``invalid-entry`` when the artifact shape fails.
+    """
+    head = entry_head(digest) + b'"schema_version":%d,' % schema_version
+    if not data.startswith(head):
+        return None
+    spans = _laid_out(data, len(head))
+    if spans is None:
+        raise EntryError(
+            "checksum-mismatch", "entry bytes break their layout or sha256"
+        )
+    if not (
+        data.startswith(b"{", spans["raw"][0])
+        and data.startswith(b'"', spans["text"][0])
+    ):
+        raise EntryError("invalid-entry", "entry artifact payload is malformed")
+    return spans
+
+
+def _laid_out(data: bytes, at: int) -> dict[str, tuple[int, int]] | None:
+    """The span of each part of ``data`` if, from its ``lengths`` key at
+    ``at`` on, it is laid out as ``put`` writes and matches its sha256."""
+    first = at + len(b'"lengths":[')
+    close = data.find(b'],"sha256":"', first)
+    if not (
+        data.startswith(b'"lengths":[', at)
+        and data.endswith(_ENTRY_END)
+        and close > 0
+        and _LENGTHS_RE.fullmatch(data, first, close)
+    ):
+        return None
+    at = close + 12  # past '],"sha256":"'
+    checksum, start = data[at : at + 64], at + 66  # 64 hex digits, then '",'
+    spans = _part_spans(start, map(int, data[first:close].split(b",")))
+    ok = (
+        data.startswith(b'",', at + 64)
+        # The entry's close and its newline follow artifacts' close.
+        and spans["artifacts"][1] + 2 == len(data)
+        and all(
+            data.startswith(key, spans[part][0] - len(key))
+            for part, key in zip(ENTRY_PARTS, _KEYS)
+        )
+        and hashlib.sha256(memoryview(data)[start:-2]).hexdigest().encode()
+        == checksum
+    )
+    return spans if ok else None
+
+
 def plausible_entry(data: bytes, digest: str) -> bool:
     """Cheap is-this-really-an-entry probe for composite backends.
 
-    Full validation (schema version, artifact shape) stays in the
-    front-end; this only keeps torn or foreign bytes out of promotion.
+    Full validation (schema version, checksum, artifact shape) stays in
+    the front-end; this only keeps torn or foreign bytes out of
+    promotion.  An entry that starts as ``put`` writes it must also end
+    as ``put`` writes it, and is not decoded; anything else — an older
+    indented entry, a hand-edited one, foreign bytes — is decoded.
     """
+    if data.startswith(entry_head(digest)):
+        return data.endswith(_ENTRY_END)
     try:
         entry = json.loads(data)
     except (ValueError, UnicodeDecodeError):
@@ -293,10 +438,15 @@ __all__ = [
     "SHARD_DIR_RE",
     "STALE_TMP_SECONDS",
     "STORE_FORMAT",
+    "ENTRY_PARTS",
     "BackendEntry",
     "BackendStats",
     "CountersMixin",
+    "EntryError",
     "StoreBackend",
+    "encode_entry",
+    "entry_head",
+    "entry_spans",
     "entry_totals",
     "plausible_entry",
     "union_clear",

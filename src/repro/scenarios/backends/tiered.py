@@ -14,12 +14,15 @@ Policies, in one place:
   read stops earlier.  A torn/foreign entry in a tier is skipped — deleted
   there if the tier is writable, left alone if not — and the probe
   continues downward, so one corrupt hot copy can never mask a good
-  durable one.  Plausibility is a cheap format+digest probe, not the
-  front-end's full validation: an entry that is corrupt *at its own
-  address* on an unhealable tier (e.g. a hand-edited mirror entry) may be
-  promoted and then rejected by the front-end, which discards the
-  promoted copies — wasted work on a pathological entry, never a wrong
-  answer.
+  durable one.  Plausibility is a cheap format+digest probe (for an entry
+  in ``put``'s layout, its first and last bytes), not the front-end's
+  full validation: a copy damaged inside (a flipped byte in a value) or
+  corrupt *at its own address* on an unhealable tier (e.g. a hand-edited
+  mirror entry) may be served and then rejected by the front-end, which
+  discards that copy and the copies promoted from it
+  (:meth:`TieredStore.discard`) — wasted work on a damaged entry, never a
+  wrong answer.  For a damaged copy in ``put``'s layout the front-end
+  then reads once more, so an intact copy in a lower tier still serves.
 * **write** — write-back to the *first writable* tier only; lower tiers
   fill by their own producers (a CLI run against ``file://``, an rsync to
   the mirror) or stay cold.  This keeps a put as cheap as its hottest
@@ -189,11 +192,20 @@ class TieredStore(CountersMixin):
         return removed
 
     def discard(self, digest: str) -> bool:
-        """Corrupt-heal entry point for a *whole-stack* corrupt digest (the
-        front-end saw bad bytes): drop the copy each writable tier would
-        serve."""
+        """Corrupt-heal entry point (the front-end saw bad bytes): drop the
+        copy a read serves and every copy promotion made of it, down to
+        the first tier holding different bytes — an intact copy there
+        serves the next read."""
+        served = None
         removed = False
         for tier in self.tiers:
+            data = tier.peek(digest)
+            if data is None or not plausible_entry(data, digest):
+                continue
+            if served is None:
+                served = data
+            elif data != served:
+                break
             if tier.writable and tier.discard(digest):
                 removed = True
         if removed:

@@ -26,7 +26,9 @@ are pre-registered in :mod:`repro.scenarios.registry`.
 
 from __future__ import annotations
 
+import functools
 import json
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping, Sequence
 
@@ -76,6 +78,35 @@ def _cell_to_dict(value: Any) -> Any:
     if isinstance(value, LLMConfig):
         return asdict(value)
     return value
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> dict[str, tuple[tuple[type, ...], str]]:
+    """Per field of a grid-axis target: the classes its annotation admits
+    (a union's members) and the annotation as written."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        admitted = typing.get_args(hints[f.name]) or (hints[f.name],)
+        types[f.name] = (
+            tuple(t for t in admitted if isinstance(t, type)),
+            str(f.type),
+        )
+    return types
+
+
+def _cell_type_fits(kind: type, types: tuple[type, ...]) -> bool:
+    """Whether grid cells of class ``kind`` can be values of a field
+    admitting ``types``: ``None`` always (it leaves the field untouched),
+    an ``int`` where a ``float`` is admitted, and never a ``bool`` as a
+    number."""
+    if kind is type(None):
+        return True
+    if issubclass(kind, bool):
+        return bool in types
+    if issubclass(kind, int) and float in types:
+        return True
+    return issubclass(kind, types)
 
 
 def _cell_from_dict(value: Any) -> Any:
@@ -216,7 +247,7 @@ class Scenario:
                 )
         require_positive("max_candidates", self.max_candidates)
         if self.grid is not None:
-            for axis in self.grid.names:
+            for column, axis in enumerate(self.grid.names):
                 target, _, field_name = axis.partition(".")
                 if target not in AXIS_TARGETS or not field_name:
                     raise ConfigError(
@@ -229,12 +260,24 @@ class Scenario:
                         f"grid axis {axis!r} targets {target!r}, which "
                         f"scenario {self.name!r} does not define"
                     )
-                valid = {f.name for f in fields(target_value)}
+                valid = _field_types(type(target_value))
                 if field_name not in valid:
                     raise ConfigError(
                         f"grid axis {axis!r}: {type(target_value).__name__} "
                         f"has no field {field_name!r} (fields: {sorted(valid)})"
                     )
+                types, annotation = valid[field_name]
+                # One check per class of cell, not per cell.
+                cells = {
+                    type(row[column]): row[column] for row in self.grid.rows
+                }
+                for kind, cell in cells.items():
+                    if not _cell_type_fits(kind, types):
+                        raise ConfigError(
+                            f"grid axis {axis!r}: {cell!r} is not a "
+                            f"{type(target_value).__name__}.{field_name} "
+                            f"value ({annotation})"
+                        )
         from repro.scenarios.extractors import EXTRACTORS
 
         for name in self.extract:

@@ -15,14 +15,28 @@ the entry bytes live is the backend's business (a local cache directory,
 an in-process LRU, a read-only mirror, or a tier stack of all three; see
 :mod:`repro.scenarios.backends`).  The front-end owns addressing,
 validation, the corrupt/self-heal policy and the store-level stats.  The
-default backend keeps one JSON file per digest under a cache directory::
+default backend keeps one JSON file per digest under a cache directory,
+written compactly on one line (wrapped here)::
 
     <cache_dir>/<sha256-digest>.json
-        { "format": "repro-scenario-result",
-          "schema_version": 1,
-          "digest": "…",
-          "scenario": { …Scenario.to_dict()… },
-          "artifacts": { "raw": {…}, "text": "…", "csv": "…|null" } }
+        {"format":"repro-scenario-result","digest":"…","schema_version":1,
+         "lengths":[S,P,R,T,C],"sha256":"…",
+         "scenario":{…Scenario.to_dict()…},"provenance":{…},
+         "artifacts":{"raw":{…},"text":"…","csv":"…"|null}}
+
+``lengths`` are the byte lengths of the scenario, provenance, raw, text
+and csv values, and ``sha256`` covers every byte from ``"scenario":`` to
+the ``}`` closing ``artifacts``.  So a read finds each part by arithmetic
+and validates it by one hash, without decoding anything: a warm reply is
+an envelope spliced around these stored bytes, and a bit flip that keeps
+the entry valid JSON is still caught, as a corrupt miss.  Only ``put``
+starts an entry with these head bytes, so one that does but breaks the
+layout (a flipped key or length, outside the checksum) is corrupt too.
+An entry not in this layout at all (written before it, or edited by
+hand) is decoded in full and validated field by field instead; that
+reader ignores the two extra keys, as older readers do.  The layout is
+defined once, in :mod:`repro.scenarios.backends.base`, for this reader
+and for the tier stack's plausibility probe alike.
 
 What is cached is the *artifact payload* — the raw-JSON stage, the rendered
 text figure/table and the CSV stage of the ``python -m repro`` pipeline —
@@ -70,7 +84,11 @@ from repro.scenarios.backends import (
 )
 from repro.scenarios.backends.base import (
     DIGEST_RE,
+    ENTRY_PARTS,
     STALE_TMP_SECONDS,
+    EntryError,
+    encode_entry,
+    entry_spans,
     entry_totals,
 )
 from repro.scenarios.runner import ScenarioResult, run_scenario
@@ -126,13 +144,62 @@ def is_digest(value: str) -> bool:
     return bool(DIGEST_RE.fullmatch(value))
 
 
-class EntryError(ValueError):
-    """Entry bytes failing :func:`parse_entry`; ``slug`` names the check:
-    ``invalid-entry``, ``schema-mismatch`` or ``digest-mismatch``."""
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
-    def __init__(self, slug: str, detail: str) -> None:
-        super().__init__(detail)
-        self.slug = slug
+
+def compact_json(value: Any) -> bytes:
+    """``value`` as compact JSON bytes: how entries are stored and replies
+    sent (``indent`` would keep CPython off its C encoder)."""
+    return _COMPACT.encode(value).encode()
+
+
+class EntryView:
+    """One validated entry: each part's JSON bytes, and its value decoded
+    on first use.
+
+    The parts are ``scenario``, ``provenance``, ``artifacts`` and the three
+    artifact stages ``raw``, ``text`` and ``csv``.  A view over an entry in
+    the layout :meth:`ResultStore.put` writes hands out :meth:`fragment`
+    as slices of the stored bytes; a view over decoded values (an older
+    entry, a result computed without a store) encodes them on demand.
+    """
+
+    __slots__ = ("digest", "_data", "_spans", "_values")
+
+    def __init__(
+        self,
+        digest: str,
+        data: bytes = b"",
+        spans: Mapping[str, tuple[int, int]] | None = None,
+        values: dict[str, Any] | None = None,
+    ) -> None:
+        self.digest = digest
+        self._data = data
+        self._spans = spans or {}
+        self._values = values if values is not None else {}
+
+    def fragment(self, part: str) -> bytes:
+        """``part`` as compact JSON bytes."""
+        span = self._spans.get(part)
+        if span is not None:
+            return self._data[span[0] : span[1]]
+        return compact_json(self.value(part))
+
+    def value(self, part: str) -> Any:
+        """``part`` decoded (once)."""
+        try:
+            return self._values[part]
+        except KeyError:
+            pass
+        span = self._spans.get(part)
+        if span is not None:
+            value = json.loads(self._data[span[0] : span[1]])
+        elif part in ("raw", "text", "csv"):
+            value = self.value("artifacts").get(part)
+        else:
+            raise KeyError(part)
+        self._values[part] = value
+        return value
 
 
 def parse_entry(
@@ -141,14 +208,49 @@ def parse_entry(
     schema_version: int = SCHEMA_VERSION,
     *,
     verify_spec: bool = False,
-) -> dict[str, Any]:
-    """Decode the stored entry for ``digest``, or raise :class:`EntryError`.
+) -> EntryView:
+    """Validate the stored entry for ``digest``, or raise
+    :class:`EntryError` — the one reader behind every store read.
 
-    Every read checks JSON, the format marker, the schema version, the
-    digest field and the artifact shape.  ``verify_spec`` also requires
-    the spec's canonical hash to be ``digest`` (the replication check on
-    ``PUT``; warm reads trust the digest field instead of hashing).
+    An entry that starts as ``put`` starts one is checked by its layout,
+    its byte lengths and its sha256, and nothing is decoded
+    (:func:`~repro.scenarios.backends.base.entry_spans`).  Anything else
+    is decoded in full, and checked for JSON, the format marker, the
+    schema version, the digest field and the artifact shape.
+    ``verify_spec`` is the replication check on ``PUT``, whose bytes come
+    from outside: it decodes every part of a laid-out entry too, and
+    requires the spec's canonical hash to be ``digest`` (warm reads trust
+    the digest field instead of hashing).
     """
+    spans = entry_spans(data, digest, schema_version)
+    if spans is not None:
+        view = EntryView(digest, data, spans)
+    else:
+        view = _decode_entry(data, digest, schema_version)
+    if verify_spec:
+        try:
+            for part in ENTRY_PARTS:
+                view.value(part)
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise EntryError(
+                "invalid-entry", f"entry {part} is not JSON: {exc}"
+            ) from None
+        scenario = view.value("scenario")
+        if not isinstance(scenario, dict):
+            raise EntryError(
+                "invalid-entry", "entry carries no scenario spec object"
+            )
+        actual = scenario_digest(scenario, schema_version)
+        if actual != digest:
+            raise EntryError(
+                "digest-mismatch",
+                f"the spec's canonical hash is {actual}, not {digest}",
+            )
+    return view
+
+
+def _decode_entry(data: bytes, digest: str, schema_version: int) -> EntryView:
+    """The full-decode path of :func:`parse_entry`."""
     try:
         entry = json.loads(data)
     except ValueError as exc:  # UnicodeDecodeError included
@@ -170,18 +272,6 @@ def parse_entry(
             f"entry claims digest {str(entry.get('digest'))[:72]!r}, "
             f"expected {digest!r}",
         )
-    if verify_spec:
-        scenario = entry.get("scenario")
-        if not isinstance(scenario, dict):
-            raise EntryError(
-                "invalid-entry", "entry carries no scenario spec object"
-            )
-        actual = scenario_digest(scenario, schema_version)
-        if actual != digest:
-            raise EntryError(
-                "digest-mismatch",
-                f"the spec's canonical hash is {actual}, not {digest}",
-            )
     artifacts = entry.get("artifacts")
     if (
         not isinstance(artifacts, dict)
@@ -189,7 +279,14 @@ def parse_entry(
         or not isinstance(artifacts.get("text"), str)
     ):
         raise EntryError("invalid-entry", "entry artifact payload is malformed")
-    return entry
+    return EntryView(
+        digest,
+        values={
+            "scenario": entry.get("scenario"),
+            "provenance": entry.get("provenance"),
+            "artifacts": artifacts,
+        },
+    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -308,18 +405,37 @@ class StoredResult:
     whether the numbers were just computed or replayed from a backend.  The
     extracted series are read back out of the raw payload; the full report
     objects are intentionally *not* carried (a cache replay never builds
-    them).
+    them).  A replayed stage is decoded from the entry bytes on first use,
+    so a caller that only forwards ``entry``'s bytes decodes nothing.
     """
 
     scenario: Scenario
-    raw: Mapping[str, Any]
-    text: str
-    csv: str | None
-    digest: str
-    from_cache: bool
-    #: Entry metadata (host, wall time, code rev); ``None`` for uncached
-    #: results and pre-provenance entries.  Never part of the digest.
-    provenance: Provenance | None = None
+    #: The entry's parts, as bytes and as values.
+    entry: EntryView
+    from_cache: bool = False
+
+    @property
+    def digest(self) -> str:
+        return self.entry.digest
+
+    @property
+    def raw(self) -> Mapping[str, Any]:
+        return self.entry.value("raw")
+
+    @property
+    def text(self) -> str:
+        return self.entry.value("text")
+
+    @property
+    def csv(self) -> str | None:
+        return self.entry.value("csv")
+
+    @property
+    def provenance(self) -> Provenance | None:
+        """Entry metadata (host, wall time, code rev); ``None`` for
+        uncached results and pre-provenance entries.  Never part of the
+        digest."""
+        return Provenance.from_dict(self.entry.value("provenance"))
 
     # -- artifact stages ----------------------------------------------------
     def render(self) -> str:
@@ -399,14 +515,31 @@ def stored_from_payload(
 ) -> StoredResult:
     """Wrap an artifact payload as a :class:`StoredResult` view."""
     return StoredResult(
-        scenario=scenario,
-        raw=payload["raw"],
-        text=payload["text"],
-        csv=payload.get("csv"),
-        digest=digest,
-        from_cache=from_cache,
-        provenance=provenance,
+        scenario,
+        EntryView(digest, values=_entry_values(None, payload, provenance)),
+        from_cache,
     )
+
+
+def _entry_values(
+    scenario: Scenario | None,
+    payload: Mapping[str, Any],
+    provenance: Provenance | None,
+) -> dict[str, Any]:
+    """An entry's parts as values (``scenario`` only when given)."""
+    artifacts = {
+        "raw": payload["raw"],
+        "text": payload["text"],
+        "csv": payload.get("csv"),
+    }
+    values = {
+        **artifacts,
+        "artifacts": artifacts,
+        "provenance": provenance.to_dict() if provenance else None,
+    }
+    if scenario is not None:
+        values["scenario"] = scenario.to_dict()
+    return values
 
 
 @dataclass
@@ -558,17 +691,11 @@ class ResultStore:
         entry = self._read_entry(digest)
         if entry is None:
             return None
-        return stored_from_payload(
-            scenario,
-            entry["artifacts"],
-            digest,
-            from_cache=True,
-            provenance=Provenance.from_dict(entry.get("provenance")),
-        )
+        return StoredResult(scenario, entry, from_cache=True)
 
-    def read_digest(self, digest: str) -> dict[str, Any] | None:
+    def read_digest(self, digest: str) -> EntryView | None:
         """One entry by bare content address (the ``/results/<digest>``
-        route): the full validated entry dict, or ``None``.
+        route): the validated entry, or ``None``.
 
         Raises :class:`~repro.errors.ConfigError` on a malformed digest so
         callers can distinguish a bad request from a plain miss.
@@ -580,23 +707,32 @@ class ResultStore:
             )
         return self._read_entry(digest)
 
-    def _read_entry(self, digest: str) -> dict[str, Any] | None:
-        """Load + validate one entry by digest; counts hit/miss/corrupt."""
-        try:
-            data = self.backend.read(digest)
-        except OSError:
-            return self._corrupt(digest)
-        if data is None:
+    def _read_entry(self, digest: str) -> EntryView | None:
+        """Load + validate one entry by digest; counts hit/miss/corrupt.
+
+        A copy damaged after ``put`` wrote it (``checksum-mismatch``) is
+        discarded and the digest read once more, so an intact copy in a
+        lower tier still serves."""
+        for _ in range(2):
+            try:
+                data = self.backend.read(digest)
+            except OSError:
+                self._corrupt(digest)
+                break
+            if data is None:
+                break
+            try:
+                entry = parse_entry(data, digest, self.schema_version)
+            except EntryError as exc:
+                if self._corrupt(digest) and exc.slug == "checksum-mismatch":
+                    continue
+                break
             with self._stats_lock:
-                self.stats.misses += 1
-            return None
-        try:
-            entry = parse_entry(data, digest, self.schema_version)
-        except EntryError:
-            return self._corrupt(digest)
+                self.stats.hits += 1
+            return entry
         with self._stats_lock:
-            self.stats.hits += 1
-        return entry
+            self.stats.misses += 1
+        return None
 
     def contains(self, digest: str) -> bool:
         """Whether an entry exists for ``digest`` in the backend.
@@ -607,18 +743,14 @@ class ResultStore:
         """
         return self.backend.contains(digest)
 
-    def _corrupt(self, digest: str) -> None:
+    def _corrupt(self, digest: str) -> bool:
         """Count an unusable entry and heal it on writable backends by
         discarding *the copy that was served* (a valid same-digest copy in
         another layout or tier survives); a read-only mirror's corrupt
-        entries are skipped, never touched.  The caller recomputes either
-        way."""
+        entries are skipped, never touched.  ``True`` if a copy went."""
         with self._stats_lock:
             self.stats.corrupt += 1
-            self.stats.misses += 1
-        if self.backend.writable:
-            self.backend.discard(digest)
-        return None
+        return self.backend.writable and self.backend.discard(digest)
 
     def put(
         self,
@@ -649,26 +781,16 @@ class ResultStore:
         digest = self.digest(scenario) if _digest is None else _digest
         if provenance is None:
             provenance = current_provenance(wall_time_s)
-        entry = {
-            "format": STORE_FORMAT,
-            "schema_version": self.schema_version,
-            "digest": digest,
-            "scenario": scenario.to_dict(),
-            "provenance": provenance.to_dict(),
-            "artifacts": {
-                "raw": payload["raw"],
-                "text": payload["text"],
-                "csv": payload.get("csv"),
-            },
-        }
-        self.backend.write(
-            digest, (json.dumps(entry, indent=1) + "\n").encode()
+        values = _entry_values(scenario, payload, provenance)
+        data, spans = encode_entry(
+            digest,
+            self.schema_version,
+            [compact_json(values[part]) for part in ENTRY_PARTS],
         )
+        self.backend.write(digest, data)
         with self._stats_lock:
             self.stats.puts += 1
-        return stored_from_payload(
-            scenario, payload, digest, provenance=provenance
-        )
+        return StoredResult(scenario, EntryView(digest, data, spans, values))
 
     def invalidate(self, scenario: Scenario) -> bool:
         """Drop one scenario's entry; ``True`` if something was removed."""
@@ -852,6 +974,7 @@ def _compute_and_store(
 __all__ = [
     "CACHE_DIR_ENV",
     "EntryError",
+    "EntryView",
     "SCHEMA_VERSION",
     "STALE_TMP_SECONDS",
     "STORE_FORMAT",
@@ -862,6 +985,7 @@ __all__ = [
     "StoredResult",
     "artifact_payload",
     "canonical_spec_json",
+    "compact_json",
     "current_provenance",
     "default_cache_dir",
     "is_digest",

@@ -51,8 +51,9 @@ store's content address), so the digest **is** the ``ETag`` — a request
 carrying a matching ``If-None-Match`` is answered ``304`` before the
 store is even consulted, a warm digest is served straight from the
 :class:`ResultStore` backend (with a ``mem://`` tier stacked over the
-cache dir, hot digests never touch the filesystem at all), and only
-genuine misses enter the compute path.
+cache dir, hot digests never touch the filesystem at all) as a compact
+JSON envelope spliced around the entry's stored bytes, and only genuine
+misses enter the compute path.
 
 Every cold compute is a *job*, and the job engine is the only cold path:
 a miss is enqueued on the app's :class:`~repro.serving.jobs.JobManager`
@@ -101,6 +102,7 @@ from repro.scenarios.store import (
     EntryError,
     ResultStore,
     StoredResult,
+    compact_json,
     is_digest,
     parse_entry,
     provenance_summary,
@@ -133,10 +135,12 @@ class Response:
     """One routed response: status, body (``None`` ⇒ bodyless 304), extra
     headers (``ETag``) and an optional content type.
 
-    ``content_type=None`` (the default) means a JSON body serialized by
-    :meth:`body_bytes`; the artifact routes (``…/csv``, ``…/text``) set an
-    explicit type and carry their body as raw text, byte-identical to the
-    CLI-written artifact files.
+    ``content_type=None`` (the default) means a JSON body: a value that
+    :meth:`body_bytes` encodes compactly, or bytes that already are
+    compact JSON (a warm result spliced from its stored entry).  The
+    artifact routes (``…/csv``, ``…/text``) set an explicit type and carry
+    their body as raw text, byte-identical to the CLI-written artifact
+    files.
     """
 
     status: int
@@ -154,7 +158,19 @@ class Response:
             if isinstance(self.body, bytes):
                 return self.body
             return str(self.body).encode()
-        return (json.dumps(self.body, indent=1) + "\n").encode()
+        if isinstance(self.body, bytes):
+            return self.body + b"\n"
+        return compact_json(self.body) + b"\n"
+
+
+def _json_object(head: Mapping[str, Any], **fragments: bytes) -> bytes:
+    """A compact JSON object: ``head``'s members, then each of
+    ``fragments`` (already-encoded JSON values) under its keyword."""
+    members = [compact_json(head)[1:-1]] if head else []
+    members += [
+        b'"%s":%s' % (key.encode(), value) for key, value in fragments.items()
+    ]
+    return b"{%s}" % b",".join(members)
 
 
 def error_response(
@@ -283,6 +299,8 @@ class ServingApp:
         self.trust_puts = trust_puts
         self.stats = ServeStats()
         self._stats_lock = threading.Lock()
+        #: Registry name -> (its scenario, that scenario's digest here).
+        self._registry_digests: dict[str, tuple[Scenario, str]] = {}
         #: The job engine behind every cold ``POST /run`` (202 or waited,
         #: coalesced, 429 when full) and the ``/jobs`` routes.  Worker
         #: threads start lazily on the first submission.
@@ -337,6 +355,17 @@ class ServingApp:
     def _count(self, counter: str, n: int = 1) -> None:
         with self._stats_lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + n)
+
+    def _registry_digest(self, name: str, scenario: Scenario) -> str:
+        """A registry scenario's digest, computed once per registered
+        spec: a request by name need not hash a frozen constant again (a
+        spec swapped in by ``register(..., replace=True)`` is hashed
+        anew)."""
+        known = self._registry_digests.get(name)
+        if known is None or known[0] is not scenario:
+            known = (scenario, self.store.digest(scenario))
+            self._registry_digests[name] = known
+        return known[1]
 
     # -- routing ------------------------------------------------------------
     def _route(
@@ -447,9 +476,9 @@ class ServingApp:
                         "name": scenario.name,
                         "kind": scenario.kind,
                         "description": scenario.description,
-                        "digest": self.store.digest(scenario),
+                        "digest": self._registry_digest(name, scenario),
                     }
-                    for scenario in REGISTRY.values()
+                    for name, scenario in REGISTRY.items()
                 ]
             },
         )
@@ -462,7 +491,7 @@ class ServingApp:
             return error_response(
                 404, "unknown-scenario", f"no registered scenario {name!r}"
             )
-        digest = self.store.digest(scenario)
+        digest = self._registry_digest(name, scenario)
         if if_none_match_matches(headers.get("if-none-match"), digest):
             return Response(304, None, {"ETag": etag_for(digest)})
         return Response(
@@ -535,13 +564,13 @@ class ServingApp:
             )
         return Response(
             200,
-            {
-                "digest": entry["digest"],
-                "scenario": entry["scenario"],
-                "provenance": entry.get("provenance"),
-                "artifacts": entry["artifacts"],
-            },
-            {"ETag": etag_for(entry["digest"])},
+            _json_object(
+                {"digest": digest},
+                scenario=entry.fragment("scenario"),
+                provenance=entry.fragment("provenance"),
+                artifacts=entry.fragment("artifacts"),
+            ),
+            {"ETag": etag_for(digest)},
         )
 
     def _serve_raw_entry(
@@ -682,7 +711,7 @@ class ServingApp:
             return error_response(
                 404, "unknown-digest", f"no stored result {digest!r}"
             )
-        artifact = entry["artifacts"].get(key)
+        artifact = entry.value(key)
         if not isinstance(artifact, str):
             return error_response(
                 404,
@@ -754,8 +783,9 @@ class ServingApp:
             return self._run_single(request["scenario"], headers, wait)
         return self._run_batch(request["scenarios"], wait)
 
-    def _resolve(self, item: Any) -> Scenario | Response:
-        """A registry name or inline spec dict — never a server-side path."""
+    def _resolve(self, item: Any) -> tuple[Scenario, str] | Response:
+        """A registry name or inline spec dict — never a server-side path
+        — as its scenario and digest."""
         if isinstance(item, str):
             scenario = REGISTRY.get(item)
             if scenario is None:
@@ -765,14 +795,15 @@ class ServingApp:
                     f"no registered scenario {item!r} "
                     "(inline specs must be JSON objects)",
                 )
-            return scenario
+            return scenario, self._registry_digest(item, scenario)
         if isinstance(item, dict):
             try:
-                return Scenario.from_dict(item)
+                scenario = Scenario.from_dict(item)
             except (ConfigError, ValueError, TypeError, KeyError) as exc:
                 return error_response(
                     400, "invalid-scenario", f"not a scenario spec: {exc}"
                 )
+            return scenario, self.store.digest(scenario)
         return error_response(
             400,
             "invalid-scenario",
@@ -811,18 +842,14 @@ class ServingApp:
         status = 400 if error["error"] == "invalid-scenario" else 500
         return error_response(status, error["error"], error["detail"])
 
-    @staticmethod
-    def _artifacts(result: StoredResult) -> dict[str, Any]:
-        return {"raw": result.raw, "text": result.text, "csv": result.csv}
-
     def _run_single(
         self, item: Any, headers: Mapping[str, str], wait: bool
     ) -> Response:
         resolved = self._resolve(item)
         if isinstance(resolved, Response):
             return resolved
+        resolved, digest = resolved
         origin = "inline" if isinstance(item, dict) else "registry"
-        digest = self.store.digest(resolved)
         # Count the run before the conditional check: a 304-revalidated
         # run is still a run, and must not vanish from /stats.
         self._count("runs")
@@ -857,15 +884,15 @@ class ServingApp:
             )
         return Response(
             200,
-            {
-                "name": resolved.name,
-                "digest": digest,
-                "from_cache": result.from_cache,
-                "provenance": (
-                    result.provenance.to_dict() if result.provenance else None
-                ),
-                "artifacts": self._artifacts(result),
-            },
+            _json_object(
+                {
+                    "name": resolved.name,
+                    "digest": digest,
+                    "from_cache": result.from_cache,
+                },
+                provenance=result.entry.fragment("provenance"),
+                artifacts=result.entry.fragment("artifacts"),
+            ),
             {"ETag": etag_for(digest)},
         )
 
@@ -881,15 +908,16 @@ class ServingApp:
                 f"at most {MAX_BATCH_ITEMS} scenarios per request",
             )
         resolved: list[Scenario] = []
+        digests: list[str] = []
         origins: list[str] = []
         for item in items:
-            scenario = self._resolve(item)
-            if isinstance(scenario, Response):
-                return scenario
-            resolved.append(scenario)
+            outcome = self._resolve(item)
+            if isinstance(outcome, Response):
+                return outcome
+            resolved.append(outcome[0])
+            digests.append(outcome[1])
             origins.append("inline" if isinstance(item, dict) else "registry")
         self._count("runs", len(resolved))
-        digests = [self.store.digest(scenario) for scenario in resolved]
         # A stat-only probe picks the answer: a batch with cold items
         # that will not wait gets the 202 status sheet.
         warmness = [self.store.contains(digest) for digest in digests]
@@ -922,30 +950,34 @@ class ServingApp:
         for scenario, digest in zip(resolved, digests):
             result = results[digest]
             entries.append(
-                {
-                    "name": scenario.name,
-                    "digest": digest,
-                    "from_cache": result.from_cache,
-                    "deduplicated": digest in seen,
-                    "artifacts": self._artifacts(result),
-                }
+                _json_object(
+                    {
+                        "name": scenario.name,
+                        "digest": digest,
+                        "from_cache": result.from_cache,
+                        "deduplicated": digest in seen,
+                    },
+                    artifacts=result.entry.fragment("artifacts"),
+                )
             )
             seen.add(digest)
         n_unique = len(results)
         n_from_store = sum(result.from_cache for result in results.values())
+        stats = {
+            "n_items": len(entries),
+            "n_unique": n_unique,
+            "n_from_store": n_from_store,
+            "n_computed": n_unique - n_from_store,
+            "n_deduplicated": len(entries) - n_unique,
+            "store_hit_rate": n_from_store / n_unique,
+        }
         return Response(
             200,
-            {
-                "entries": entries,
-                "stats": {
-                    "n_items": len(entries),
-                    "n_unique": n_unique,
-                    "n_from_store": n_from_store,
-                    "n_computed": n_unique - n_from_store,
-                    "n_deduplicated": len(entries) - n_unique,
-                    "store_hit_rate": n_from_store / n_unique,
-                },
-            },
+            _json_object(
+                {},
+                entries=b"[" + b",".join(entries) + b"]",
+                stats=compact_json(stats),
+            ),
         )
 
     def _enqueue_batch(

@@ -406,6 +406,34 @@ class TestTieredStore:
             store.digest(scenario)
         )
 
+    @pytest.mark.parametrize("hot", ["mem://", "file://{}/hot"])
+    def test_damaged_hot_copy_is_read_past_to_the_durable_one(
+        self, tmp_path, hot
+    ):
+        """A hot copy in ``put``'s layout, broken inside a value, still
+        passes the tier's plausibility probe (its first and last bytes are
+        intact); the front-end's checksum rejects it, discards it and reads
+        once more, so the intact copy below serves the same get as a hit
+        (from ``file://`` under ``mem://``, or an ``ro://`` mirror under
+        ``file://``)."""
+        scenario = tiny_scenario("damaged-hot")
+        producer = ResultStore(tmp_path / "durable")
+        producer.put(scenario, payload("durable"))
+        digest = producer.digest(scenario)
+        good = producer.backend.peek(digest)
+        at = good.index(b"durable")
+        damaged = good[:at] + b'"' + good[at + 1 :]  # no longer JSON
+
+        lower = "file://{}/durable" if hot == "mem://" else "ro://{}/durable"
+        store = ResultStore(f"{hot},{lower}".format(tmp_path, tmp_path))
+        upper = store.backend.tiers[0]
+        upper.write(digest, damaged)
+        hit = store.get(scenario)
+        assert hit is not None and hit.text == "durable"
+        assert (store.stats.hits, store.stats.corrupt) == (1, 1)
+        assert upper.peek(digest) == good  # healed by promotion
+        assert producer.backend.peek(digest) == good
+
     def test_mirror_tier_reads_through_without_writes(self, tmp_path):
         producer = ResultStore(tmp_path / "mirror")
         scenario = tiny_scenario("shared")

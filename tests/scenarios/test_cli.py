@@ -115,6 +115,14 @@ class TestRunCaching:
         assert main(["run", str(path), "--no-cache"]) == 2
         assert "does not match 64 accelerators" in capsys.readouterr().err
 
+        # A grid cell of the wrong type is rejected before any compute.
+        spec = scenarios.get("fig7-bandwidth").to_dict()
+        spec["grid"]["rows"][0] = ["x"]
+        path = tmp_path / "wrong_cell.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", str(path), "--no-cache"]) == 2
+        assert "system.dram_bandwidth_tbps" in capsys.readouterr().err
+
     def test_cached_artifacts_byte_identical(self, tmp_path):
         cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
         assert main(["run", "fig6", "--out", str(cold_dir)]) == 0

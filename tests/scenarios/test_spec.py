@@ -134,6 +134,51 @@ class TestScenarioValidation:
                 .build()
             )
 
+    @pytest.mark.parametrize(
+        "axis, cell",
+        [
+            ("system.dram_bandwidth_tbps", "x"),
+            ("system.dram_bandwidth_tbps", True),
+            ("system.dram_bandwidth_tbps", [4]),
+            ("workload.batch", 2.5),
+            ("workload.batch", False),
+            ("workload.model", 7),
+            ("system.kind", 1),
+        ],
+    )
+    def test_grid_cell_type_checked_against_its_field(self, axis, cell):
+        with pytest.raises(ConfigError, match=f"grid axis {axis!r}"):
+            (
+                Scenario.builder("x")
+                .inference(GPT3_76B)
+                .on(scd_blade_config())
+                .sweep_explicit([{axis: cell}])
+                .build()
+            )
+
+    @pytest.mark.parametrize(
+        "axis, cell",
+        [
+            ("system.dram_bandwidth_tbps", 4),
+            ("system.dram_bandwidth_tbps", 4.5),
+            ("system.dram_bandwidth_tbps", None),
+            ("system.n_accelerators", 16),
+            ("workload.batch", 4),
+            ("workload.model", "GPT3-76.1B"),
+            ("workload.model", GPT3_76B.with_layers(4)),
+            ("system.kind", "gpu"),
+        ],
+    )
+    def test_grid_cell_of_its_fields_type_accepted(self, axis, cell):
+        scenario = (
+            Scenario.builder("x")
+            .inference(GPT3_76B)
+            .on(scd_blade_config())
+            .sweep_explicit([{axis: cell}])
+            .build()
+        )
+        assert Scenario.from_dict(scenario.to_dict()) == scenario
+
     def test_builder_requires_kind(self):
         with pytest.raises(ConfigError, match="before .build"):
             Scenario.builder("x").build()

@@ -16,9 +16,11 @@ from repro.scenarios import Scenario
 from repro.scenarios.store import (
     SCHEMA_VERSION,
     CACHE_DIR_ENV,
+    EntryError,
     ResultStore,
     artifact_payload,
     default_cache_dir,
+    parse_entry,
     run_cached,
     scenario_digest,
 )
@@ -198,6 +200,61 @@ class TestInvalidationRules:
         path.write_text(json.dumps({"format": "something-else"}))
         assert store.get(scenario) is None
         assert store.stats.corrupt == 1
+
+    @pytest.mark.parametrize("flip", ["value", "key"])
+    @pytest.mark.parametrize("url", ["file://{}", "mem://,file://{}"])
+    def test_json_valid_bit_flip_is_a_corrupt_miss(self, tmp_path, url, flip):
+        """One changed byte that keeps the entry valid JSON — a digit of a
+        stored float, or one bit of a key (``"csv"`` → ``"csw"``) — must
+        still turn the read into a corrupt miss, never into a hit with the
+        wrong number or a missing stage."""
+        scenario = scenarios.get("fig7-gpu")
+        cold = run_cached(scenario, ResultStore(f"file://{tmp_path}"))
+        path = tmp_path / f"{cold.digest}.json"
+        data = path.read_bytes()
+        if flip == "value":
+            value = repr(cold.raw["series"]["latency"][0]).encode()
+            at = data.index(value, data.index(b'"raw":'))
+            at += value.index(b".") + 1
+            byte = b"%d" % ((data[at] - ord("0") + 3) % 10)
+        else:
+            at = data.index(b',"csv":') + len(b',"cs')
+            byte = b"w"
+        flipped = data[:at] + byte + data[at + 1 :]
+        json.loads(flipped)  # still a well-formed entry document
+        path.write_bytes(flipped)
+
+        store = ResultStore(url.format(tmp_path))
+        assert store.get(scenario) is None
+        assert store.stats.corrupt == 1
+        assert not store.backend.contains(cold.digest)  # no copy survives
+        again = run_cached(scenario, store)
+        assert not again.from_cache
+        assert again.entry.fragment("artifacts") == cold.entry.fragment(
+            "artifacts"
+        )
+
+    def test_no_single_bit_flip_is_ever_served(self):
+        """Every one-bit change anywhere in an entry — in its head, a key,
+        a length, the checksum or a value — is rejected by the reader
+        (~9k flips, ~0.15 s)."""
+        store = ResultStore("mem://")
+        stored = store.put(
+            tiny_scenario("flips"),
+            {"raw": {"series": {"x": [1.5]}}, "text": "t\n", "csv": "x\n"},
+        )
+        data = store.backend.peek(stored.digest)
+        served = []
+        for at in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[at] ^= 1 << bit
+                try:
+                    parse_entry(bytes(flipped), stored.digest)
+                except EntryError:
+                    continue
+                served.append((at, bit, data[at - 12 : at + 12]))
+        assert served == []
 
     def test_digest_mismatch_is_treated_as_corrupt(self, store):
         scenario = tiny_scenario()

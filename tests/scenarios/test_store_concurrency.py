@@ -10,7 +10,8 @@ parallel CLI invocations produce in production.
 Workers perform randomized op mixes (seeded) and *assert inside the
 worker*: any torn read, crash or invalid payload fails the test by
 raising; the parent then cross-checks the shared counters and the final
-on-disk state.
+on-disk state.  A writer SIGKILLed halfway through a put leaves only a
+temp file: the next read is a plain miss, and gc sweeps the temp file.
 """
 
 from __future__ import annotations
@@ -18,13 +19,20 @@ from __future__ import annotations
 import json
 import os
 import random
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from pathlib import Path
 
 from repro.arch.config import SystemConfig
-from repro.scenarios import Scenario
-from repro.scenarios.store import ResultStore
+from repro.scenarios import Scenario, get
+from repro.scenarios.store import STALE_TMP_SECONDS, ResultStore, run_cached
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 N_SCENARIOS = 6
 
@@ -134,9 +142,10 @@ def assert_store_consistent(cache_dir) -> None:
         if entry is None:
             assert not path.exists(), f"unusable entry left behind: {path}"
         else:
-            assert entry["format"] == "repro-scenario-result"
-            assert entry["digest"] == digest
-            assert isinstance(entry["artifacts"]["raw"], dict)
+            stored = json.loads(path.read_bytes())
+            assert stored["format"] == "repro-scenario-result"
+            assert stored["digest"] == digest
+            assert isinstance(entry.value("raw"), dict)
     # No temp files leaked past the racing writers' finally-cleanup.
     leftovers = [p for p in store.cache_dir.rglob("*.tmp")]
     assert not leftovers, leftovers
@@ -351,6 +360,68 @@ class TestCorruptionSelfHealMidRace:
         assert final is not None
         check_hit(0, final)
         assert_store_consistent(tmp_path / "heal")
+
+
+#: A writer that computes table1 and dies inside ``LocalFSBackend.write``:
+#: it writes half the entry into its temp file, tells the parent through
+#: the pipe whose write end is ``argv[2]``, and blocks until killed.
+_KILLED_WRITER = """
+import os, pathlib, sys, time
+from repro.scenarios import get
+from repro.scenarios.store import run_cached
+
+def half_written(path, data):
+    with open(path, "wb") as handle:
+        handle.write(data[: len(data) // 2])
+    os.write(int(sys.argv[2]), b"!")
+    time.sleep(120)
+
+pathlib.Path.write_bytes = half_written
+run_cached(get("table1"), sys.argv[1])
+"""
+
+
+class TestWriterKilledMidPut:
+    def test_sigkilled_writer_leaves_no_torn_entry(self, tmp_path):
+        read_end, write_end = os.pipe()
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        try:
+            child = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-c",
+                    _KILLED_WRITER,
+                    str(tmp_path),
+                    str(write_end),
+                ],
+                env=env,
+                pass_fds=(write_end,),
+            )
+        finally:
+            os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60)
+            assert ready and os.read(read_end, 1) == b"!"
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            os.close(read_end)
+        assert child.returncode == -signal.SIGKILL
+        (temp,) = tmp_path.glob("*.tmp")  # the half-written write
+        assert temp.stat().st_size > 0
+
+        store = ResultStore(tmp_path)
+        scenario = get("table1")
+        assert store.get(scenario) is None
+        assert (store.stats.misses, store.stats.corrupt) == (1, 0)
+        assert not run_cached(scenario, store).from_cache
+        assert run_cached(scenario, store).from_cache
+
+        stale = time.time() - STALE_TMP_SECONDS - 60
+        os.utime(temp, (stale, stale))
+        store.gc()
+        assert not temp.exists()
+        assert store.get(scenario) is not None
 
 
 def test_stress_scenarios_are_cheap_to_build():

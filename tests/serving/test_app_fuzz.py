@@ -16,6 +16,11 @@ import string
 import pytest
 
 from repro.scenarios import get
+from repro.scenarios.backends.base import (
+    ENTRY_PARTS,
+    encode_entry,
+    entry_spans,
+)
 from repro.scenarios.store import ResultStore
 from repro.serving.app import (
     MAX_BATCH_ITEMS,
@@ -390,6 +395,37 @@ class TestEntryPutRoutes:
                 "digest-mismatch",
                 "schema-mismatch",
             )
+        assert not app.store.contains(digest)
+
+    def test_laid_out_entries_with_non_json_parts_never_verify(self, app):
+        # A sender can rebuild put's exact layout around any part bytes,
+        # with matching lengths and sha256: each part must still be JSON,
+        # or the entry is a structured 400 and nothing is stored.
+        from tests.serving.test_federation import produce_entry
+
+        digest, entry = produce_entry("fuzz-laid-out")
+        schema = app.store.schema_version
+        spans = entry_spans(entry, digest, schema)
+        chunks = [entry[slice(*spans[part])] for part in ENTRY_PARTS]
+        assert encode_entry(digest, schema, chunks)[0] == entry
+        tampered = [
+            ("raw", b"{oops}"),
+            ("scenario", b"{oops}"),
+            ("text", b'"\xff"'),
+            ("csv", b"nope"),
+        ]
+        rng = random.Random(0x1A1D)
+        for _ in range(N_CASES):
+            index = rng.randrange(len(ENTRY_PARTS))
+            cut = rng.randrange(1, len(chunks[index]))
+            # A strict prefix of an object, string or null is never JSON.
+            tampered.append((ENTRY_PARTS[index], chunks[index][:cut]))
+        for part, chunk in tampered:
+            parts = dict(zip(ENTRY_PARTS, chunks), **{part: chunk})
+            body, _ = encode_entry(digest, schema, list(parts.values()))
+            response = app.handle("PUT", f"/results/{digest}", body)
+            assert_structured_4xx(response, 400)
+            assert response.body["error"] == "invalid-entry"
         assert not app.store.contains(digest)
 
     def test_valid_entry_round_trips(self, app):

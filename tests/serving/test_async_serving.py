@@ -69,8 +69,9 @@ class TestAcceptedFlow:
 
         result = app.handle("GET", f"/results/{digest}")
         assert result.status == 200
-        assert result.body["digest"] == digest
-        assert result.body["artifacts"]["text"]
+        body = json.loads(result.body_bytes())
+        assert body["digest"] == digest
+        assert body["artifacts"]["text"]
 
     def test_warm_digest_is_served_inline_not_enqueued(self, app):
         digest = digest_of(app, "table1")
@@ -78,7 +79,7 @@ class TestAcceptedFlow:
         assert app.jobs.wait(digest, timeout=30)
         warm = post_run(app, {"scenario": "table1"})
         assert warm.status == 200
-        assert warm.body["from_cache"] is True
+        assert json.loads(warm.body_bytes())["from_cache"] is True
         assert app.jobs.counters.submitted == 1  # no second job
 
     def test_status_for_digest_computed_outside_the_engine(self, app):
@@ -87,7 +88,7 @@ class TestAcceptedFlow:
         # engine never saw is pinned by the next test.
         sync = post_run(app, {"scenario": "table1"}, path="/run?wait=1")
         assert sync.status == 200
-        digest = sync.body["digest"]
+        digest = json.loads(sync.body_bytes())["digest"]
         status = app.handle("GET", f"/jobs/{digest}")
         assert status.status == 303
         assert status.body["status"] == "done"
@@ -301,19 +302,21 @@ class TestWaitEscapeHatch:
                 sync_app, {"scenario": "table1"}, path="/run?wait=1"
             )
             assert sync.status == 200
-            assert sync.body["from_cache"] is False
-            assert sync.headers["ETag"] == f'"{sync.body["digest"]}"'
-            assert set(sync.body) == {
+            sync_body = json.loads(sync.body_bytes())
+            assert sync_body["from_cache"] is False
+            assert sync.headers["ETag"] == f'"{sync_body["digest"]}"'
+            assert set(sync_body) == {
                 "name", "digest", "from_cache", "provenance", "artifacts",
             }
             # The async path lands the identical artifacts in the store.
             accepted = post_run(async_app, {"scenario": "table1"})
             assert accepted.status == 202
             digest = accepted.body["digest"]
-            assert digest == sync.body["digest"]
+            assert digest == sync_body["digest"]
             assert async_app.jobs.wait(digest, timeout=30)
             result = async_app.handle("GET", f"/results/{digest}")
-            assert result.body["artifacts"] == sync.body["artifacts"]
+            body = json.loads(result.body_bytes())
+            assert body["artifacts"] == sync_body["artifacts"]
         finally:
             sync_app.close()
             async_app.close()
@@ -334,7 +337,7 @@ class TestWaitEscapeHatch:
             app, {"scenario": "table1"}, headers={"Prefer": "wait"}
         )
         assert response.status == 200
-        assert response.body["from_cache"] is False
+        assert json.loads(response.body_bytes())["from_cache"] is False
 
     def test_wait_zero_means_async(self, app):
         response = post_run(
@@ -349,9 +352,10 @@ class TestWaitEscapeHatch:
             path="/run?wait=1",
         )
         assert response.status == 200
-        assert response.body["stats"]["n_computed"] == 1
-        assert response.body["stats"]["n_deduplicated"] == 1
-        assert response.body["entries"][0]["artifacts"]["text"]
+        body = json.loads(response.body_bytes())
+        assert body["stats"]["n_computed"] == 1
+        assert body["stats"]["n_deduplicated"] == 1
+        assert body["entries"][0]["artifacts"]["text"]
 
 
 class TestWaitRidesTheJobEngine:
@@ -402,7 +406,7 @@ class TestWaitRidesTheJobEngine:
         assert not waiter.is_alive()
         assert app.jobs.counters.coalesced == 1
         assert replies[0].status == 200
-        assert replies[0].body["from_cache"] is False
+        assert json.loads(replies[0].body_bytes())["from_cache"] is False
         assert compute.calls == 1
         assert app.handle("GET", "/stats").body["server"]["computed"] == 1
 
@@ -411,7 +415,7 @@ class TestWaitRidesTheJobEngine:
         # the requests that waited on it ever saw the StoredResult.
         response = post_run(app, {"scenario": "table1"}, path="/run?wait=1")
         assert response.status == 200
-        job = app.jobs._terminal[response.body["digest"]]
+        job = app.jobs._terminal[json.loads(response.body_bytes())["digest"]]
         assert job.future is None
         assert app.handle("GET", f"/jobs/{job.digest}").status == 303
 

@@ -4,17 +4,23 @@ The serving contract in the acceptance criteria, verified over actual
 sockets: a warm ``POST /run`` performs zero kernel timings and returns
 artifacts byte-identical to the CLI's ``python -m repro run`` output, a
 repeat request carrying the returned ``ETag`` is answered ``304``, and
-``GET /results/<digest>`` replays the stored entry.
+``GET /results/<digest>`` replays the stored entry.  For every registry
+scenario, a warm reply spliced from the stored entry bytes is the compact
+encoding of the reply the cold compute's values make.
 """
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.core.timing_cache import default_timing_cache
 from repro.parallel.mapper import default_mapping_cache
-from repro.scenarios import Scenario, get, scenario_digest
+from repro.scenarios import Scenario, get, names, scenario_digest
+from repro.scenarios.store import ResultStore, run_cached
+from repro.serving.app import ServingApp
 
 CHEAP_TABLE = "fig3c-blade-spec"
 CHEAP_POINT = "fig7-gpu"
@@ -295,6 +301,77 @@ class TestContentNegotiation:
         reply = live_server.request("GET", "/results/nothex/text")
         assert reply.status == 400
         assert reply.json()["error"] == "bad-digest"
+
+
+def compact(value) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode() + b"\n"
+
+
+@pytest.fixture(scope="module")
+def warm_registry(tmp_path_factory):
+    """Every registry result computed into a cache dir, and an app
+    reading that dir through a hot ``mem://`` tier."""
+    directory = tmp_path_factory.mktemp("registry")
+    producer = ResultStore(f"file://{directory}")
+    cold = {name: run_cached(get(name), producer) for name in names()}
+    app = ServingApp(f"mem://,file://{directory}")
+    yield app, cold
+    app.close()
+
+
+class TestWarmWireGolden:
+    """Warm replies, byte for byte: the JSON routes are the compact
+    encoding of the reply built from the cold compute's values (same
+    keys, same order), the artifact routes the artifact files' bytes."""
+
+    @pytest.mark.parametrize("name", names())
+    def test_every_registry_scenario(self, warm_registry, name):
+        app, cold = warm_registry
+        result = cold[name]
+        digest = result.digest
+        provenance = result.provenance.to_dict()
+        artifacts = {"raw": result.raw, "text": result.text, "csv": result.csv}
+        for body in (
+            {"scenario": name},
+            {"scenario": get(name).to_dict()},
+        ):
+            run = app.handle("POST", "/run", json.dumps(body).encode())
+            assert run.status == 200
+            assert run.body_bytes() == compact(
+                {
+                    "name": name,
+                    "digest": digest,
+                    "from_cache": True,
+                    "provenance": provenance,
+                    "artifacts": artifacts,
+                }
+            )
+        stored = app.handle("GET", f"/results/{digest}")
+        assert stored.body_bytes() == compact(
+            {
+                "digest": digest,
+                "scenario": get(name).to_dict(),
+                "provenance": provenance,
+                "artifacts": artifacts,
+            }
+        )
+        batch = app.handle(
+            "POST", "/run", json.dumps({"scenarios": [name, name]}).encode()
+        )
+        assert json.loads(batch.body_bytes())["entries"][1] == {
+            "name": name,
+            "digest": digest,
+            "from_cache": True,
+            "deduplicated": True,
+            "artifacts": artifacts,
+        }
+        text = app.handle("GET", f"/results/{digest}/text")
+        assert text.body_bytes() == (result.text + "\n").encode()
+        csv = app.handle("GET", f"/results/{digest}/csv")
+        if result.csv is None:
+            assert csv.status == 404
+        else:
+            assert csv.body_bytes() == result.csv.encode()
 
 
 class TestHttpEdgeCases:

@@ -4,8 +4,9 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
 
 1. ``/stats`` ``runs`` counts 304-revalidated runs too (the counter used
    to be bumped *after* the ``If-None-Match`` early return).
-2. ``POST /run`` batches digest every item exactly once (the app's
-   warmness probe and :func:`run_many` used to each hash every spec).
+2. ``POST /run`` batches digest every item at most once (the app's
+   warmness probe and :func:`run_many` used to each hash every spec); a
+   registry name is digested once per app, not per request.
 3. ``uptime_s`` derives from the monotonic clock — a wall-clock step
    (NTP, ``date -s``) can never make uptime jump or go negative.
 4. ``Content-Length`` parsing is strict ASCII digits — bare ``int()``
@@ -15,13 +16,15 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
    500/``compute-failed``; only a client-sent inline spec is blamed as
    400/``invalid-scenario`` (an unmappable inline decomposition used to
    be a 500 ``internal``).  The compute runs on the job engine even for
-   ``?wait=1``, so the failure is injected there.
+   ``?wait=1``, so the failure is injected there.  A grid cell of the
+   wrong type is rejected by spec validation, before any job is queued.
 6. ``shutdown()`` stops the accept loop at once: it used to return only
    after ``serve_forever``'s next select timeout (0.5 s by default).
 7. A cold ``POST /run`` on a read-only store is answered with the
    artifacts: it used to 202, and the job's 303 then led to a 404.
-8. A warm ``POST /run`` hashes its spec once (the store lookup used to
-   digest it a second time).
+8. A warm ``POST /run`` hashes an inline spec once (the store lookup
+   used to digest it a second time), and a registry name not at all
+   after its first request.
 9. A store named by a ``Path`` (or given as a backend object) is built
    into a :class:`ResultStore` like a URL is: the app used to keep the
    ``Path`` itself, so every request, ``/healthz`` included, was a 500.
@@ -75,7 +78,8 @@ class TestStatsCount304Runs:
 
 class TestBatchDigestsOnce:
     def test_batch_endpoint_never_rehashes_specs(self, app, monkeypatch):
-        body = json.dumps({"scenarios": ["table1", "table1"]}).encode()
+        inline = get("table1").to_dict()
+        body = json.dumps({"scenarios": ["table1", inline, "table1"]}).encode()
         assert app.handle("POST", "/run?wait=1", body).status == 200  # warm
         calls = []
 
@@ -86,9 +90,10 @@ class TestBatchDigestsOnce:
         monkeypatch.setattr("repro.scenarios.store.scenario_digest", counting)
         response = app.handle("POST", "/run?wait=1", body)
         assert response.status == 200
-        assert response.body["stats"]["n_from_store"] == 1
-        # One hash per item: the warm reads reuse the batch's digests.
-        assert calls == ["table1", "table1"]
+        assert json.loads(response.body_bytes())["stats"]["n_from_store"] == 1
+        # One hash per inline item (the warm reads reuse the batch's
+        # digests); the registry name was hashed by the first request.
+        assert calls == ["table1"]
 
 
 class TestMonotonicUptime:
@@ -223,6 +228,19 @@ class TestComputeErrorClassification:
         assert status.body["status"] == "failed"
         assert status.body["error"]["error"] == "invalid-scenario"
 
+    def test_wrong_type_grid_cell_is_a_400_before_queuing(self, app):
+        """A grid cell that cannot be its field's type used to pass spec
+        validation and raise TypeError mid-compute: a 500 ``internal``."""
+        spec = get("fig7-bandwidth").to_dict()
+        spec["grid"]["rows"][0] = ["x"]
+        payload = json.dumps({"scenario": spec}).encode()
+        for path in ("/run?wait=1", "/run"):
+            response = app.handle("POST", path, payload)
+            assert response.status == 400
+            assert response.body["error"] == "invalid-scenario"
+            assert "system.dram_bandwidth_tbps" in response.body["detail"]
+        assert app.jobs.counters.submitted == 0
+
 
 class TestReadOnlyStoreAnswersColdRunsInline:
     def test_cold_single_and_batch_return_artifacts(self, tmp_path):
@@ -234,8 +252,9 @@ class TestReadOnlyStoreAnswersColdRunsInline:
                 "POST", "/run", json.dumps({"scenario": "table1"}).encode()
             )
             assert single.status == 200
-            assert single.body["from_cache"] is False
-            assert single.body["artifacts"]["text"]
+            single_body = json.loads(single.body_bytes())
+            assert single_body["from_cache"] is False
+            assert single_body["artifacts"]["text"]
             batch = ro_app.handle(
                 "POST",
                 "/run",
@@ -244,11 +263,12 @@ class TestReadOnlyStoreAnswersColdRunsInline:
                 ).encode(),
             )
             assert batch.status == 200
-            assert [e["from_cache"] for e in batch.body["entries"]] == [
+            entries = json.loads(batch.body_bytes())["entries"]
+            assert [e["from_cache"] for e in entries] == [
                 False,
                 False,
             ]
-            assert all(e["artifacts"]["text"] for e in batch.body["entries"])
+            assert all(e["artifacts"]["text"] for e in entries)
             assert list(mirror.iterdir()) == []  # nothing written
         finally:
             ro_app.close()
@@ -256,8 +276,9 @@ class TestReadOnlyStoreAnswersColdRunsInline:
 
 class TestWarmRunDigestsOnce:
     def test_warm_post_run_hashes_its_spec_once(self, app, monkeypatch):
-        payload = json.dumps({"scenario": "table1"}).encode()
-        assert app.handle("POST", "/run?wait=1", payload).status == 200
+        by_name = json.dumps({"scenario": "table1"}).encode()
+        inline = json.dumps({"scenario": get("table1").to_dict()}).encode()
+        assert app.handle("POST", "/run?wait=1", by_name).status == 200
         calls = []
 
         def counting(scenario, schema):
@@ -265,8 +286,11 @@ class TestWarmRunDigestsOnce:
             return scenario_digest(scenario, schema)
 
         monkeypatch.setattr("repro.scenarios.store.scenario_digest", counting)
-        warm = app.handle("POST", "/run", payload)
-        assert warm.status == 200 and warm.body["from_cache"] is True
+        for payload in (inline, by_name):
+            warm = app.handle("POST", "/run", payload)
+            assert warm.status == 200
+            assert json.loads(warm.body_bytes())["from_cache"] is True
+        # The inline spec is hashed once; the registry name not again.
         assert calls == ["table1"]
 
 
@@ -328,7 +352,7 @@ class TestRawRevalidationIsARead:
         warm = app.handle(
             "POST", "/run?wait=1", json.dumps({"scenario": "table1"}).encode()
         )
-        digest = warm.body["digest"]
+        digest = json.loads(warm.body_bytes())["digest"]
         counters = app.store.backend.counters
         hits, misses = counters.hits, counters.misses
         reply = app.handle(

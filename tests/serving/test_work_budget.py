@@ -1,0 +1,192 @@
+"""Work budget of the warm serving path: counts, not timings.
+
+A fixed warm mix is replayed in-process through ``ServingApp.handle`` and
+``Response.body_bytes`` on a ``mem://,file://`` store whose file tier was
+filled by another store (as a daemon finds it): fig5, fig7-gpu, dse and
+table1, each over ``POST /run`` by name and inline, ``GET /results``,
+``…/csv`` (where the scenario has one), ``…/text`` and both
+``If-None-Match`` revalidations.  After one untimed pass has promoted
+every entry and filled every memo, each route's requests run under
+cProfile, which counts per request:
+
+* ``python_calls`` — every call cProfile sees, C builtins included;
+* ``json_encoder_calls`` / ``json_decoder_calls`` — calls into
+  ``json/encoder.py`` and ``json/decoder.py`` (an ``indent`` sends the
+  encoder down its pure-Python path, one call per emitted chunk);
+* ``backend_reads`` — reads of the store's tiers, mem and file together.
+
+These counts repeat exactly from run to run, where timings on a shared
+host do not, so a count that rises by more than 1% over its pin in
+``tests/data/work_budget.json`` fails and names the ten functions whose
+call counts grew most.  A count that falls passes; re-pin it so that the
+saving is on record (the pins are per Python minor version)::
+
+    PYTHONPATH=src python tests/serving/test_work_budget.py
+"""
+
+from __future__ import annotations
+
+import cProfile
+import gc
+import json
+import pstats
+import sys
+import sysconfig
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.scenarios import get
+from repro.scenarios.store import ResultStore, run_cached
+from repro.serving.app import ServingApp
+
+BUDGET = Path(__file__).resolve().parents[1] / "data" / "work_budget.json"
+PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
+MIX = ("fig5", "fig7-gpu", "dse", "table1")
+#: Profiled replays of each route's requests (after one untimed pass).
+PASSES = 5
+#: How far a count may rise over its pin before the budget fails.
+TOLERANCE = 0.01
+COUNTS = (
+    "python_calls",
+    "json_encoder_calls",
+    "json_decoder_calls",
+    "backend_reads",
+)
+
+_STDLIB = sysconfig.get_paths()["stdlib"]
+
+
+def _where(filename: str) -> str:
+    """A profiled function's file, without the install prefix."""
+    if "/repro/" in filename:
+        return "repro/" + filename.rsplit("/repro/", 1)[1]
+    if filename.startswith(_STDLIB):
+        return filename[len(_STDLIB) :].lstrip("/")
+    return filename
+
+
+def _json_calls(calls: Counter, module: str) -> int:
+    prefix = f"json/{module}.py:"
+    return sum(n for key, n in calls.items() if key.startswith(prefix))
+
+
+def warm_requests(app: ServingApp) -> dict[str, list[tuple]]:
+    """Route name -> the mix's requests on it, as ``handle`` arguments."""
+    routes: dict[str, list[tuple]] = {}
+    for name in MIX:
+        by_name = json.dumps({"scenario": name}).encode()
+        inline = json.dumps({"scenario": get(name).to_dict()}).encode()
+        reply = json.loads(app.handle("POST", "/run", by_name).body_bytes())
+        digest = reply["digest"]
+        etag = {"If-None-Match": f'"{digest}"'}
+        requests = {
+            "POST /run by name": ("POST", "/run", by_name, {}),
+            "POST /run inline": ("POST", "/run", inline, {}),
+            "GET /results": ("GET", f"/results/{digest}", b"", {}),
+            "GET /results/text": ("GET", f"/results/{digest}/text", b"", {}),
+            "POST /run 304": ("POST", "/run", by_name, etag),
+            "GET /results 304": ("GET", f"/results/{digest}", b"", etag),
+        }
+        if reply["artifacts"]["csv"] is not None:
+            requests["GET /results/csv"] = (
+                "GET", f"/results/{digest}/csv", b"", {},
+            )
+        for route, request in requests.items():
+            routes.setdefault(route, []).append(request)
+    return routes
+
+
+def measure(directory: Path) -> dict:
+    """The counts of one replay of the mix over a store in ``directory``."""
+    producer = ResultStore(f"file://{directory}")
+    for name in MIX:
+        run_cached(get(name), producer)
+    app = ServingApp(f"mem://,file://{directory}")
+    totals: dict[str, Counter[str]] = {}
+    functions: Counter[str] = Counter()
+    try:
+        routes = warm_requests(app)
+        for requests in routes.values():  # promote, fill the memos
+            for request in requests:
+                assert app.handle(*request).status in (200, 304)
+        tiers = app.store.backend.tiers
+        gc.collect()
+        gc.disable()  # no finalizer may run inside a profiled request
+        try:
+            for route, requests in sorted(routes.items()):
+                reads = sum(tier.counters.reads for tier in tiers)
+                profiler = cProfile.Profile()
+                profiler.enable()
+                for _ in range(PASSES):
+                    for request in requests:
+                        app.handle(*request).body_bytes()
+                profiler.disable()
+                calls: Counter[str] = Counter()
+                stats = pstats.Stats(profiler).stats
+                for (filename, _, function), row in stats.items():
+                    calls[f"{_where(filename)}:{function}"] += row[1]
+                functions.update(calls)
+                totals[route] = Counter(
+                    requests=PASSES * len(requests),
+                    python_calls=sum(calls.values()),
+                    json_encoder_calls=_json_calls(calls, "encoder"),
+                    json_decoder_calls=_json_calls(calls, "decoder"),
+                    backend_reads=sum(t.counters.reads for t in tiers) - reads,
+                )
+        finally:
+            gc.enable()
+    finally:
+        app.close()
+
+    def per_request(counts: Counter[str]) -> dict[str, float]:
+        n = counts["requests"]
+        return {key: round(counts[key] / n, 2) for key in COUNTS}
+
+    return {
+        "mix": per_request(sum(totals.values(), Counter())),
+        "routes": {route: per_request(c) for route, c in totals.items()},
+        "functions": dict(sorted(functions.items())),
+    }
+
+
+def rises(pinned: dict, measured: dict) -> list[str]:
+    """Every pinned count the measurement exceeds by more than 1%."""
+    found = []
+    for route, counts in pinned["routes"].items():
+        for count, limit in counts.items():
+            value = measured["routes"].get(route, {}).get(count)
+            if value is None or value > limit * (1 + TOLERANCE) + 1e-9:
+                found.append(f"{route}: {count} {limit} -> {value}")
+    return found
+
+
+def test_warm_path_stays_within_its_work_budget(tmp_path):
+    pins = json.loads(BUDGET.read_text())
+    if PYTHON not in pins:
+        pytest.skip(
+            f"no work budget pinned for Python {PYTHON}; pin one with "
+            "`PYTHONPATH=src python tests/serving/test_work_budget.py`"
+        )
+    pinned = pins[PYTHON]
+    measured = measure(tmp_path)
+    found = rises(pinned, measured)
+    growth = Counter(measured["functions"])
+    growth.subtract(pinned["functions"])
+    grew = [f"{key} +{n}" for key, n in growth.most_common(10) if n > 0]
+    assert not found, (
+        "warm work budget exceeded:\n  " + "\n  ".join(found)
+        + "\nfunctions whose call counts grew most (whole replay):\n  "
+        + "\n  ".join(grew)
+    )
+    assert set(measured["routes"]) == set(pinned["routes"])
+
+
+if __name__ == "__main__":
+    pins = json.loads(BUDGET.read_text()) if BUDGET.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        pins[PYTHON] = measure(Path(tmp))
+    BUDGET.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"pinned Python {PYTHON}: {json.dumps(pins[PYTHON]['mix'])}")
