@@ -15,7 +15,7 @@ All knobs are plain numbers in the units the paper quotes (TBps, ns, KiB,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from repro.arch.system import SystemSpec
@@ -24,6 +24,12 @@ from repro.units import KIB, NS, TBPS, US
 
 #: Recognized system kinds.
 SYSTEM_KINDS = ("scd_blade", "multi_blade", "gpu")
+
+
+def scalar_dict(config: Any) -> dict[str, Any]:
+    """The fields of a dataclass of scalars as a plain dict, values as
+    they are: ``asdict`` would deep-copy each one."""
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ class SystemConfig:
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (JSON-ready; ``None`` fields included)."""
-        return asdict(self)
+        return scalar_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SystemConfig":
@@ -192,6 +198,7 @@ def gpu_config(n_gpus: int = 64) -> SystemConfig:
 __all__ = [
     "SYSTEM_KINDS",
     "SystemConfig",
+    "scalar_dict",
     "scd_blade_config",
     "gpu_config",
 ]

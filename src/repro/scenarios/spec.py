@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.sweep import SweepGrid
-from repro.arch.config import SystemConfig
+from repro.arch.config import SystemConfig, scalar_dict
 from repro.errors import ConfigError, require_positive
 from repro.parallel.strategy import ParallelConfig
 from repro.workloads.llm import MODEL_ZOO, LLMConfig, MoESpec
@@ -159,7 +159,11 @@ class WorkloadConfig:
             ) from None
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """Plain-dict form; an inline model becomes its ``asdict`` form."""
+        data = scalar_dict(self)
+        if isinstance(self.model, LLMConfig):
+            data["model"] = asdict(self.model)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadConfig":
@@ -306,7 +310,7 @@ class Scenario:
                 None if self.workload is None else self.workload.to_dict()
             ),
             "parallel": (
-                None if self.parallel is None else asdict(self.parallel)
+                None if self.parallel is None else scalar_dict(self.parallel)
             ),
             "grid": (
                 None

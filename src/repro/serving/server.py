@@ -15,6 +15,32 @@ the app's job engine (a handler thread that waits on one just blocks).
 are rejected *before* the body is read, and the connection is closed so an
 unread body can never desynchronize the stream.
 
+The handler reads each request head itself, with one strict reader; the
+stdlib's ``http.client.parse_headers`` / ``email.parser`` path is not
+used:
+
+* the request line is ``METHOD SP target SP HTTP/1.x`` of at most
+  :data:`MAX_LINE_BYTES` (else 414; another HTTP major version is 505,
+  any other shape 400);
+* at most :data:`MAX_HEADER_LINES` header lines of at most
+  :data:`MAX_LINE_BYTES` each (else 431), each split once at its first
+  ``:``, in time linear in its length.  A blank before the colon, a
+  name that is not a token, an obs-fold continuation, a CR or NUL in a
+  value and a repeated ``Content-Length`` are answered 400: each could
+  frame the body two ways, and a body misframed is a request smuggled;
+* names match case-insensitively in the transport (``fields``), and the
+  app gets each name as the client sent it (``headers``);
+* ``Connection``, HTTP/1.0, ``Expect: 100-continue`` and ``//`` paths
+  are handled as the stdlib handles them.
+
+Every method is routed to the app, and every protocol error is answered
+with :func:`~repro.serving.app.error_response`'s JSON and ``Connection:
+close``.  Each reply is built in one buffer and leaves in one
+``sendall``: status line, ``Server``, ``Date``, the response's own
+headers, ``Content-Type``, ``Content-Length`` and gzip's
+``Content-Encoding``/``Vary``; a HEAD reply and a 304 send the head
+alone.
+
 Compression is negotiated per message: 200 responses of ≥512 bytes are
 gzip'd when ``Accept-Encoding`` admits it (and it actually shrinks the
 payload), and ``Content-Encoding: gzip`` request bodies are inflated with
@@ -33,10 +59,14 @@ or from the shell: ``python -m repro serve --port 8035``.
 
 from __future__ import annotations
 
+import functools
 import gzip
+import re
 import socket
 import sys
+import time
 import zlib
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -46,6 +76,54 @@ from repro.serving.app import MAX_BODY_BYTES, Response, ServingApp, error_respon
 #: Response bodies below this aren't worth a gzip round trip (the frame
 #: overhead would often make them bigger).
 GZIP_MIN_BYTES = 512
+
+#: The longest request line, and the longest header line, read (line end
+#: included; the stdlib's limit).  A longer request line is answered 414,
+#: a longer header line 431.
+MAX_LINE_BYTES = 65536
+#: The most header lines one request may carry; more is answered 431.
+MAX_HEADER_LINES = 100
+
+_TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
+#: ``METHOD SP request-target SP HTTP/d.d`` (RFC 9112 §3), as latin-1
+#: text: the whole line, method, target, major and minor version.
+_REQUEST_LINE = re.compile(
+    rf"(({_TOKEN}) ([!-~\x80-\xff]+) HTTP/([0-9])\.([0-9]))\r?\n"
+)
+#: A non-empty header value: runs of visible bytes with blanks between.
+_VALUE = r"[!-~\x80-\xff]+(?:[ \t]+[!-~\x80-\xff]+)*"
+#: One header line: ``name: value`` (RFC 9112 §5), the value without its
+#: surrounding blanks, or any other line as the third group.  A blank
+#: before the colon, a name that is not a token, an obs-fold continuation
+#: and a control byte in the value all land in the third group.  Each
+#: blank after the colon can be matched one way only, so a line fails in
+#: linear time: two ways to split a run of blanks would make 65,000 of
+#: them before a NUL cost ~2e9 steps, with the GIL held.
+_HEADER_LINE = re.compile(
+    rf"({_TOKEN}):[ \t]*(?:({_VALUE})[ \t]*)?\r?\n|(.*\n)"
+)
+#: Each status's line, with the reason phrase the stdlib would send.
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    for status in HTTPStatus
+}
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "", "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _imf_fixdate(second: int) -> str:
+    """Unix time ``second`` in the ``Date`` header's format, the
+    IMF-fixdate of RFC 9110 §5.6.7; cached for the replies of one
+    second."""
+    t = time.gmtime(second)
+    return (
+        f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon]} "
+        f"{t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
 
 
 class ReproHTTPServer(ThreadingHTTPServer):
@@ -108,7 +186,129 @@ class _Handler(BaseHTTPRequestHandler):
     # goes silent must not pin a handler thread forever (slowloris).
     timeout = 60
 
-    # -- plumbing -----------------------------------------------------------
+    # -- reading ------------------------------------------------------------
+    def handle_one_request(self) -> None:
+        """Read one request and answer it; ``close_connection`` says
+        whether the connection ends after it."""
+        self.close_connection = True  # until the request line says otherwise
+        try:
+            method = self._read_head()
+            if method is not None:
+                self._dispatch(method)
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
+            # The client hung up (or went silent) mid-exchange; nothing to
+            # answer.
+            self.close_connection = True
+
+    def _read_head(self) -> str | None:
+        """Read and check one request head.
+
+        Returns the method, with ``path``, ``headers`` (values by name as
+        sent) and ``fields`` (values by lowercased name) set; or ``None``
+        when the connection ends here: the client closed it, or the head
+        was malformed and has been answered.
+        """
+        self.requestline = ""
+        raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if raw[MAX_LINE_BYTES:]:
+            return self._reject(
+                414, "uri-too-long",
+                f"the request line exceeds {MAX_LINE_BYTES} bytes",
+            )
+        line = _REQUEST_LINE.fullmatch(str(raw, "latin-1"))
+        if line is None:
+            if not raw.strip():
+                return None  # the client closed, or sent a blank line
+            return self._reject(
+                400, "bad-request-line",
+                f"not METHOD SP target SP HTTP/1.x: {raw[:80]!r}",
+            )
+        self.requestline, method, target, major, minor = line.groups()
+        if major != "1":
+            return self._reject(
+                505, "http-version-not-supported", "HTTP/1.x only"
+            )
+        # HTTP/1.1 keeps the connection open by default, HTTP/1.0 does not.
+        self.close_connection = minor == "0"
+        self.command, self.request_version = method, f"HTTP/1.{minor}"
+        if not self._read_fields():
+            return None
+        fields = self.fields
+        if "connection" in fields:
+            connection = fields["connection"].lower()
+            if connection == "close":
+                self.close_connection = True
+            elif connection == "keep-alive":
+                self.close_connection = False
+        # An open redirect guard the stdlib applies: "//host/x" would read
+        # as a scheme-relative URL.
+        if target[:2] == "//":
+            target = "/" + target.lstrip("/")
+        self.path = target
+        if (
+            minor != "0"
+            and "expect" in fields
+            and fields["expect"].lower() == "100-continue"
+        ):
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return method
+
+    def _read_fields(self) -> bool:
+        """Read the header lines up to the blank line into ``headers`` and
+        ``fields``; whether they were well formed (if not, the request
+        has been answered)."""
+        head = bytearray()
+        lines = 0
+        readline = self.rfile.readline
+        while True:
+            raw = readline(MAX_LINE_BYTES + 1)
+            if raw == b"\r\n" or raw == b"\n":
+                break
+            if raw[MAX_LINE_BYTES:]:
+                self._reject(
+                    431, "header-fields-too-large",
+                    f"a header line exceeds {MAX_LINE_BYTES} bytes",
+                )
+                return False
+            if raw[-1:] != b"\n":
+                self._reject(
+                    400, "bad-header", "the connection ended inside the head"
+                )
+                return False
+            lines += 1
+            if lines > MAX_HEADER_LINES:
+                self._reject(
+                    431, "header-fields-too-large",
+                    f"more than {MAX_HEADER_LINES} header lines",
+                )
+                return False
+            head += raw
+        headers: dict[str, str] = {}
+        fields: dict[str, str] = {}
+        for name, value, bad in _HEADER_LINE.findall(str(head, "latin-1")):
+            if bad:
+                self._reject(
+                    400, "bad-header", f"not a header line: {bad[:80]!r}"
+                )
+                return False
+            key = name.lower()
+            if key == "content-length" and key in fields:
+                # Two lengths frame the body two ways (RFC 9112 §6.3).
+                self._reject(
+                    400, "bad-content-length", "Content-Length repeated"
+                )
+                return False
+            headers[name] = value
+            fields[key] = value
+        self.headers, self.fields = headers, fields
+        return True
+
+    def _reject(self, status: int, error: str, detail: str) -> None:
+        """Answer a request the transport cannot read, and end the
+        connection: the bytes after it cannot be framed."""
+        self.close_connection = True
+        self._send(error_response(status, error, detail))
+
     def _read_body(self) -> bytes | Response:
         """The request body, or an error/oversize :class:`Response`.
 
@@ -117,14 +317,14 @@ class _Handler(BaseHTTPRequestHandler):
         never be misparsed as a followup request.  Chunked uploads carry no
         up-front length to check, so they are rejected with 411 outright.
         """
-        if self.headers.get("Transfer-Encoding"):
+        if "transfer-encoding" in self.fields:
             self.close_connection = True
             return error_response(
                 411,
                 "length-required",
                 "chunked bodies are not accepted; send Content-Length",
             )
-        length_header = self.headers.get("Content-Length")
+        length_header = self.fields.get("content-length")
         if length_header is None:
             return b""
         # Strict ASCII digits only: bare int() would also accept "+100",
@@ -136,13 +336,15 @@ class _Handler(BaseHTTPRequestHandler):
             return error_response(
                 400, "bad-content-length", f"not a length: {length_header!r}"
             )
-        length = int(length_header)
-        if length > self.server.app.max_body_bytes:
+        limit = self.server.app.max_body_bytes
+        # int() refuses a string of over 4300 digits; a length with more
+        # digits than the limit is over it anyway.
+        digits = length_header.lstrip("0")
+        length = int(digits or 0) if len(digits) <= len(str(limit)) else limit + 1
+        if length > limit:
             self.close_connection = True
             return error_response(
-                413,
-                "payload-too-large",
-                f"body exceeds {self.server.app.max_body_bytes} bytes",
+                413, "payload-too-large", f"body exceeds {limit} bytes"
             )
         return self._decode_content(self.rfile.read(length))
 
@@ -150,7 +352,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Apply ``Content-Encoding`` (gzip only) with a hard ceiling on
         the *decompressed* size — a tiny gzip bomb must answer the same
         413 an honestly-huge body would, not balloon the process."""
-        encoding = (self.headers.get("Content-Encoding") or "").strip().lower()
+        encoding = self.fields.get("content-encoding", "").lower()
         if encoding in ("", "identity"):
             return body
         if encoding != "gzip":
@@ -181,38 +383,35 @@ class _Handler(BaseHTTPRequestHandler):
             )
         return inflated
 
+    # -- answering ----------------------------------------------------------
     def _dispatch(self, method: str) -> None:
-        try:
-            body = b""
-            if method in ("POST", "PUT"):
-                body = self._read_body()
-                if isinstance(body, Response):
-                    self._send(body)
-                    return
-            elif self.headers.get("Content-Length", "0") not in (
-                "0",
-                "",
-            ) or self.headers.get("Transfer-Encoding"):
-                # A body on a non-POST verb is never read here; close the
-                # connection so the leftover bytes cannot be parsed as the
-                # next pipelined request.
-                self.close_connection = True
-            # HEAD routes like GET but sends headers only — /healthz must
-            # answer load-balancer HEAD probes, not a stdlib HTML 501.
-            routed = "GET" if method == "HEAD" else method
-            response = self.server.app.handle(
-                routed, self.path, body, dict(self.headers.items())
-            )
-            self._send(response, head_only=method == "HEAD")
-        except (BrokenPipeError, ConnectionResetError, TimeoutError):
-            # The client hung up (or went silent) mid-exchange; nothing to
-            # answer.
+        """Route one request through the app, whatever its method: even a
+        wrong one gets the app's structured-JSON 405/404."""
+        body = b""
+        if method in ("POST", "PUT"):
+            body = self._read_body()
+            if isinstance(body, Response):
+                self._send(body)
+                return
+        elif "transfer-encoding" in self.fields or self.fields.get(
+            "content-length", "0"
+        ) not in ("0", ""):
+            # A body on a non-POST verb is never read here; close the
+            # connection so the leftover bytes cannot be parsed as the
+            # next pipelined request.
             self.close_connection = True
+        # HEAD routes like GET but sends headers only — /healthz must
+        # answer load-balancer HEAD probes.
+        routed = "GET" if method == "HEAD" else method
+        response = self.server.app.handle(routed, self.path, body, self.headers)
+        self._send(response, head_only=method == "HEAD")
 
     def _accepts_gzip(self) -> bool:
         """Whether the request's ``Accept-Encoding`` admits gzip (with a
         non-zero q-value)."""
-        header = self.headers.get("Accept-Encoding", "")
+        header = self.fields.get("accept-encoding")
+        if not header:
+            return False
         for token in header.split(","):
             name, _, params = token.strip().lower().partition(";")
             if name.strip() != "gzip":
@@ -229,66 +428,42 @@ class _Handler(BaseHTTPRequestHandler):
         return False
 
     def _send(self, response: Response, head_only: bool = False) -> None:
-        self.send_response(response.status)
+        """Write ``response`` with one ``sendall``: the head, then the
+        body, except after HEAD and for a 304."""
+        status = response.status
+        head = (
+            (_STATUS_LINES.get(status) or f"HTTP/1.1 {status} \r\n")
+            + f"Server: {self.server_version} {self.sys_version}\r\n"
+            + f"Date: {_imf_fixdate(int(time.time()))}\r\n"
+        )
         for name, value in response.headers.items():
-            self.send_header(name, value)
+            head += f"{name}: {value}\r\n"
         if self.close_connection:
             # Tell the peer, not just TCP: no keep-alive after this one.
-            self.send_header("Connection", "close")
-        if response.status == 304:
-            # Bodyless by definition: no Content-Length, no payload.
-            self.end_headers()
-            return
-        payload = response.body_bytes()
-        # Transparent response compression: only when the client asked,
-        # only when it pays for itself.  mtime=0 keeps the compressed
-        # bytes deterministic per payload (cache-friendly).
-        if (
-            response.status == 200
-            and len(payload) >= GZIP_MIN_BYTES
-            and self._accepts_gzip()
-        ):
-            compressed = gzip.compress(payload, compresslevel=1, mtime=0)
-            if len(compressed) < len(payload):
-                payload = compressed
-                self.send_header("Content-Encoding", "gzip")
-                self.send_header("Vary", "Accept-Encoding")
-        self.send_header(
-            "Content-Type", response.content_type or "application/json"
-        )
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        if not head_only:
-            self.wfile.write(payload)
-
-    # -- verbs --------------------------------------------------------------
-    # Every verb routes through the app, so even a wrong-method request
-    # gets the structured-JSON 405/404 contract instead of the stdlib's
-    # HTML 501 page.
-    def do_GET(self) -> None:  # noqa: N802 — http.server's naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._dispatch("HEAD")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
-    def do_PATCH(self) -> None:  # noqa: N802
-        self._dispatch("PATCH")
-
-    def do_OPTIONS(self) -> None:  # noqa: N802
-        self._dispatch("OPTIONS")
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
+            head += "Connection: close\r\n"
+        payload = b""
+        if status != 304:  # bodyless by definition: no length, no type
+            payload = response.body_bytes()
+            # Transparent response compression: only when the client
+            # asked, only when it pays for itself.  mtime=0 keeps the
+            # compressed bytes deterministic per payload (cache-friendly).
+            if (
+                status == 200
+                and len(payload) >= GZIP_MIN_BYTES
+                and self._accepts_gzip()
+            ):
+                compressed = gzip.compress(payload, compresslevel=1, mtime=0)
+                if len(compressed) < len(payload):
+                    payload = compressed
+                    head += "Content-Encoding: gzip\r\nVary: Accept-Encoding\r\n"
+            head += (
+                f"Content-Type: {response.content_type or 'application/json'}"
+                f"\r\nContent-Length: {len(payload)}\r\n"
+            )
+        if not self.server.quiet:
+            self.log_request(status, len(payload))
+        wire = (head + "\r\n").encode("latin-1")
+        self.connection.sendall(wire if head_only else wire + payload)
 
 
 def create_server(

@@ -247,6 +247,41 @@ class TestWorkloadConfigRoundTrip:
             assert rebuilt.llm() == workload.llm()
 
 
+class TestToDictMatchesAsdict:
+    """``to_dict`` builds its dicts from the fields, without ``asdict``'s
+    deep copy: the same keys, in the same order, with the same values."""
+
+    @staticmethod
+    def same(built: dict, expected: dict) -> None:
+        assert json.dumps(built) == json.dumps(expected)
+        assert built == expected
+
+    def test_system_config(self):
+        rng = random.Random(0x5CA1A)
+        for _ in range(N_CASES):
+            config = gen_system_config(rng)
+            self.same(config.to_dict(), dataclasses.asdict(config))
+
+    def test_workload_config_with_inline_models(self):
+        rng = random.Random(0x1A57)
+        inline = 0
+        for _ in range(N_CASES):
+            workload = gen_workload(rng)
+            inline += isinstance(workload.model, LLMConfig)
+            self.same(workload.to_dict(), dataclasses.asdict(workload))
+        assert inline
+
+    def test_scenario_parallel_part(self):
+        rng = random.Random(0x9A7A)
+        for _ in range(N_CASES):
+            scenario = gen_scenario(rng)
+            if scenario.parallel is not None:
+                self.same(
+                    scenario.to_dict()["parallel"],
+                    dataclasses.asdict(scenario.parallel),
+                )
+
+
 class TestScenarioRoundTrip:
     def test_from_dict_to_dict_identity(self):
         rng = random.Random(0xACE)

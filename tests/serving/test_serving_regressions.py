@@ -10,7 +10,8 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
 3. ``uptime_s`` derives from the monotonic clock — a wall-clock step
    (NTP, ``date -s``) can never make uptime jump or go negative.
 4. ``Content-Length`` parsing is strict ASCII digits — bare ``int()``
-   used to accept ``"+100"``, ``" 100 "`` and ``"1_0"``.
+   used to accept ``"+100"``, ``" 100 "`` and ``"1_0"``.  A length of
+   over 4300 digits, which ``int()`` refuses, is answered too.
 5. A *mid-compute* ConfigError or MappingError is no longer a blanket
    status: a registry (server-owned) spec failing is a
    500/``compute-failed``; only a client-sent inline spec is blamed as
@@ -31,12 +32,30 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
 10. A raw-entry revalidation (``If-None-Match`` with the entry media
     type) is answered by a backend read, so the peer's use of its copy
     shows in the serving backend's counters and LRU.
+11. A request hidden in a POST body is never answered (request
+    smuggling).  ``email.parser`` read the request head: a blank before a
+    header's colon, or a malformed line, ended the headers early, and of
+    two ``Content-Length`` lines the first won, so the body's bytes were
+    parsed as a second request.  Each such head, and an obs-fold
+    continuation line, is now a 400 that closes the connection.
+12. Protocol errors keep the JSON error contract: a method without a
+    stdlib ``do_*`` handler got an HTML 501, ``GARBAGE`` and
+    ``HTTP/2.0`` request lines got an HTML body with no status line, and
+    414/431 came back as HTML.  Every method is routed to the app, and
+    every protocol error is a status line, an ``error_response`` body and
+    ``Connection: close``.  A head of exactly 100 header lines is read
+    (the stdlib counted its blank line as the 101st).  Seeded byte
+    mutations of valid requests get replies that each start with a status
+    line, or a clean close.  A header line of 65,000 blanks before a NUL
+    is rejected in linear time, not by trying every split of the blanks.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import random
+import socket
 import threading
 import time
 
@@ -131,7 +150,7 @@ class TestStrictContentLength:
     @pytest.mark.parametrize(
         "length_value",
         # Surrounding whitespace (" 100") never reaches the check — the
-        # stdlib header parser strips it — so the cases here are the
+        # request reader strips it — so the cases here are the
         # embedded forms bare int() used to accept.  "²" is a latin-1
         # unicode digit: isdigit() passes, isascii() does not — the
         # exact hole the strict check closes.
@@ -145,6 +164,24 @@ class TestStrictContentLength:
     def test_plain_digits_still_work(self, live_server):
         reply = live_server.post_json("/run?wait=1", {"scenario": "table1"})
         assert reply.status == 200
+
+    def test_a_length_of_thousands_of_digits_is_answered(self, wire):
+        """``int()`` refuses a string of over 4300 digits: such a length
+        escaped the handler as a ValueError, and the connection closed
+        unanswered.  With leading zeros it is the length it spells; over
+        the limit it is a 413."""
+        body = json.dumps({"scenario": "table1"}).encode()
+        conn = wire()
+        conn.send(
+            b"POST /run?wait=1 HTTP/1.1\r\nContent-Length: "
+            + b"0" * 5000 + b"%d\r\n\r\n" % len(body) + body
+        )
+        assert conn.reply().status == 200
+        conn.send(
+            b"POST /run HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+        )
+        body = assert_json_error_then_close(conn, 413)
+        assert body["error"] == "payload-too-large"
 
 
 #: The library errors a compute can raise once a spec is running.
@@ -365,3 +402,159 @@ class TestRawRevalidationIsARead:
         )
         assert reply.status == 304 and reply.body is None
         assert (counters.hits, counters.misses) == (hits + 1, misses)
+
+
+#: ``GET /scenarios`` as a 36-byte POST body.
+SMUGGLED = b"GET /scenarios HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def assert_json_error_then_close(conn, status: int) -> dict:
+    """The connection's one reply is a JSON ``status`` error that closes
+    it, and nothing is answered after it."""
+    reply = conn.reply()
+    assert reply.status == status
+    assert reply.header("Content-Type") == "application/json"
+    body = reply.json()
+    assert set(body) == {"error", "detail"}
+    assert reply.header("Connection") == "close"
+    assert conn.closed_by_server()
+    return body
+
+
+class TestNoRequestSmuggling:
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            "Content-Length : 36",
+            "Content-Length: 0\r\nContent-Length: 36",
+            "X Bad: 1\r\nContent-Length: 36",
+            "X-Folded: a\r\n continued\r\nContent-Length: 36",
+        ],
+        ids=["blank-before-colon", "two-lengths", "bad-line", "obs-fold"],
+    )
+    def test_a_request_in_a_post_body_is_never_answered(self, wire, framing):
+        assert len(SMUGGLED) == 36
+        conn = wire()
+        conn.send(
+            f"POST /run HTTP/1.1\r\nHost: x\r\n{framing}\r\n\r\n".encode()
+            + SMUGGLED
+        )
+        assert_json_error_then_close(conn, 400)
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"X-A: a\rb", b"X-A: a\x00b", b": no-name", b"no-colon", b"X-A\t: 1"],
+        ids=["bare-cr", "nul", "empty-name", "no-colon", "tab-before-colon"],
+    )
+    def test_other_malformed_header_lines_are_400(self, wire, line):
+        conn = wire()
+        conn.send(b"GET /healthz HTTP/1.1\r\n" + line + b"\r\n\r\n")
+        assert_json_error_then_close(conn, 400)
+
+    def test_blanks_around_a_value_are_not_part_of_it(self, wire):
+        conn = wire()
+        body = json.dumps({"scenario": "no-such-scenario"}).encode()
+        conn.send(
+            b"POST /run HTTP/1.1\r\nContent-Length: \t%d \t\r\n\r\n"
+            % len(body) + body
+        )
+        assert conn.reply().status == 404
+
+
+class TestProtocolErrorsAreJson:
+    @pytest.mark.parametrize("method", ["TRACE", "CONNECT", "BREW"])
+    def test_every_method_is_routed_to_the_app(self, wire, method):
+        conn = wire()
+        conn.send(f"{method} /healthz HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        reply = conn.reply()
+        assert reply.status == 405
+        assert reply.json()["error"] == "method-not-allowed"
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /\r\n\r\n", 400),
+            (b"GET  /healthz HTTP/1.1\r\n\r\n", 400),
+            (b"GET / HTTP/2.0\r\n\r\n", 505),
+            (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", 431),
+            (
+                b"GET / HTTP/1.1\r\n"
+                + b"".join(b"X-%d: 1\r\n" % i for i in range(101))
+                + b"\r\n",
+                431,
+            ),
+        ],
+        ids=[
+            "garbage", "http09", "two-spaces", "http2", "414", "431-line",
+            "431-count",
+        ],
+    )
+    def test_protocol_errors_are_json_and_close(self, wire, head, status):
+        conn = wire()
+        conn.send(head)
+        assert_json_error_then_close(conn, status)
+
+    @pytest.mark.parametrize("lines, seconds", [(1, 1.0), (100, 5.0)])
+    def test_a_run_of_blanks_is_rejected_in_linear_time(
+        self, wire, lines, seconds
+    ):
+        """``X:``, 65,000 blanks and a NUL is a prompt 400.  A header
+        pattern that could split the blanks two ways tried every split:
+        ~30 s for one such line, with the GIL held, so every handler
+        stalled."""
+        conn = wire()
+        started = time.monotonic()
+        conn.send(
+            b"GET /healthz HTTP/1.1\r\n"
+            + (b"X:" + b" " * 65000 + b"\x00\r\n") * lines
+            + b"\r\n"
+        )
+        assert assert_json_error_then_close(conn, 400)["error"] == "bad-header"
+        assert time.monotonic() - started < seconds
+
+    def test_100_header_lines_are_read(self, wire):
+        conn = wire()
+        conn.send(
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-%d: 1\r\n" % i for i in range(100))
+            + b"\r\n"
+        )
+        assert conn.reply().status == 200
+
+    def test_mutated_heads_get_json_or_a_close(self, live_server):
+        """Seeded byte mutations of valid requests: each connection's
+        answer is nothing (a clean close) or replies that each start with
+        a status line, with a JSON body on every error."""
+        rng = random.Random(12)
+        bases = [
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"POST /run HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+            b"HEAD /scenarios HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        ]
+        for _ in range(150):
+            data = bytearray(rng.choice(bases))
+            for _ in range(rng.randint(1, 3)):
+                data.insert(
+                    rng.randrange(len(data) + 1), rng.choice(b" \t\r\n:\x00a")
+                )
+            with socket.create_connection(
+                (live_server.host, live_server.port), timeout=10
+            ) as sock:
+                sock.sendall(bytes(data))
+                sock.shutdown(socket.SHUT_WR)
+                stream = b""
+                try:
+                    while chunk := sock.recv(1 << 16):
+                        stream += chunk
+                except ConnectionResetError:
+                    pass
+            heads = [
+                head for head in stream.split(b"\r\n\r\n")
+                if head.startswith(b"HTTP/1.1 ")
+            ]
+            assert not stream or stream.startswith(b"HTTP/1.1 "), data
+            for head in heads:
+                if int(head.split()[1]) >= 400:
+                    assert b"Content-Type: application/json" in head, data
