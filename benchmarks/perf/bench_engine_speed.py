@@ -52,10 +52,12 @@ from repro.analysis.figures import (
     fig7_inference,
     scd_system,
 )
+from repro.arch.config import _build_system
 from repro.arch.gpu import build_gpu_system
 from repro.core.model import Optimus
 from repro.core.timing_cache import NullTimingCache, default_timing_cache
 from repro.parallel.mapper import (
+    _layer_kernels,
     default_mapping_cache,
     map_inference,
     map_training,
@@ -154,9 +156,12 @@ def _result_path() -> Path:
 def test_engine_speed_vs_seed_flat_timing():
     # Cold-start the shared caches so the engine pass is not pre-warmed by
     # earlier tests in the same process (mappings carry their decode-step
-    # programs, so they are cleared too).
+    # programs, so they are cleared too; so are the layer-kernel and
+    # built-system memos).
     default_timing_cache().clear()
     default_mapping_cache().clear()
+    _layer_kernels.cache_clear()
+    _build_system.cache_clear()
 
     t0 = time.perf_counter()
     fig5 = fig5_training_bandwidth_sweep(bandwidths_tbps=FIG5_BANDWIDTHS)

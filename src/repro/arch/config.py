@@ -15,6 +15,8 @@ All knobs are plain numbers in the units the paper quotes (TBps, ns, KiB,
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
@@ -102,7 +104,16 @@ class SystemConfig:
 
     # -- construction -------------------------------------------------------
     def build(self) -> SystemSpec:
-        """Replay the recipe into a concrete :class:`SystemSpec`."""
+        """Replay the recipe into a concrete :class:`SystemSpec`.
+
+        The result is frozen, so the last few recipes built are kept and a
+        recipe is replayed once: a sweep over a workload axis, a constant
+        reference system or a strategy search builds one recipe many
+        times.  The memo keys on each field's value *and* type: ``n_gpus``
+        64 and 64.0 compare equal but build systems named differently."""
+        return _build_system(*_recipe(self))
+
+    def _replay(self) -> SystemSpec:
         if self.kind == "gpu":
             system = self._build_gpu()
         else:
@@ -182,6 +193,20 @@ class SystemConfig:
     def with_overrides(self, **overrides: Any) -> "SystemConfig":
         """Copy with the given fields replaced (sweep-axis application)."""
         return replace(self, **overrides)
+
+
+#: A config's field values, in field order.
+_recipe = operator.attrgetter(*(f.name for f in fields(SystemConfig)))
+
+#: Built systems kept.  One cold spec builds at most a few dozen recipes.
+_BUILT_SYSTEMS = 32
+
+
+@functools.lru_cache(maxsize=_BUILT_SYSTEMS, typed=True)
+def _build_system(*recipe: Any) -> SystemSpec:
+    """The system of the recipe with these field values (``typed``: one
+    entry per spelling of a value)."""
+    return SystemConfig(*recipe)._replay()
 
 
 #: The baseline systems most scenarios start from.

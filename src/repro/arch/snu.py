@@ -50,11 +50,12 @@ def build_snu_group(
     total_l2_bytes: float = 3.375 * GB,
     n_stacks: int = 16,
 ) -> list[SNUStack]:
-    """The blade's SNU population: ``n_stacks`` stacks sharing the L2."""
+    """The blade's SNU population: ``n_stacks`` stacks sharing the L2.
+
+    The stacks are equal and frozen, so the list repeats one of them."""
     require_positive("total_l2_bytes", total_l2_bytes)
     require_positive("n_stacks", n_stacks)
-    per_stack = total_l2_bytes / n_stacks
-    return [SNUStack(l2_capacity_bytes=per_stack) for _ in range(n_stacks)]
+    return [SNUStack(l2_capacity_bytes=total_l2_bytes / n_stacks)] * n_stacks
 
 
 def build_snu(l2_capacity_bytes: float = 3.375 * GB / 16) -> SNUStack:

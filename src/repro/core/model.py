@@ -20,6 +20,13 @@ memoized in a :class:`~repro.core.timing_cache.KernelTimingCache` shared
 across stages, decode samples and sweep points.  Cost is O(unique ops), not
 O(layers × ops), while the resulting numbers match the seed's flat per-op
 walk to float precision.
+
+The same cache keeps each program's timing per accelerator, so a program
+equal to one already timed there (the interior stages of a pipeline, a
+strategy that maps to the same stages, a repeated evaluation) is timed
+once per process: :meth:`Optimus.time_program` returns the memoized
+timing, the same object every time.  The flat path (``use_programs=False``)
+times op lists, which are never memoized.
 """
 
 from __future__ import annotations
@@ -93,25 +100,39 @@ class Optimus:
         return self._accumulate(((ops, 1.0),))
 
     def time_program(self, program: OpProgram) -> _OpListTiming:
-        """Time an op program: each segment once, scaled by its repeat."""
-        return self._accumulate(
-            (segment.ops, float(segment.repeat)) for segment in program.segments
-        )
+        """Time an op program: each segment once, scaled by its repeat.
+
+        A program already timed on this accelerator (by value) is answered
+        by the timing cache's program memo."""
+        programs = self._timer.programs
+        timing = programs.get(program)
+        if timing is None:
+            timing = self._accumulate(
+                (segment.ops, float(segment.repeat)) for segment in program.segments
+            )
+            programs[program] = timing
+        return timing
 
     def _accumulate(
         self, spans: Iterable[tuple[Sequence[Op], float]]
     ) -> _OpListTiming:
         """Time ``(ops, weight)`` spans serially: each op once, its time
         scaled by the span's weight, summed in op order."""
-        time_compute = self._timer.time_compute
-        time_comm = self._timer.time_comm
+        timer = self._timer
+        compute, comm = timer.compute, timer.comm
+        compute_miss, comm_miss = timer.compute_miss, timer.comm_miss
         memory = Boundedness.MEMORY
+        hits = 0
         total = kernel_time = comm_time = 0.0
         memory_bound = compute_bound = gemm_memory = gemm_compute = flops = 0.0
         for ops, weight in spans:
             for op in ops:
                 if isinstance(op, ComputeKernel):
-                    timing = time_compute(op)
+                    timing = compute.get(op)
+                    if timing is None:
+                        timing = compute_miss(op)
+                    else:
+                        hits += 1
                     elapsed = timing.time * weight
                     total += elapsed
                     kernel_time += elapsed
@@ -125,9 +146,15 @@ class Optimus:
                         if op.is_gemm:
                             gemm_compute += elapsed
                 else:
-                    exposed = time_comm(op).exposed_time * weight
+                    timing = comm.get(op)
+                    if timing is None:
+                        timing = comm_miss(op)
+                    else:
+                        hits += 1
+                    exposed = timing.exposed_time * weight
                     total += exposed
                     comm_time += exposed
+        self.cache.hits += hits
         return _OpListTiming(
             total=total,
             compute_kernel_time=kernel_time,

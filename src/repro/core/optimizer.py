@@ -45,6 +45,7 @@ def search_strategies(
     memory; ``max_candidates`` bounds the search for very large systems.
     Candidates that cannot be mapped are skipped.
     """
+    optimus = Optimus(system)
     results: list[StrategyResult] = []
     for count, parallel in enumerate(
         enumerate_strategies(model, system.n_accelerators, batch)
@@ -60,7 +61,7 @@ def search_strategies(
         results.append(
             StrategyResult(
                 parallel=parallel,
-                report=Optimus(system).evaluate_training(mapped),
+                report=optimus.evaluate_training(mapped),
             )
         )
     if not results:

@@ -10,6 +10,15 @@ per-device kernel lists the Optimus evaluator times:
   sizes, the data-parallel gradient all-reduce, and the optimizer step;
 * **inference** — prefill op list plus a decode-step op-list builder
   parameterized by context length (the KV cache grows as tokens generate).
+
+Three memos keep a cold compute from building the same thing twice.
+``map_training`` builds a layer's forward and backward kernels (and the
+embedding and LM-head kernels around them) once per ``(model,
+LayerShape)``, in a bounded LRU, and attaches each strategy's weight
+residency to copies: a strategy search maps many (TP, PP, DP) strategies
+onto a few layer shapes.  An inference mapping builds each decode-step
+program once per context.  :class:`MappingCache` maps a workload once for
+every system with the same accelerator count.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.arch.system import SystemSpec
 from repro.errors import MappingError, require_positive
@@ -53,11 +62,15 @@ OPTIMIZER_BYTES_PER_PARAM = 18.0
 #: system that reuses the mapping.
 _DECODE_PROGRAMS_PER_MAPPING = 16
 
+#: Training layer shapes whose kernels are kept.  A strategy search over
+#: up to 64 candidates meets a handful of (TP, microbatch) shapes.
+_LAYER_SHAPES = 32
+
 from repro.workloads.operators import KernelKind
 
 
 def _attach_residency(
-    ops: list[Op], weight_resident: float, kv_resident: float = 0.0
+    ops: Sequence[Op], weight_resident: float, kv_resident: float = 0.0
 ) -> list[Op]:
     """Annotate kernels with the persistent footprint they touch.
 
@@ -79,6 +92,33 @@ def _attach_residency(
                 op = op.with_residency(kv_resident)
         annotated.append(op)
     return annotated
+
+
+@functools.lru_cache(maxsize=_LAYER_SHAPES)
+def _layer_kernels(
+    model: LLMConfig, shape: LayerShape
+) -> tuple[tuple[Op, ...], ...]:
+    """One training layer's kernels before residency is attached:
+    ``(layer_fwd, layer_bwd, emb_fwd, emb_bwd, head_fwd, head_bwd)``.
+
+    ``backward_ops`` carries no residency, so deriving the backward kernels
+    from the bare forward ones gives the kernels it derives from annotated
+    ones."""
+    n_tokens, precision = shape.n_tokens, shape.bytes_per_element
+    layer = layer_forward_ops(model, shape)
+    emb = embedding_ops(model, n_tokens, precision)
+    head = lm_head_ops(model, n_tokens, shape.tp, precision)
+    return tuple(
+        tuple(ops)
+        for ops in (
+            layer,
+            backward_ops(layer),
+            emb,
+            backward_ops(emb),
+            head,
+            backward_ops(head),
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -242,8 +282,11 @@ def map_training(
     weight_resident = (
         model.n_params / (tp * parallel.pipeline_parallel) * precision_bytes
     )
-    layer_fwd = _attach_residency(layer_forward_ops(model, shape), weight_resident)
-    layer_bwd = _attach_residency(backward_ops(layer_fwd), weight_resident)
+    layer_fwd, layer_bwd, emb_fwd, emb_bwd, head_fwd, head_bwd = _layer_kernels(
+        model, shape
+    )
+    layer_fwd = tuple(_attach_residency(layer_fwd, weight_resident))
+    layer_bwd = tuple(_attach_residency(layer_bwd, weight_resident))
 
     stage_fwd: list[OpProgram] = []
     stage_bwd: list[OpProgram] = []
@@ -252,22 +295,16 @@ def map_training(
         fwd_segments: list[Segment] = []
         bwd_segments: list[Segment] = []
         if stage == 0:
-            emb = _attach_residency(
-                embedding_ops(model, shape.n_tokens, precision_bytes),
-                weight_resident,
-            )
+            emb = _attach_residency(emb_fwd, weight_resident)
             fwd_segments.append(Segment(tuple(emb)))
-            bwd_segments.append(Segment(tuple(backward_ops(emb))))
+            bwd_segments.append(Segment(emb_bwd))
         if n_layers > 0:
-            fwd_segments.append(Segment(tuple(layer_fwd), repeat=n_layers))
-            bwd_segments.append(Segment(tuple(layer_bwd), repeat=n_layers))
+            fwd_segments.append(Segment(layer_fwd, repeat=n_layers))
+            bwd_segments.append(Segment(layer_bwd, repeat=n_layers))
         if stage == len(layer_counts) - 1:
-            head = _attach_residency(
-                lm_head_ops(model, shape.n_tokens, tp, precision_bytes),
-                weight_resident,
-            )
+            head = _attach_residency(head_fwd, weight_resident)
             fwd_segments.append(Segment(tuple(head)))
-            bwd_segments.append(Segment(tuple(backward_ops(head))))
+            bwd_segments.append(Segment(head_bwd))
         stage_fwd.append(OpProgram(tuple(fwd_segments)))
         stage_bwd.append(OpProgram(tuple(bwd_segments)))
 

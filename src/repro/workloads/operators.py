@@ -154,8 +154,17 @@ class ComputeKernel:
         return max(self.working_set_bytes, self.resident_set_bytes)
 
     def with_residency(self, resident_set_bytes: float) -> "ComputeKernel":
-        """Copy with a persistent-footprint annotation."""
-        return replace(self, resident_set_bytes=resident_set_bytes)
+        """Copy with a persistent-footprint annotation.
+
+        Only the new field is checked: every other field is this
+        kernel's, already validated."""
+        require_non_negative(f"{self.name} resident_set_bytes", resident_set_bytes)
+        copy = object.__new__(self.__class__)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state["resident_set_bytes"] = resident_set_bytes
+        state["_hash"] = hash(copy._fields())
+        return copy
 
     @property
     def bytes_total(self) -> float:
@@ -251,6 +260,14 @@ class Segment:
         require_positive("repeat", self.repeat)
         if not isinstance(self.ops, tuple):
             object.__setattr__(self, "ops", tuple(self.ops))
+        # Hashed once, rebuilt from fields on unpickle: as ComputeKernel.
+        object.__setattr__(self, "_hash", hash((self.ops, self.repeat)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.ops, self.repeat))
 
     @property
     def n_ops(self) -> int:
@@ -282,6 +299,15 @@ class OpProgram:
     def __post_init__(self) -> None:
         if not isinstance(self.segments, tuple):
             object.__setattr__(self, "segments", tuple(self.segments))
+        # The program-timing memo hashes a program on every lookup, so it
+        # is hashed once here (and again on unpickle, as ComputeKernel).
+        object.__setattr__(self, "_hash", hash(self.segments))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.segments,))
 
     @classmethod
     def from_ops(cls, ops: Sequence[Op], repeat: int = 1) -> "OpProgram":

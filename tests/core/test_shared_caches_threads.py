@@ -1,11 +1,13 @@
-"""The process-wide kernel-timing and mapping caches under thread contention.
+"""The process-wide timing, mapping and system caches under thread contention.
 
 The serving daemon's job workers compute cold scenarios concurrently and
-share both caches.  Each cache keeps an LRU order; a lookup that finds an
+share these caches.  Each cache keeps an LRU order; a lookup that finds an
 entry and then moves it to the end must not race an eviction by another
 thread.  The stress test below runs more threads than cores with a tiny
 switch interval and tiny caps, so evictions land between those two steps
-if nothing guards them.
+if nothing guards them.  Besides inference, the threads evaluate a PP=8
+training mapping (equal interior stages meet in the program memo) on
+systems they build from more recipes than the build memo keeps.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import threading
 import time
 
 from repro.analysis.figures import scd_system
+from repro.arch.config import _BUILT_SYSTEMS, SystemConfig
 from repro.core.model import Optimus
 from repro.core.timing_cache import KernelTimingCache
-from repro.parallel.mapper import MappingCache, map_inference
+from repro.parallel.mapper import MappingCache, map_inference, map_training
+from repro.parallel.strategy import ParallelConfig
 from repro.units import TBPS
-from repro.workloads.llm import LLAMA_405B
+from repro.workloads.llm import GPT3_76B, LLAMA_405B
 
 STRESS_SECONDS = 1.5
 
@@ -36,6 +40,25 @@ def test_caches_survive_concurrent_eviction_and_reports_match_serial():
     serial = Optimus(systems[0], cache=KernelTimingCache()).evaluate_inference(
         shared
     )
+    # More recipes than the build memo keeps, so building them evicts.
+    recipes = [
+        SystemConfig(dram_bandwidth_tbps=1.0 + i / 8)
+        for i in range(_BUILT_SYSTEMS + 8)
+    ]
+    training = map_training(
+        GPT3_76B,
+        systems[0],
+        ParallelConfig(tensor_parallel=8, pipeline_parallel=8),
+        batch=64,
+    )
+    trained = recipes[::9]
+    serial_training = [
+        Optimus(recipe.build(), cache=KernelTimingCache()).evaluate_training(
+            training
+        )
+        for recipe in trained
+    ]
+    training_reports = []
 
     errors: list[Exception] = []
     reports = []
@@ -62,9 +85,21 @@ def test_caches_survive_concurrent_eviction_and_reports_match_serial():
                             shared
                         )
                     )
+                if index % 3 == 1 and step % 5 == 0:
+                    for recipe in recipes[step % 9 :: 9]:
+                        recipe.build()
+                    which = step % len(trained)
+                    report = Optimus(
+                        trained[which].build(), cache=timing
+                    ).evaluate_training(training)
+                    training_reports.append((which, report))
             reports.append(
                 Optimus(systems[0], cache=timing).evaluate_inference(shared)
             )
+            report = Optimus(trained[0].build(), cache=timing).evaluate_training(
+                training
+            )
+            training_reports.append((0, report))
         except Exception as exc:  # noqa: BLE001 — reported below
             errors.append(exc)
 
@@ -85,4 +120,8 @@ def test_caches_survive_concurrent_eviction_and_reports_match_serial():
     assert not errors, errors[:3]
     assert len(reports) >= n_threads
     assert all(report == serial for report in reports)
+    assert len(training_reports) >= n_threads
+    assert all(
+        report == serial_training[which] for which, report in training_reports
+    )
     assert timing.n_configs <= 2 and mapping.n_entries <= 2

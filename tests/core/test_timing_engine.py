@@ -215,13 +215,13 @@ class TestKernelTimingCache:
         assert Optimus(scd_system_16tbps).cache is shared
 
     def test_evaluation_populates_cache_across_calls(self, scd_system_16tbps):
-        """Decode sampling and repeated evaluations reuse kernel timings."""
+        """Decode sampling reuses kernel timings; a repeated evaluation is
+        answered by the program memo and looks up no kernel at all."""
         cache = KernelTimingCache()
         optimus = Optimus(scd_system_16tbps, cache=cache)
         mapped = map_inference(LLAMA_405B, scd_system_16tbps, batch=8)
-        optimus.evaluate_inference(mapped)
+        first = optimus.evaluate_inference(mapped)
         assert cache.hits > 0  # embedding/head kernels repeat across samples
         hits_before, misses_before = cache.hits, cache.misses
-        optimus.evaluate_inference(mapped)
-        assert cache.misses == misses_before  # second run fully cached
-        assert cache.hits > hits_before
+        assert optimus.evaluate_inference(mapped) == first
+        assert (cache.hits, cache.misses) == (hits_before, misses_before)
