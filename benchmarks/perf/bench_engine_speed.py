@@ -22,15 +22,12 @@ and the HTTP daemon serving the same set warm over real sockets
 live daemon, asserted compute-free), *hot* through a mem-over-file tiered
 store (``serve_http_hot_seconds`` — the daemon's production stack: after
 first promotion every request is answered from the in-process LRU tier,
-asserted to perform zero file reads via per-tier stats), and *federated*
-(``serve_http_peer_seconds`` — the warm set replayed through an
-``http://`` store backend whose peer is a live daemon: raw entry GETs
-with ETag revalidation and gzip on the wire), plus the async job engine
-end to end
+asserted to perform zero file reads via per-tier stats), plus the async
+job engine end to end
 (``serve_http_cold_concurrent_seconds`` — N distinct cold specs POSTed
 concurrently, each answered ``202`` and polled through ``/jobs/<digest>``
 to its ``303`` redirect, asserted to compute each digest exactly once),
-and gates all six numbers against the committed ``BENCH_baseline.json``:
+and gates all five numbers against the committed ``BENCH_baseline.json``:
 a >2× regression of any fails the default pytest run.  All daemons run
 on the shared :func:`repro.serving.testing.launch_daemon` harness.
 Collected in the default pytest run via ``benchmarks/conftest.py``.
@@ -219,7 +216,6 @@ def test_engine_speed_vs_seed_flat_timing():
         "serve_warm_seconds": serve["warm_seconds"],
         "serve_http_warm_seconds": serve["http_warm_seconds"],
         "serve_http_hot_seconds": serve["http_hot_seconds"],
-        "serve_http_peer_seconds": serve["http_peer_seconds"],
         "serve_http_cold_concurrent_seconds": cold_async[
             "http_cold_concurrent_seconds"
         ],
@@ -232,9 +228,6 @@ def test_engine_speed_vs_seed_flat_timing():
             "same warm set over real sockets through the HTTP daemon; "
             "serve_http_hot_seconds serves it through a mem-over-file "
             "tiered store with zero file reads after promotion; "
-            "serve_http_peer_seconds replays the warm set through an "
-            "http:// store backend against a peer daemon (the federation "
-            "wire: raw entry GETs with ETag revalidation and gzip); "
             "serve_http_cold_concurrent_seconds submits N distinct cold "
             "specs concurrently (202 each), polls /jobs/<digest> to the "
             "303 redirect and reads every result — the async job engine "
@@ -253,9 +246,7 @@ def test_engine_speed_vs_seed_flat_timing():
         f"{serve['warm_seconds'] * 1e3:.1f} ms for "
         f"{len(SERVE_SCENARIOS)} scenarios "
         f"({serve['http_warm_seconds'] * 1e3:.1f} ms over HTTP, "
-        f"{serve['http_hot_seconds'] * 1e3:.1f} ms hot via mem tier, "
-        f"{serve['http_peer_seconds'] * 1e3:.1f} ms through an http:// "
-        "peer backend); "
+        f"{serve['http_hot_seconds'] * 1e3:.1f} ms hot via mem tier); "
         f"{N_COLD_JOBS} concurrent cold jobs in "
         f"{cold_async['http_cold_concurrent_seconds'] * 1e3:.1f} ms "
         "async end to end"
@@ -271,9 +262,8 @@ def test_engine_speed_vs_seed_flat_timing():
 
 def _measure_warm_serving() -> dict:
     """Time the batch runner cold (compute + store), warm (pure reads),
-    the HTTP daemon serving the same warm set over real sockets, and the
-    federation read path (an ``http://`` store backend over a peer
-    daemon).
+    and the HTTP daemon serving the same warm set over real sockets, from
+    the cache dir and hot from a mem tier stacked over it.
 
     Every warm pass must be compute-free — the kernel-timing counters are
     asserted not to move while every artifact is replayed.
@@ -281,7 +271,6 @@ def _measure_warm_serving() -> dict:
     import http.client
     import tempfile
 
-    from repro.scenarios.backends import HTTPPeerBackend
     from repro.scenarios.batch import run_many
     from repro.scenarios.store import ResultStore
     from repro.serving.testing import launch_daemon
@@ -360,30 +349,11 @@ def _measure_warm_serving() -> dict:
                 "hot HTTP serving touched the file tier"
             )
 
-        # Peer-federation serving: the same warm set replayed through an
-        # ``http://`` store backend — the batch runner's store *is* a
-        # remote daemon, so every read exercises the federation wire
-        # (raw entry GET, ETag revalidation, gzip) instead of the local
-        # filesystem.  Still compute-free.
-        with launch_daemon(cache=ResultStore(tmp)) as peer:
-            peer_store = ResultStore(HTTPPeerBackend(peer.url))
-            counters = (cache.hits, cache.misses)
-            t0 = time.perf_counter()
-            federated = run_many(SERVE_SCENARIOS, store=peer_store)
-            http_peer_seconds = time.perf_counter() - t0
-            assert all(entry.from_cache for entry in federated.entries)
-            assert (cache.hits, cache.misses) == counters, (
-                "federated peer serving performed kernel timings"
-            )
-            assert peer_store.backend.counters.hits == len(
-                SERVE_SCENARIOS
-            ), "every scenario must be read over the peer wire"
     return {
         "cold_seconds": round(cold_seconds, 6),
         "warm_seconds": round(warm_seconds, 6),
         "http_warm_seconds": round(http_warm_seconds, 6),
         "http_hot_seconds": round(http_hot_seconds, 6),
-        "http_peer_seconds": round(http_peer_seconds, 6),
     }
 
 
@@ -500,7 +470,6 @@ def _gate_against_baseline(result: dict) -> None:
         "serve_warm_seconds",
         "serve_http_warm_seconds",
         "serve_http_hot_seconds",
-        "serve_http_peer_seconds",
         "serve_http_cold_concurrent_seconds",
     ):
         measured = result[metric]

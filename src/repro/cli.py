@@ -245,7 +245,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache=args.cache,
         job_workers=args.job_workers,
         max_queue=args.max_queue,
-        trust_puts=args.trust_puts,
         quiet=args.quiet,
     )
     return serve_forever(server)
@@ -261,8 +260,7 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
         help="the result store: a cache directory (default: "
         "$REPRO_CACHE_DIR or ~/.cache/repro/scenarios) or a backend URL — "
         "mem://, file:///path?shard=1&max_bytes=N&max_entries=N, "
-        "ro:///mirror, http://peer:8035, ring://a:8035;b:8035?replicas=2, "
-        "or comma-separated tiers such as mem://,file:///path",
+        "ro:///mirror, or comma-separated tiers such as mem://,file:///path",
     )
 
 
@@ -335,12 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="queued-job bound; beyond it cold POST /run answers 429 "
         "with Retry-After (default 64)",
-    )
-    p_serve.add_argument(
-        "--trust-puts",
-        action="store_true",
-        help="store PUT /results/<digest> bodies opaquely instead of "
-        "verifying them against the digest (trusted clusters only)",
     )
     p_serve.add_argument(
         "--verbose",

@@ -2,9 +2,8 @@
 
 One address scheme (the sha256 spec digest), many places the bytes can
 live: a local cache directory (``file://``), an in-process byte-capped LRU
-(``mem://``), a read-only shared mirror (``ro://``), a peer serving daemon
-(``http://``), a consistent-hash federation of peers (``ring://``), or a
-read-through tier stack (``mem://,file:///path,ring://a;b``).  See
+(``mem://``), a read-only shared mirror (``ro://``), or a read-through
+tier stack (``mem://,file:///path,ro:///mirror``).  See
 :mod:`repro.scenarios.backends.base` for the contract and
 :mod:`repro.scenarios.backends.url` for the address syntax every store
 consumer accepts.
@@ -17,8 +16,6 @@ from repro.scenarios.backends.base import (
     StoreBackend,
     plausible_entry,
 )
-from repro.scenarios.backends.hashring import HashRing, HashRingBackend
-from repro.scenarios.backends.http import ENTRY_CONTENT_TYPE, HTTPPeerBackend
 from repro.scenarios.backends.localfs import LocalFSBackend
 from repro.scenarios.backends.memory import DEFAULT_MEM_MAX_BYTES, InMemoryBackend
 from repro.scenarios.backends.mirror import ReadOnlyMirrorBackend
@@ -27,13 +24,9 @@ from repro.scenarios.backends.url import backend_from_url, is_store_url
 
 __all__ = [
     "DEFAULT_MEM_MAX_BYTES",
-    "ENTRY_CONTENT_TYPE",
     "STORE_FORMAT",
     "BackendEntry",
     "BackendStats",
-    "HTTPPeerBackend",
-    "HashRing",
-    "HashRingBackend",
     "InMemoryBackend",
     "LocalFSBackend",
     "ReadOnlyMirrorBackend",

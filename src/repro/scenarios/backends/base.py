@@ -26,11 +26,6 @@ Concrete backends:
   the byte-capped LRU hot tier;
 * :class:`~repro.scenarios.backends.mirror.ReadOnlyMirrorBackend` —
   ``ro://``, a shared mirror that is never written or healed;
-* :class:`~repro.scenarios.backends.http.HTTPPeerBackend` —
-  ``http(s)://``, a peer serving daemon used as a remote tier (ETag
-  revalidation + gzip on the wire, degrade-to-miss on network failure);
-* :class:`~repro.scenarios.backends.hashring.HashRingBackend` —
-  ``ring://``, consistent-hash federation of N peer daemons;
 * :class:`~repro.scenarios.backends.tiered.TieredStore` — comma-separated
   tiers, read-through with promotion.
 """
@@ -82,14 +77,6 @@ class BackendStats:
     leaves the file tier's ``reads`` frozen).  ``promotions`` only moves on
     composite backends; ``corrupt_skipped`` counts entries a tiered read
     refused to promote (and a read-only mirror left in place).
-
-    The last two counters only move on *remote* backends
-    (:class:`~repro.scenarios.backends.http.HTTPPeerBackend` and the
-    ``ring://`` federation built on it): ``revalidations`` counts reads
-    answered ``304`` from the peer and served out of the local
-    revalidation cache (a hit that moved an ETag, not a body, over the
-    wire), ``remote_errors`` counts network/peer failures the client
-    degraded to a miss instead of raising.
     """
 
     hits: int = 0
@@ -99,8 +86,6 @@ class BackendStats:
     evictions: int = 0
     promotions: int = 0
     corrupt_skipped: int = 0
-    revalidations: int = 0
-    remote_errors: int = 0
 
     @property
     def reads(self) -> int:
@@ -117,8 +102,6 @@ class BackendStats:
             "evictions": self.evictions,
             "promotions": self.promotions,
             "corrupt_skipped": self.corrupt_skipped,
-            "revalidations": self.revalidations,
-            "remote_errors": self.remote_errors,
         }
 
 
@@ -236,48 +219,6 @@ def entry_totals(entries: Iterable[BackendEntry]) -> dict[str, int]:
         count += 1
         total += entry.size_bytes
     return {"n_entries": count, "total_bytes": total}
-
-
-def union_entries(backends: Iterable[StoreBackend]) -> Iterator[BackendEntry]:
-    """Every digest held by any of ``backends`` once, the first holder's
-    metadata winning — how composite backends (tier stacks, rings) count
-    a digest that lives in several places."""
-    seen: set[str] = set()
-    for backend in backends:
-        for entry in backend.entries():
-            if entry.digest not in seen:
-                seen.add(entry.digest)
-                yield entry
-
-
-def union_gc(
-    backends: Iterable[StoreBackend],
-    max_bytes: int | None,
-    max_entries: int | None,
-    *,
-    sweep_tmp: bool,
-) -> list[str]:
-    """Apply the same caps to each of ``backends`` (each holds its own
-    budget); a digest evicted from several is one logical eviction."""
-    return list(
-        dict.fromkeys(
-            digest
-            for backend in backends
-            for digest in backend.gc(
-                max_bytes, max_entries, sweep_tmp=sweep_tmp
-            )
-        )
-    )
-
-
-def union_clear(backends: Iterable[StoreBackend]) -> int:
-    """Empty each of ``backends``; returns how many *logical* entries went
-    (a digest held by several backends is one entry)."""
-    backends = list(backends)
-    removed = {entry.digest for entry in union_entries(backends)}
-    for backend in backends:
-        backend.clear()
-    return len(removed)
 
 
 class EntryError(ValueError):
@@ -449,7 +390,4 @@ __all__ = [
     "entry_spans",
     "entry_totals",
     "plausible_entry",
-    "union_clear",
-    "union_entries",
-    "union_gc",
 ]

@@ -139,8 +139,8 @@ class LocalFSBackend(CountersMixin):
                 pass
         self._count("writes")
         if self.max_bytes is not None or self.max_entries is not None:
-            # The tier holds its own caps, whoever writes to it (a put, a
-            # replicated PUT, a tier promotion).
+            # The tier holds its own caps, whoever writes to it (a put or
+            # a tier promotion).
             self.gc(sweep_tmp=False)
 
     def delete(self, digest: str) -> bool:

@@ -51,9 +51,6 @@ from repro.scenarios.backends.base import (
     StoreBackend,
     entry_totals,
     plausible_entry,
-    union_clear,
-    union_entries,
-    union_gc,
 )
 
 
@@ -218,7 +215,12 @@ class TieredStore(CountersMixin):
     # -- introspection ------------------------------------------------------
     def entries(self) -> Iterator[BackendEntry]:
         """Union over tiers, hottest tier's metadata winning per digest."""
-        return union_entries(self.tiers)
+        seen: set[str] = set()
+        for tier in self.tiers:
+            for entry in tier.entries():
+                if entry.digest not in seen:
+                    seen.add(entry.digest)
+                    yield entry
 
     # -- eviction -----------------------------------------------------------
     def gc(
@@ -234,14 +236,21 @@ class TieredStore(CountersMixin):
         The returned digests are deduplicated: a promoted digest evicted
         from several tiers is one logical eviction, matching how
         :meth:`entries`/:meth:`stats` count it as one entry."""
-        return union_gc(
-            self._writable_tiers, max_bytes, max_entries, sweep_tmp=sweep_tmp
+        evicted = (
+            digest
+            for tier in self._writable_tiers
+            for digest in tier.gc(max_bytes, max_entries, sweep_tmp=sweep_tmp)
         )
+        return list(dict.fromkeys(evicted))
 
     def clear(self) -> int:
         """Empty every writable tier; counts *logical* entries removed (a
         promoted digest's several copies are one entry)."""
-        return union_clear(self._writable_tiers)
+        tiers = self._writable_tiers
+        removed = {entry.digest for tier in tiers for entry in tier.entries()}
+        for tier in tiers:
+            tier.clear()
+        return len(removed)
 
     def stats(self) -> dict[str, Any]:
         """Each tier's own block, plus top-level totals over

@@ -11,28 +11,22 @@ same address syntax:
 ``file:///path?shard=1``               … with two-hex-prefix sharding
 ``file:///path?max_bytes=N``           … with LRU caps enforced on put/gc
 ``ro:///mnt/shared-mirror``            read-only mirror (never written)
-``http://peer:8035``                   a peer daemon as a remote tier
-``http://peer:8035?gzip=0``            … with wire compression off
-``ring://a:8035;b:8035?replicas=2``    consistent-hash federation of peers
 ``mem://,file:///path,ro:///mirror``   comma-separated tiers, hottest first
 ``/plain/path`` or ``rel/path``        bare paths stay plain cache dirs
 =====================================  =====================================
 
 Query parameters are validated strictly — an unknown key or a non-integer
 cap raises :class:`~repro.errors.ConfigError` rather than silently running
-with an unbounded store.
+with an unbounded store.  A scheme not in this table raises it too.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
 from urllib.parse import parse_qsl, unquote, urlencode, urlsplit, urlunsplit
 
 from repro.errors import ConfigError
 from repro.scenarios.backends.base import StoreBackend
-from repro.scenarios.backends.hashring import HashRingBackend
-from repro.scenarios.backends.http import HTTPPeerBackend
 from repro.scenarios.backends.localfs import LocalFSBackend
 from repro.scenarios.backends.memory import InMemoryBackend
 from repro.scenarios.backends.mirror import ReadOnlyMirrorBackend
@@ -74,23 +68,6 @@ def _int_param(params: dict[str, str], key: str, url: str) -> int | None:
     if value < 0:
         raise ConfigError(
             f"store-URL parameter {key}={value} in {url!r} must be >= 0"
-        )
-    return value
-
-
-def _float_param(params: dict[str, str], key: str, url: str) -> float | None:
-    raw = params.get(key)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"store-URL parameter {key}={raw!r} in {url!r} is not a number"
-        ) from None
-    if value <= 0:
-        raise ConfigError(
-            f"store-URL parameter {key}={value} in {url!r} must be > 0"
         )
     return value
 
@@ -142,7 +119,7 @@ def backend_from_url(url: str) -> StoreBackend:
             raise ConfigError(
                 f"store URL {url!r} looks like a tier list but "
                 f"{schemeless[0]!r} has no scheme; every tier needs one "
-                "(mem://, file://, ro://, http://, ring://) — "
+                "(mem://, file://, ro://) — "
                 "percent-encode a literal comma in a path as %2C"
             )
         policies: list[str] = []
@@ -214,52 +191,9 @@ def _single_backend(url: str) -> StoreBackend:
     if scheme == "ro":
         _query_params(split.query, url, ())
         return ReadOnlyMirrorBackend(_fs_root(split, url))
-    if scheme in ("http", "https"):
-        params = _query_params(
-            split.query, url, ("timeout", "gzip", "revalidate_bytes")
-        )
-        kwargs: dict[str, Any] = {}
-        timeout = _float_param(params, "timeout", url)
-        if timeout is not None:
-            kwargs["timeout"] = timeout
-        if "gzip" in params:
-            kwargs["use_gzip"] = _bool_param(params, "gzip", url)
-        revalidate = _int_param(params, "revalidate_bytes", url)
-        if revalidate is not None:
-            kwargs["revalidate_bytes"] = revalidate
-        base = urlunsplit((scheme, split.netloc, split.path, "", ""))
-        return HTTPPeerBackend(base, **kwargs)
-    if scheme == "ring":
-        params = _query_params(
-            split.query, url, ("replicas", "vnodes", "timeout", "gzip")
-        )
-        nodes = [
-            token.strip()
-            for token in unquote(split.netloc + split.path).split(";")
-            if token.strip()
-        ]
-        if not nodes:
-            raise ConfigError(f"store URL {url!r} names no ring nodes")
-        ring_kwargs: dict[str, Any] = {}
-        for key in ("replicas", "vnodes"):
-            value = _int_param(params, key, url)
-            if value is not None:
-                if value < 1:
-                    raise ConfigError(
-                        f"store-URL parameter {key}={value} in {url!r} "
-                        "must be >= 1"
-                    )
-                ring_kwargs[key] = value
-        timeout = _float_param(params, "timeout", url)
-        if timeout is not None:
-            ring_kwargs["timeout"] = timeout
-        if "gzip" in params:
-            ring_kwargs["use_gzip"] = _bool_param(params, "gzip", url)
-        return HashRingBackend(nodes, **ring_kwargs)
     raise ConfigError(
         f"unknown store-URL scheme {scheme!r} in {url!r} "
-        "(known: mem://, file://, ro://, http://, https://, ring://, "
-        "and comma-separated tiers)"
+        "(known: mem://, file://, ro://, and comma-separated tiers)"
     )
 
 

@@ -49,9 +49,8 @@ A store is named by a URL or a bare cache-dir path, and by nothing else,
 everywhere one is accepted (:func:`run_cached`,
 :func:`~repro.scenarios.batch.run_many`, the serving daemon, the CLI's
 ``--cache``): ``mem://``, ``file:///path?shard=1&max_bytes=N&max_entries=N``,
-``ro:///mirror``, ``http://peer:8035`` (a remote daemon as a tier),
-``ring://a;b?replicas=2`` (consistent-hash federation), or
-comma-separated tiers — see :mod:`repro.scenarios.backends.url`.  Each of
+``ro:///mirror``, or comma-separated tiers — see
+:mod:`repro.scenarios.backends.url`.  Each of
 those places also takes a ready-built :class:`ResultStore`, or a backend
 object, which :class:`ResultStore` wraps.
 
@@ -113,22 +112,18 @@ def default_cache_dir() -> Path:
 
 
 def canonical_spec_json(
-    scenario: "Scenario | Mapping[str, Any]",
-    schema_version: int = SCHEMA_VERSION,
+    scenario: Scenario, schema_version: int = SCHEMA_VERSION
 ) -> str:
-    """The canonical serialization the digest is computed over, of a
-    scenario or of its ``to_dict`` form (the spec a stored entry carries)."""
-    spec = scenario.to_dict() if isinstance(scenario, Scenario) else scenario
+    """The canonical serialization the digest is computed over."""
     return json.dumps(
-        {"schema_version": schema_version, "scenario": spec},
+        {"schema_version": schema_version, "scenario": scenario.to_dict()},
         sort_keys=True,
         separators=(",", ":"),
     )
 
 
 def scenario_digest(
-    scenario: "Scenario | Mapping[str, Any]",
-    schema_version: int = SCHEMA_VERSION,
+    scenario: Scenario, schema_version: int = SCHEMA_VERSION
 ) -> str:
     """Content address of a scenario's result: sha256 of the canonical spec
     JSON + schema version."""
@@ -203,11 +198,7 @@ class EntryView:
 
 
 def parse_entry(
-    data: bytes,
-    digest: str,
-    schema_version: int = SCHEMA_VERSION,
-    *,
-    verify_spec: bool = False,
+    data: bytes, digest: str, schema_version: int = SCHEMA_VERSION
 ) -> EntryView:
     """Validate the stored entry for ``digest``, or raise
     :class:`EntryError` — the one reader behind every store read.
@@ -216,37 +207,13 @@ def parse_entry(
     its byte lengths and its sha256, and nothing is decoded
     (:func:`~repro.scenarios.backends.base.entry_spans`).  Anything else
     is decoded in full, and checked for JSON, the format marker, the
-    schema version, the digest field and the artifact shape.
-    ``verify_spec`` is the replication check on ``PUT``, whose bytes come
-    from outside: it decodes every part of a laid-out entry too, and
-    requires the spec's canonical hash to be ``digest`` (warm reads trust
-    the digest field instead of hashing).
+    schema version, the digest field and the artifact shape.  A read
+    trusts the digest field; it does not hash the spec.
     """
     spans = entry_spans(data, digest, schema_version)
     if spans is not None:
-        view = EntryView(digest, data, spans)
-    else:
-        view = _decode_entry(data, digest, schema_version)
-    if verify_spec:
-        try:
-            for part in ENTRY_PARTS:
-                view.value(part)
-        except ValueError as exc:  # UnicodeDecodeError included
-            raise EntryError(
-                "invalid-entry", f"entry {part} is not JSON: {exc}"
-            ) from None
-        scenario = view.value("scenario")
-        if not isinstance(scenario, dict):
-            raise EntryError(
-                "invalid-entry", "entry carries no scenario spec object"
-            )
-        actual = scenario_digest(scenario, schema_version)
-        if actual != digest:
-            raise EntryError(
-                "digest-mismatch",
-                f"the spec's canonical hash is {actual}, not {digest}",
-            )
-    return view
+        return EntryView(digest, data, spans)
+    return _decode_entry(data, digest, schema_version)
 
 
 def _decode_entry(data: bytes, digest: str, schema_version: int) -> EntryView:
@@ -608,8 +575,7 @@ class ResultStore:
     The backend is named by the one ``location`` argument: a plain path
     (or nothing) builds a plain local cache directory; a URL string
     (``mem://``, ``file:///path?shard=1&max_bytes=N&max_entries=N``,
-    ``ro:///mirror``, ``http://peer:8035``, ``ring://a;b``,
-    comma-separated tiers) routes through
+    ``ro:///mirror``, comma-separated tiers) routes through
     :func:`~repro.scenarios.backends.url.backend_from_url`; anything else
     is taken as a ready-built
     :class:`~repro.scenarios.backends.base.StoreBackend`.

@@ -26,24 +26,10 @@ Routes (responses are JSON unless noted)::
     GET  /jobs/<digest>           one job: queued|running|done|failed with
                                   queue position, timings, provenance
                                   (done ⇒ 303 to /results/<digest>)
-    GET  /results/<digest>        one stored entry by bare content address;
-                                  with ``Accept: application/
-                                  x-repro-entry+json`` the *stored entry
-                                  bytes* are served verbatim (the
-                                  federation wire format peers replicate)
-    PUT  /results/<digest>        replicate an entry from a peer: the body
-                                  is the stored-entry JSON, verified
-                                  against the digest's canonical spec hash
-                                  (structured 4xx on mismatch) unless the
-                                  daemon runs with ``--trust-puts``
-    DELETE /results/<digest>      drop one stored entry (peer-driven
-                                  invalidation/gc)
+    GET  /results/<digest>        one stored entry by bare content address
     GET  /results/<digest>/csv    the cached CSV artifact (``text/csv``)
     GET  /results/<digest>/text   the rendered figure/table
                                   (``text/plain``)
-    GET  /store/entries           storage metadata per entry (digest,
-                                  size, LRU mtime) — drives client-side
-                                  ``entries()``/``gc()`` of remote tiers
 
 Caching contract: the response to ``POST /run`` and ``GET /results/…``
 (all three representations) is fully determined by the spec digest (the
@@ -69,18 +55,18 @@ queue answers a structured ``429`` carrying ``Retry-After``.
 Error contract: every failure is a structured JSON body
 ``{"error": <slug>, "detail": <human text>}`` with the right 4xx status —
 malformed JSON is 400, an unknown scenario or digest is 404, an over-size
-body is 413, a wrong method on a known path is 405, an overloaded job
-queue is 429.  A *compute-time* failure is classified by whose spec blew
-up: an inline (client-sent) spec is ``invalid-scenario``, a registry
-(server-owned) spec is ``compute-failed``.  That is the failed job's
-state on the async path; a waiting request gets a 400 for
-``invalid-scenario`` and a 500 for anything else.  Unexpected
-exceptions become a 500 with a generic body: no traceback ever leaves
-the process.
+body is 413, a wrong method on a known path is 405 (every route but
+``POST /run`` is GET-only), an overloaded job queue is 429.  A
+*compute-time* failure is classified by whose spec blew up: an inline
+(client-sent) spec is ``invalid-scenario``, a registry (server-owned)
+spec is ``compute-failed``.  That is the failed job's state on the async
+path; a waiting request gets a 400 for ``invalid-scenario`` and a 500 for
+anything else.  Unexpected exceptions become a 500 with a generic body:
+no traceback ever leaves the process.
 
 Scenario references over the wire are **registry names or inline spec
 dicts only** — unlike the CLI, a request body can not name a server-side
-file path (a network peer must never drive local file reads).
+file path (a network client must never drive local file reads).
 """
 
 from __future__ import annotations
@@ -95,16 +81,14 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ConfigError
-from repro.scenarios.backends import ENTRY_CONTENT_TYPE, StoreBackend
+from repro.scenarios.backends import StoreBackend
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.spec import Scenario
 from repro.scenarios.store import (
-    EntryError,
     ResultStore,
     StoredResult,
     compact_json,
     is_digest,
-    parse_entry,
     provenance_summary,
 )
 from repro.serving.jobs import (
@@ -147,7 +131,7 @@ class Response:
     body: Any
     headers: Mapping[str, str] = field(default_factory=dict)
     #: ``None`` ⇒ ``application/json``; otherwise sent verbatim and the
-    #: body is raw text/bytes, not JSON-serialized.
+    #: body is raw text, not JSON-serialized.
     content_type: str | None = None
 
     def body_bytes(self) -> bytes:
@@ -155,8 +139,6 @@ class Response:
         if self.body is None:
             return b""
         if self.content_type is not None:
-            if isinstance(self.body, bytes):
-                return self.body
             return str(self.body).encode()
         if isinstance(self.body, bytes):
             return self.body + b"\n"
@@ -246,11 +228,6 @@ class ServeStats:
     rejected_jobs: int = 0
     client_errors: int = 0
     server_errors: int = 0
-    #: Federation traffic: raw-entry reads, replications in, deletions —
-    #: the peer-facing counters, distinct from human/JSON serving.
-    entry_reads: int = 0
-    entry_puts: int = 0
-    entry_deletes: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -265,9 +242,6 @@ class ServeStats:
             "rejected_jobs": self.rejected_jobs,
             "client_errors": self.client_errors,
             "server_errors": self.server_errors,
-            "entry_reads": self.entry_reads,
-            "entry_puts": self.entry_puts,
-            "entry_deletes": self.entry_deletes,
         }
 
 
@@ -281,7 +255,6 @@ class ServingApp:
         max_body_bytes: int = MAX_BODY_BYTES,
         job_workers: int = DEFAULT_JOB_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        trust_puts: bool = False,
     ) -> None:
         # Anything that names a store (a URL, a bare cache-dir path, a
         # backend) goes through ResultStore; None is the default cache dir.
@@ -289,14 +262,6 @@ class ServingApp:
             store if isinstance(store, ResultStore) else ResultStore(store)
         )
         self.max_body_bytes = max_body_bytes
-        #: ``PUT /results/<digest>`` verification policy.  ``False``
-        #: (default): the body must be a well-formed entry whose canonical
-        #: spec hash *is* the digest — a hostile peer cannot poison the
-        #: store.  ``True`` (``--trust-puts``): bytes are stored opaquely,
-        #: which is the raw :class:`StoreBackend` contract — for peers
-        #: inside a trusted cluster, where the *reading* front-end owns
-        #: validation exactly as it does for a shared directory.
-        self.trust_puts = trust_puts
         self.stats = ServeStats()
         self._stats_lock = threading.Lock()
         #: Registry name -> (its scenario, that scenario's digest here).
@@ -393,19 +358,9 @@ class ServingApp:
         if len(parts) == 2 and parts[0] == "jobs":
             return self._require_get(method) or self._handle_job(parts[1])
         if len(parts) == 2 and parts[0] == "results":
-            if method == "GET":
-                return self._handle_result(parts[1], headers)
-            if method == "PUT":
-                return self._handle_result_put(parts[1], body)
-            if method == "DELETE":
-                return self._handle_result_delete(parts[1])
-            return error_response(
-                405,
-                "method-not-allowed",
-                "GET, PUT or DELETE /results/<digest>",
+            return self._require_get(method) or self._handle_result(
+                parts[1], headers
             )
-        if parts == ["store", "entries"]:
-            return self._require_get(method) or self._handle_store_entries()
         if len(parts) == 3 and parts[0] == "results":
             return self._require_get(method) or self._handle_result_artifact(
                 parts[1], parts[2], headers
@@ -514,9 +469,9 @@ class ServingApp:
         snapshot = self.jobs.describe(digest)
         if snapshot is None:
             # The job engine never saw this digest (or GC'd it), but the
-            # result may exist anyway — computed by the CLI, replicated by
-            # a peer, or in a previous daemon life.  Existence is what the
-            # client is really asking about, so answer done.
+            # result may exist anyway — computed by the CLI, copied into
+            # the cache dir, or in a previous daemon life.  Existence is
+            # what the client is really asking about, so answer done.
             if self.store.contains(digest):
                 return Response(
                     303,
@@ -544,10 +499,6 @@ class ServingApp:
         digest, bad = _path_digest(digest, "result")
         if bad:
             return bad
-        # Peers negotiate the *stored entry bytes* (the federation wire
-        # format) instead of the reconstructed JSON view.
-        if ENTRY_CONTENT_TYPE in headers.get("accept", ""):
-            return self._serve_raw_entry(digest, headers)
         # The representation is immutable per digest: a matching validator
         # plus a stat-only existence probe answers the bodyless 304 without
         # reading (or even JSON-parsing) the artifact payload.
@@ -571,110 +522,6 @@ class ServingApp:
                 artifacts=entry.fragment("artifacts"),
             ),
             {"ETag": etag_for(digest)},
-        )
-
-    def _serve_raw_entry(
-        self, digest: str, headers: Mapping[str, str]
-    ) -> Response:
-        """The stored entry bytes, verbatim — no validation, no healing.
-
-        Serving torn bytes is deliberate: the backend contract is opaque
-        storage, and the *reading* front-end (on the peer that asked)
-        detects corruption and drives the heal via ``DELETE``.  A
-        revalidation (matching ``If-None-Match``) reads too: a peer
-        serving the entry out of its local copy is a *use*, so it
-        refreshes the LRU position exactly like a body-moving read.
-        """
-        try:
-            data = self.store.backend.read(digest)
-        except OSError:
-            data = None
-        if data is None:
-            return error_response(
-                404, "unknown-digest", f"no stored result {digest!r}"
-            )
-        if if_none_match_matches(headers.get("if-none-match"), digest):
-            return Response(304, None, {"ETag": etag_for(digest)})
-        self._count("entry_reads")
-        return Response(
-            200,
-            data,
-            {"ETag": etag_for(digest)},
-            content_type=ENTRY_CONTENT_TYPE,
-        )
-
-    def _handle_result_put(self, digest: str, body: bytes) -> Response:
-        digest, bad = _path_digest(digest, "result")
-        if bad:
-            return bad
-        if not self.store.writable:
-            return error_response(
-                403, "read-only", "this store does not accept writes"
-            )
-        if len(body) > self.max_body_bytes:
-            return error_response(
-                413,
-                "payload-too-large",
-                f"body exceeds {self.max_body_bytes} bytes",
-            )
-        if not body:
-            return error_response(
-                400, "empty-body", "expected stored-entry bytes"
-            )
-        if not self.trust_puts:
-            # Strict replication admission: a well-formed entry whose
-            # canonical spec hash *is* the URL digest.
-            try:
-                parse_entry(
-                    body, digest, self.store.schema_version, verify_spec=True
-                )
-            except EntryError as exc:
-                status = 409 if exc.slug == "schema-mismatch" else 400
-                return error_response(status, exc.slug, str(exc))
-        self.store.backend.write(digest, body)
-        self._count("entry_puts")
-        return Response(
-            201,
-            {
-                "digest": digest,
-                "stored": True,
-                "verified": not self.trust_puts,
-                "size_bytes": len(body),
-            },
-            {"ETag": etag_for(digest)},
-        )
-
-    def _handle_result_delete(self, digest: str) -> Response:
-        digest, bad = _path_digest(digest, "result")
-        if bad:
-            return bad
-        if not self.store.writable:
-            return error_response(
-                403, "read-only", "this store does not accept deletes"
-            )
-        if not self.store.backend.delete(digest):
-            return error_response(
-                404, "unknown-digest", f"no stored result {digest!r}"
-            )
-        self._count("entry_deletes")
-        return Response(200, {"digest": digest, "deleted": True})
-
-    def _handle_store_entries(self) -> Response:
-        entries = [
-            {
-                "digest": entry.digest,
-                "size_bytes": entry.size_bytes,
-                "mtime": entry.mtime,
-            }
-            for entry in self.store.backend.entries()
-        ]
-        return Response(
-            200,
-            {
-                "entries": entries,
-                "n_entries": len(entries),
-                "total_bytes": sum(e["size_bytes"] for e in entries),
-            },
         )
 
     #: Content negotiation (the ``/results/<digest>/<stage>`` routes): each

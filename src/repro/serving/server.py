@@ -41,11 +41,11 @@ headers, ``Content-Type``, ``Content-Length`` and gzip's
 ``Content-Encoding``/``Vary``; a HEAD reply and a 304 send the head
 alone.
 
-Compression is negotiated per message: 200 responses of ≥512 bytes are
+Compression is negotiated per response: 200 responses of ≥512 bytes are
 gzip'd when ``Accept-Encoding`` admits it (and it actually shrinks the
-payload), and ``Content-Encoding: gzip`` request bodies are inflated with
-a hard ceiling on the *decompressed* size — a gzip bomb answers the same
-structured 413 an honestly-huge body would.
+payload).  Request bodies are taken unencoded only: a ``POST`` with any
+other ``Content-Encoding`` than ``identity`` is answered 415 and the
+connection closed, its body unread.
 
 Usage::
 
@@ -65,7 +65,6 @@ import re
 import socket
 import sys
 import time
-import zlib
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -312,10 +311,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> bytes | Response:
         """The request body, or an error/oversize :class:`Response`.
 
-        The over-size check runs on the declared length *before* reading:
-        the error response closes the connection, so the unread body can
-        never be misparsed as a followup request.  Chunked uploads carry no
-        up-front length to check, so they are rejected with 411 outright.
+        Every check runs on the head *before* reading: an error response
+        closes the connection, so the unread body can never be misparsed
+        as a followup request.  Chunked uploads carry no up-front length
+        to check, so they are rejected with 411 outright, and an encoded
+        body (``Content-Encoding`` other than ``identity``) with 415.
         """
         if "transfer-encoding" in self.fields:
             self.close_connection = True
@@ -324,12 +324,21 @@ class _Handler(BaseHTTPRequestHandler):
                 "length-required",
                 "chunked bodies are not accepted; send Content-Length",
             )
+        encoding = self.fields.get("content-encoding", "").lower()
+        if encoding not in ("", "identity"):
+            self.close_connection = True
+            return error_response(
+                415,
+                "unsupported-encoding",
+                f"Content-Encoding {encoding!r} is not accepted "
+                "(send the body unencoded)",
+            )
         length_header = self.fields.get("content-length")
         if length_header is None:
             return b""
         # Strict ASCII digits only: bare int() would also accept "+100",
         # " 100 " and "1_0" (python literal underscores) — none of which
-        # any peer we can safely frame against would have sent.  A
+        # any client we can safely frame against would have sent.  A
         # digits-only string can never be negative.
         if not (length_header.isascii() and length_header.isdigit()):
             self.close_connection = True
@@ -346,49 +355,14 @@ class _Handler(BaseHTTPRequestHandler):
             return error_response(
                 413, "payload-too-large", f"body exceeds {limit} bytes"
             )
-        return self._decode_content(self.rfile.read(length))
-
-    def _decode_content(self, body: bytes) -> bytes | Response:
-        """Apply ``Content-Encoding`` (gzip only) with a hard ceiling on
-        the *decompressed* size — a tiny gzip bomb must answer the same
-        413 an honestly-huge body would, not balloon the process."""
-        encoding = self.fields.get("content-encoding", "").lower()
-        if encoding in ("", "identity"):
-            return body
-        if encoding != "gzip":
-            self.close_connection = True
-            return error_response(
-                415,
-                "unsupported-encoding",
-                f"Content-Encoding {encoding!r} is not accepted (gzip only)",
-            )
-        limit = self.server.app.max_body_bytes
-        decomp = zlib.decompressobj(wbits=31)  # gzip wrapper
-        try:
-            inflated = decomp.decompress(body, limit + 1)
-        except zlib.error as exc:
-            return error_response(
-                400, "bad-encoding", f"gzip body did not decode: {exc}"
-            )
-        if len(inflated) > limit:
-            self.close_connection = True
-            return error_response(
-                413,
-                "payload-too-large",
-                f"decompressed body exceeds {limit} bytes",
-            )
-        if not decomp.eof:
-            return error_response(
-                400, "bad-encoding", "truncated gzip body"
-            )
-        return inflated
+        return self.rfile.read(length)
 
     # -- answering ----------------------------------------------------------
     def _dispatch(self, method: str) -> None:
         """Route one request through the app, whatever its method: even a
         wrong one gets the app's structured-JSON 405/404."""
         body = b""
-        if method in ("POST", "PUT"):
+        if method == "POST":
             body = self._read_body()
             if isinstance(body, Response):
                 self._send(body)
@@ -396,7 +370,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif "transfer-encoding" in self.fields or self.fields.get(
             "content-length", "0"
         ) not in ("0", ""):
-            # A body on a non-POST verb is never read here; close the
+            # A body on any other verb is never read here; close the
             # connection so the leftover bytes cannot be parsed as the
             # next pipelined request.
             self.close_connection = True
@@ -474,7 +448,6 @@ def create_server(
     max_body_bytes: int = MAX_BODY_BYTES,
     job_workers: int | None = None,
     max_queue: int | None = None,
-    trust_puts: bool = False,
     quiet: bool = True,
 ) -> ReproHTTPServer:
     """Build a ready-to-serve daemon (``port=0`` binds an ephemeral port).
@@ -486,22 +459,14 @@ def create_server(
     :mod:`repro.scenarios.backends.url`); ``None`` is the default cache
     dir.  ``job_workers``/``max_queue`` size the job engine behind cold
     ``POST /run`` (CLI ``--job-workers``/``--max-queue``); ``None`` keeps
-    the app defaults.  ``trust_puts``
-    stores ``PUT /results/<digest>`` bodies opaquely instead of verifying
-    them against the digest (CLI ``--trust-puts`` — trusted clusters
-    only).
+    the app defaults.
     """
     job_knobs: dict = {}
     if job_workers is not None:
         job_knobs["job_workers"] = job_workers
     if max_queue is not None:
         job_knobs["max_queue"] = max_queue
-    app = ServingApp(
-        cache,
-        max_body_bytes=max_body_bytes,
-        trust_puts=trust_puts,
-        **job_knobs,
-    )
+    app = ServingApp(cache, max_body_bytes=max_body_bytes, **job_knobs)
     return ReproHTTPServer((host, port), app, quiet=quiet)
 
 

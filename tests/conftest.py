@@ -1,43 +1,12 @@
-"""Shared fixtures: expensive system objects built once per session,
-plus the live-daemon factory the serving/federation suites share."""
+"""Shared fixtures: expensive system objects built once per session."""
 
 from __future__ import annotations
-
-import itertools
-from contextlib import ExitStack
 
 import pytest
 
 from repro.arch.blade import build_blade
 from repro.arch.gpu import build_gpu_system
-from repro.serving.testing import launch_daemon
 from repro.units import TBPS
-
-
-@pytest.fixture
-def live_daemon(tmp_path):
-    """Factory for live in-process daemons.
-
-    Each call launches one daemon on an ephemeral port (its own temp
-    cache dir unless ``cache=`` is given) and registers a
-    guaranteed ``shutdown()`` + ``server_close()`` teardown.  Shared by
-    the backend-conformance, federation, wire-fuzz and gzip suites so
-    none of them hand-rolls servers.
-    """
-    stack = ExitStack()
-    counter = itertools.count()
-
-    def launch(**server_kwargs):
-        if "cache" not in server_kwargs:
-            server_kwargs["cache"] = (
-                f"file://{tmp_path}/daemon-{next(counter)}"
-            )
-        return stack.enter_context(launch_daemon(**server_kwargs))
-
-    try:
-        yield launch
-    finally:
-        stack.close()
 
 
 @pytest.fixture(scope="session")

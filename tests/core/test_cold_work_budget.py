@@ -15,14 +15,16 @@ as the mean per spec, it counts:
   (through the mapping cache or, for a strategy search, directly);
 * ``backend_writes`` — writes the store's backend took.
 
-These counts repeat exactly from run to run (also across
+Calls are summed per function label by ``tests/call_counts.py``, so the
+calls of every dataclass-generated method count, whichever class it
+belongs to.  These counts repeat exactly from run to run (also across
 ``PYTHONHASHSEED``), where timings on a shared host do not, so a count
 that rises by more than 1% over its pin in
 ``tests/data/cold_work_budget.json`` fails and names the ten functions
 whose call counts grew most.  A count that falls passes; re-pin it so that
 the saving is on record (the pins are per Python minor version)::
 
-    PYTHONPATH=src python tests/core/test_cold_work_budget.py
+    PYTHONPATH=src:tests python tests/core/test_cold_work_budget.py
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from __future__ import annotations
 import cProfile
 import gc
 import json
-import pstats
-import re
 import sys
-import sysconfig
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -47,6 +46,8 @@ from repro.parallel.pipeline import _replay_order
 from repro.scenarios import get
 from repro.scenarios.store import ResultStore, run_cached
 
+from call_counts import calls_per_function, calls_per_label  # tests/
+
 BUDGET = Path(__file__).resolve().parents[1] / "data" / "cold_work_budget.json"
 PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 COLD_SET = ("fig5", "fig6", "fig7-gpu", "fig8-batch", "dse", "sensitivity")
@@ -59,19 +60,6 @@ COUNTS = (
     "mapping_builds",
     "backend_writes",
 )
-
-_STDLIB = sysconfig.get_paths()["stdlib"]
-#: The address cProfile prints in some builtins' names differs per run.
-_ADDRESS = re.compile(r" at 0x[0-9a-f]+")
-
-
-def _where(filename: str) -> str:
-    """A profiled function's file, without the install prefix."""
-    if "/repro/" in filename:
-        return "repro/" + filename.rsplit("/repro/", 1)[1]
-    if filename.startswith(_STDLIB):
-        return filename[len(_STDLIB) :].lstrip("/")
-    return filename
 
 
 def empty_engine_memos() -> None:
@@ -112,20 +100,15 @@ def measure(directory: Path) -> dict:
             profiler.enable()
             run_cached(scenario, store)
             profiler.disable()
-            stats = pstats.Stats(profiler).stats
-            calls = sum(row[1] for row in stats.values())
+            calls = calls_per_label(profiler)
             rows[name] = {
-                "python_calls": calls,
+                "python_calls": sum(calls.values()),
                 "kernel_lookups": timing.hits + timing.misses - lookups,
                 "kernel_misses": timing.misses - misses,
-                "mapping_builds": sum(
-                    row[1] for key, row in stats.items() if key in builds
-                ),
+                "mapping_builds": sum(calls[key] for key in builds),
                 "backend_writes": store.backend.counters.writes - writes,
             }
-            for (filename, _, function), row in stats.items():
-                function = _ADDRESS.sub("", function)
-                functions[f"{_where(filename)}:{function}"] += row[1]
+            functions.update(calls_per_function(calls))
     finally:
         gc.enable()
     per_spec = {
@@ -164,7 +147,7 @@ def test_cold_path_stays_within_its_work_budget(tmp_path):
     if PYTHON not in pins:
         pytest.skip(
             f"no cold work budget pinned for Python {PYTHON}; pin one with "
-            "`PYTHONPATH=src python tests/core/test_cold_work_budget.py`"
+            "`PYTHONPATH=src:tests python tests/core/test_cold_work_budget.py`"
         )
     pinned = pins[PYTHON]
     measured = measure(tmp_path)

@@ -1,13 +1,13 @@
 """Backend conformance suite: one contract, every backend.
 
 The same put/get round-trip, LRU eviction order, corrupt-entry handling
-and digest-stability checks run against ``LocalFSBackend``,
-``InMemoryBackend``, a mem-over-file ``TieredStore``, and the *remote*
-backends — ``HTTPPeerBackend`` and a one-node ``HashRingBackend``, each
-storing its bytes in a live in-process daemon — any backend that
-passes serves byte-identical artifacts through the front-end.  Mirror- and
+and digest-stability checks run against ``LocalFSBackend`` (flat,
+sharded and capped), ``InMemoryBackend`` (default and capped) and
+``TieredStore`` stacks of two and three tiers — any backend that passes
+serves byte-identical artifacts through the front-end.  Mirror- and
 tier-specific policies (read-only refusal, skip-not-heal, promotion,
-write-back) and the URL address syntax are pinned separately below.
+write-back, tiers that raise, hostile entry files) and the URL address
+syntax are pinned separately below.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from repro.errors import ConfigError
 from repro.scenarios import Scenario
 from repro.scenarios.backends import (
     STORE_FORMAT,
-    HTTPPeerBackend,
-    HashRingBackend,
     InMemoryBackend,
     LocalFSBackend,
     ReadOnlyMirrorBackend,
@@ -57,19 +55,29 @@ def entry_bytes(digest: str, tag: str = "raw") -> bytes:
     ).encode()
 
 
-BACKENDS = ("file", "mem", "tiered", "http", "ring")
+#: Store URLs for the conformance configurations that are spelled as a
+#: URL (``{root}`` is the test's temporary directory).  Each cap is far
+#: above what a conformance test stores, so a cap never evicts here:
+#: a capped backend under its caps must behave like an uncapped one.
+CONFORMANCE_URLS = {
+    # Two-hex-prefix sharded cache-dir layout.
+    "sharded": "file://{root}/sharded?shard=1",
+    # Cache dir whose LRU caps are enforced on every put.
+    "file-capped": "file://{root}/capped?max_entries=1000&max_bytes=10000000",
+    # Hot tier with explicit caps.
+    "mem-capped": "mem://?max_bytes=10000000&max_entries=1000",
+    # The serving benchmark's stack: a byte-capped hot tier over a dir.
+    "bounded-stack": "mem://?max_bytes=10000000,file://{root}/stack",
+    # Three tiers: reads go through two levels of promotion.
+    "deep": "mem://,file://{root}/warm,file://{root}/cold",
+}
+
+BACKENDS = ("file", "mem", "tiered", *CONFORMANCE_URLS)
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, tmp_path):
-    """One instance of each conformance-suite backend.
-
-    The remote flavors (``http``, ``ring``) store their bytes in a live
-    in-process daemon — the proof that the protocol abstraction is real.
-    The daemons run in trusted-puts mode because the raw backend contract
-    is opaque byte storage (torn/foreign bytes must round-trip; the
-    *reading* front-end owns validation), exactly like a cache directory.
-    """
+    """One instance of each conformance-suite backend."""
     if request.param == "file":
         return LocalFSBackend(tmp_path / "fs")
     if request.param == "mem":
@@ -78,10 +86,9 @@ def backend(request, tmp_path):
         return TieredStore(
             [InMemoryBackend(), LocalFSBackend(tmp_path / "tier-fs")]
         )
-    daemon = request.getfixturevalue("live_daemon")(trust_puts=True)
-    if request.param == "http":
-        return HTTPPeerBackend(daemon.url)
-    return HashRingBackend([f"{daemon.host}:{daemon.port}"])
+    return backend_from_url(
+        CONFORMANCE_URLS[request.param].format(root=tmp_path)
+    )
 
 
 @pytest.fixture
@@ -628,6 +635,121 @@ class TestTieredStore:
         assert store.get(scenario) is not None  # mirror still serves
 
 
+class TestTierFailurePaths:
+    """A tier that raises :class:`OSError` costs a skip or a miss, never
+    a failed read.  An entry path that is a directory makes
+    ``LocalFSBackend.read`` raise; a tier rooted at a regular file makes
+    its reads and writes raise (a failed promotion write is
+    ``TestTieredStore.test_failed_promotion_never_breaks_a_good_read``)."""
+
+    def test_a_tier_whose_read_raises_is_skipped(self, tmp_path):
+        digest = "ab" * 32
+        upper = LocalFSBackend(tmp_path / "upper")
+        upper.path_for_digest(digest).mkdir(parents=True)
+        with pytest.raises(OSError):
+            upper.read(digest)
+        lower = LocalFSBackend(tmp_path / "lower")
+        lower.write(digest, entry_bytes(digest))
+        tiers = TieredStore([upper, lower])
+        assert tiers.read(digest) == entry_bytes(digest)
+        assert tiers.counters.corrupt_skipped == 1
+        assert lower.counters.hits == 1
+
+    def test_a_raising_backend_is_a_corrupt_miss(self, tmp_path):
+        backend = LocalFSBackend(tmp_path / "fs")
+        store = ResultStore(backend)
+        scenario = tiny_scenario("unreadable")
+        backend.path_for_digest(store.digest(scenario)).mkdir(parents=True)
+        assert store.get(scenario) is None
+        assert store.stats.corrupt == 1 and store.stats.misses == 1
+
+    def test_a_dark_lower_tier_never_breaks_serving(self, tmp_path):
+        root = tmp_path / "not-a-dir"
+        root.write_text("a file where the tier wants a directory")
+        store = ResultStore(
+            TieredStore([InMemoryBackend(), LocalFSBackend(root)])
+        )
+        scenario = tiny_scenario()
+        assert store.get(scenario) is None
+        store.put(scenario, payload("t"))
+        warm = store.get(scenario)
+        assert warm is not None and warm.text == "t"
+
+
+#: On-disk states an entry path can be left in by a crash, a full disk or
+#: a careless copy.
+HOSTILE_ENTRIES = (
+    "directory",
+    "dangling-symlink",
+    "empty",
+    "garbage",
+    "truncated",
+    "wrong-digest",
+)
+
+
+def plant_hostile_entry(path, mode: str, good: bytes) -> None:
+    """Leave an entry ``path`` in the hostile state ``mode``; ``good`` is
+    the entry's real bytes (``truncated`` keeps half of them)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if mode == "directory":
+        path.mkdir()
+    elif mode == "dangling-symlink":
+        path.symlink_to(path.parent / "nowhere")
+    elif mode == "empty":
+        path.write_bytes(b"")
+    elif mode == "garbage":
+        path.write_bytes(bytes(range(256)))
+    elif mode == "truncated":
+        path.write_bytes(good[: len(good) // 2])
+    else:  # wrong-digest: a plausible entry for another address
+        path.write_bytes(entry_bytes("9" * 64, "evil"))
+
+
+class TestHostileEntryFiles:
+    """Whatever sits at an entry's path, a read is a miss or a skip to
+    the next tier, never an exception; a damaged copy that is not a
+    dangling link counts as corrupt."""
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        """(scenario, digest, entry bytes) of a good entry in ``good/``."""
+        scenario = tiny_scenario("hostile")
+        producer = ResultStore(tmp_path / "good")
+        producer.put(scenario, payload("good"))
+        digest = producer.digest(scenario)
+        return scenario, digest, producer.backend.peek(digest)
+
+    @pytest.mark.parametrize("mode", HOSTILE_ENTRIES)
+    def test_reads_degrade_to_a_miss(self, tmp_path, good, mode):
+        scenario, digest, data = good
+        backend = LocalFSBackend(tmp_path / "fs")
+        plant_hostile_entry(backend.path_for_digest(digest), mode, data)
+        store = ResultStore(backend)
+        assert store.get(scenario) is None
+        assert store.stats.misses == 1
+        assert store.stats.corrupt == (mode != "dangling-symlink")
+
+    @pytest.mark.parametrize("mode", HOSTILE_ENTRIES)
+    def test_a_hostile_hot_copy_is_read_past(self, tmp_path, good, mode):
+        scenario, digest, data = good
+        hot = LocalFSBackend(tmp_path / "hot")
+        plant_hostile_entry(hot.path_for_digest(digest), mode, data)
+        store = ResultStore(
+            TieredStore([hot, LocalFSBackend(tmp_path / "good")])
+        )
+        for _ in range(2):
+            hit = store.get(scenario)
+            assert hit is not None and hit.text == "good"
+        assert store.stats.corrupt == 0
+        # The promotion writes the good bytes over any hostile file; a
+        # directory cannot be replaced, so it is read past every time.
+        healed = mode != "directory"
+        assert store.backend.counters.promotions == int(healed)
+        if healed:
+            assert hot.peek(digest) == data
+
+
 class TestUrlAddressing:
     def test_is_store_url(self):
         assert is_store_url("mem://")
@@ -699,6 +821,12 @@ class TestUrlAddressing:
             ("file:///x?shard=maybe", "not a boolean"),
             ("file:///data/runs,v2", "has no scheme"),
             ("mem://,plain/path", "has no scheme"),
+            ("http://h:1", "unknown store-URL scheme"),
+            ("https://h", "unknown store-URL scheme"),
+            ("ring://a;b", "unknown store-URL scheme"),
+            ("HTTPS://h", "unknown store-URL scheme"),
+            ("mem://,http://h:1", "unknown store-URL scheme"),
+            ("file:///x,ring://a:1", "unknown store-URL scheme"),
         ],
     )
     def test_malformed_urls_raise_config_error(self, bad, match):

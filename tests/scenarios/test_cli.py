@@ -269,8 +269,11 @@ class TestCacheUrlFlag:
         assert "served from result store" not in capsys.readouterr().err
         assert sorted(p.name for p in mirror.glob("*.json")) == before
 
-    def test_bad_cache_url_exits_2(self, capsys):
-        assert main(["run", "fig3c-blade-spec", "--cache", "s3://x"]) == 2
+    @pytest.mark.parametrize(
+        "url", ["s3://x", "http://h:1", "https://h", "ring://a;b"]
+    )
+    def test_bad_cache_url_exits_2(self, capsys, url):
+        assert main(["run", "fig3c-blade-spec", "--cache", url]) == 2
         assert "unknown store-URL scheme" in capsys.readouterr().err
 
     def test_cache_stats_reports_tiers_and_age_summary(
@@ -297,6 +300,14 @@ class TestCacheUrlFlag:
             ["serve", "--port", "0", "--cache", "mem://,file:///tmp/x"]
         )
         assert args.cache == "mem://,file:///tmp/x"
+
+    def test_serve_has_no_trust_puts_flag(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["serve", "--port", "0", "--trust-puts"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --trust-puts" in capsys.readouterr().err
 
 
 class TestCacheGc:

@@ -2,9 +2,10 @@
 
 Server lifecycle (ephemeral port, clean ``server_close()``) comes from
 the shared :func:`repro.serving.testing.launch_daemon` harness; this
-conftest only adds the decoded-reply conveniences the suite asserts on,
-and a raw-socket client (:func:`wire`) for the tests that write request
-bytes no HTTP client library would send.
+conftest adds the one live daemon the suite drives (:func:`live_server`,
+over the isolated store), the decoded-reply conveniences the suite
+asserts on, and a raw-socket client (:func:`wire`) for the tests that
+write request bytes no HTTP client library would send.
 """
 
 from __future__ import annotations

@@ -16,17 +16,14 @@ import string
 import pytest
 
 from repro.scenarios import get
-from repro.scenarios.backends.base import (
-    ENTRY_PARTS,
-    encode_entry,
-    entry_spans,
-)
+from repro.scenarios.backends import InMemoryBackend
 from repro.scenarios.store import ResultStore
 from repro.serving.app import (
     MAX_BATCH_ITEMS,
     ServingApp,
     if_none_match_matches,
 )
+from tests.scenarios.test_backends import tiny_scenario
 
 N_CASES = 300
 
@@ -193,6 +190,8 @@ class TestRoutesAndMethods:
             ("POST", "/stats"),
             ("POST", "/scenarios"),
             ("POST", "/results/" + "0" * 64),
+            ("PUT", "/results/" + "0" * 64),
+            ("DELETE", "/results/" + "0" * 64),
             ("POST", "/results/" + "0" * 64 + "/csv"),
             ("PUT", "/results/" + "0" * 64 + "/text"),
             ("GET", "/run"),
@@ -329,163 +328,55 @@ class TestJobRoutes:
         assert response.body["jobs"] == []
 
 
-class TestEntryPutRoutes:
-    """The federation write surface (``PUT``/``DELETE /results/<digest>``,
-    ``GET /store/entries``) inherits the no-500 contract: random and
-    tampered bodies are structured 4xx, never crashes, never stores."""
+def produce_entry(name: str) -> tuple[str, bytes]:
+    """(digest, entry bytes) exactly as a producer store writes them."""
+    backend = InMemoryBackend()
+    store = ResultStore(backend)
+    scenario = tiny_scenario(name)
+    store.put(scenario, {"raw": {"series": {}}, "text": name, "csv": None})
+    digest = store.digest(scenario)
+    return digest, backend.peek(digest)
 
-    def test_random_binary_put_bodies_never_500(self, app):
+
+def warm_digest(app) -> str:
+    """Compute a cheap registry scenario through ``app``; its digest."""
+    response = app.handle(
+        "POST", "/run?wait=1", json.dumps({"scenario": "table1"}).encode()
+    )
+    assert response.status == 200
+    return json.loads(response.body_bytes())["digest"]
+
+
+class TestClosedWriteSurface:
+    """The daemon has no write route: ``/results/<digest>`` answers
+    ``GET`` only and ``/store/entries`` is no route.  Whatever a client
+    sends there, random bytes or a producer's valid entry, the reply is
+    a structured 4xx and the store is neither written nor deleted from."""
+
+    def test_random_put_bodies_are_405_and_store_nothing(self, app):
         rng = random.Random(0x9047)
         for _ in range(N_CASES):
             blob = bytes(
                 rng.randrange(256) for _ in range(rng.randint(0, 256))
             )
-            response = app.handle("PUT", "/results/" + "ab" * 32, blob)
-            assert_structured_4xx(response, 400)
-        assert app.store.n_entries == 0  # nothing hostile was stored
-
-    def test_bad_put_digests_are_400(self, app):
-        from tests.serving.test_federation import produce_entry
-
-        _, entry = produce_entry("fuzz-bad-digest")
-        rng = random.Random(0xBADD)
-        for _ in range(N_CASES):
-            digest = "".join(
-                rng.choice(string.hexdigits + "xyz!")
-                for _ in range(rng.choice((8, 40, 63, 65, 128)))
-            )
-            response = app.handle("PUT", f"/results/{digest}", entry)
-            assert_structured_4xx(response, 400)
-            assert response.body["error"] == "bad-digest"
-
-    def test_mutated_entries_never_verify(self, app):
-        # Flip one drawn key of a *valid* entry per case: whatever was
-        # touched, the strict verifier answers a structured 4xx and the
-        # store stays empty — the poisoned-write surface is closed.
-        from tests.serving.test_federation import produce_entry
-
-        digest, entry = produce_entry("fuzz-mutated")
-        base = json.loads(entry)
-        # Only the fields the verifier binds: mutating side metadata
-        # (provenance…) legitimately still stores.
-        verified_keys = [
-            k
-            for k in ("format", "schema_version", "digest", "scenario", "artifacts")
-            if k in base
-        ]
-        rng = random.Random(0x3407)
-        for _ in range(N_CASES):
-            doc = json.loads(entry)
-            key = rng.choice(verified_keys)
-            mutation = rng.randrange(3)
-            if mutation == 0:
-                doc.pop(key, None)
-            elif mutation == 1:
-                doc[key] = rng.choice([None, 1.5, [], {}, "zzz", -1])
-            else:
-                doc[key] = {"nested": [key]}
-            if doc == base:
-                continue
-            response = app.handle(
-                "PUT", f"/results/{digest}", json.dumps(doc).encode()
-            )
-            assert_structured_4xx(response)
-            assert response.body["error"] in (
-                "invalid-entry",
-                "digest-mismatch",
-                "schema-mismatch",
-            )
-        assert not app.store.contains(digest)
-
-    def test_laid_out_entries_with_non_json_parts_never_verify(self, app):
-        # A sender can rebuild put's exact layout around any part bytes,
-        # with matching lengths and sha256: each part must still be JSON,
-        # or the entry is a structured 400 and nothing is stored.
-        from tests.serving.test_federation import produce_entry
-
-        digest, entry = produce_entry("fuzz-laid-out")
-        schema = app.store.schema_version
-        spans = entry_spans(entry, digest, schema)
-        chunks = [entry[slice(*spans[part])] for part in ENTRY_PARTS]
-        assert encode_entry(digest, schema, chunks)[0] == entry
-        tampered = [
-            ("raw", b"{oops}"),
-            ("scenario", b"{oops}"),
-            ("text", b'"\xff"'),
-            ("csv", b"nope"),
-        ]
-        rng = random.Random(0x1A1D)
-        for _ in range(N_CASES):
-            index = rng.randrange(len(ENTRY_PARTS))
-            cut = rng.randrange(1, len(chunks[index]))
-            # A strict prefix of an object, string or null is never JSON.
-            tampered.append((ENTRY_PARTS[index], chunks[index][:cut]))
-        for part, chunk in tampered:
-            parts = dict(zip(ENTRY_PARTS, chunks), **{part: chunk})
-            body, _ = encode_entry(digest, schema, list(parts.values()))
-            response = app.handle("PUT", f"/results/{digest}", body)
-            assert_structured_4xx(response, 400)
-            assert response.body["error"] == "invalid-entry"
-        assert not app.store.contains(digest)
-
-    def test_valid_entry_round_trips(self, app):
-        from tests.serving.test_federation import produce_entry
-
-        digest, entry = produce_entry("fuzz-valid")
-        response = app.handle("PUT", f"/results/{digest}", entry)
-        assert response.status == 201
-        assert response.body["verified"] is True
-        assert app.handle("GET", f"/results/{digest}").status == 200
-
-    @pytest.mark.parametrize("trust_puts", [False, True])
-    def test_puts_keep_a_capped_store_within_its_caps(
-        self, tmp_path, trust_puts
-    ):
-        from tests.serving.test_federation import produce_entry
-
-        app = ServingApp(
-            f"file://{tmp_path}/capped?max_entries=1", trust_puts=trust_puts
-        )
-        for name in ("capped-a", "capped-b", "capped-c"):
-            digest, entry = produce_entry(name)
-            response = app.handle("PUT", f"/results/{digest}", entry)
-            assert response.status == 201
-            assert response.body["verified"] is not trust_puts
-            assert app.store.n_entries == 1
-        assert app.store.backend.counters.evictions == 2
-
-    def test_read_only_store_rejects_puts(self, tmp_path):
-        from tests.serving.test_federation import produce_entry
-
-        ro_app = ServingApp(ResultStore(f"ro://{tmp_path}/mirror"))
-        digest, entry = produce_entry("fuzz-readonly")
-        response = ro_app.handle("PUT", f"/results/{digest}", entry)
-        assert_structured_4xx(response, 403)
-        assert response.body["error"] == "read-only"
-
-    def test_trusted_mode_accepts_opaque_bytes(self, tmp_path):
-        app = ServingApp(ResultStore(tmp_path / "trusted"), trust_puts=True)
-        rng = random.Random(0x7205)
-        for index in range(32):
             digest = "%064x" % rng.getrandbits(256)
-            blob = bytes(
-                rng.randrange(256) for _ in range(rng.randint(1, 64))
-            )
             response = app.handle("PUT", f"/results/{digest}", blob)
-            assert response.status == 201, response
-            assert response.body["verified"] is False
-            assert app.store.n_entries == index + 1
+            assert_structured_4xx(response, 405)
+        assert app.store.n_entries == 0
 
-    def test_empty_put_body_is_400(self, app):
-        response = app.handle("PUT", "/results/" + "ab" * 32, b"")
-        assert_structured_4xx(response, 400)
+    def test_a_producers_entry_cannot_be_put(self, app):
+        digest, entry = produce_entry("closed-put")
+        response = app.handle("PUT", f"/results/{digest}", entry)
+        assert_structured_4xx(response, 405)
+        assert not app.store.contains(digest)
+        assert_structured_4xx(app.handle("GET", f"/results/{digest}"), 404)
 
-    def test_oversize_put_body_is_413(self, tmp_path):
+    def test_an_oversize_put_body_is_405_unread(self, tmp_path):
         app = ServingApp(ResultStore(tmp_path / "s"), max_body_bytes=64)
         response = app.handle("PUT", "/results/" + "ab" * 32, b"x" * 65)
-        assert_structured_4xx(response, 413)
+        assert_structured_4xx(response, 405)
 
-    def test_delete_fuzz(self, app):
+    def test_delete_fuzz_is_405(self, app):
         rng = random.Random(0xDE1E)
         for _ in range(N_CASES):
             digest = "".join(
@@ -493,44 +384,38 @@ class TestEntryPutRoutes:
                 for _ in range(rng.choice((8, 63, 64, 65)))
             )
             response = app.handle("DELETE", f"/results/{digest}")
-            lowered = digest.lower()
-            if len(lowered) == 64 and all(
-                c in "0123456789abcdef" for c in lowered
-            ):
-                assert_structured_4xx(response, 404)
-                assert response.body["error"] == "unknown-digest"
-            else:
-                assert_structured_4xx(response, 400)
-                assert response.body["error"] == "bad-digest"
+            assert_structured_4xx(response, 405)
+            assert response.body["error"] == "method-not-allowed"
 
-    def test_delete_then_get_is_404(self, app):
-        from tests.serving.test_federation import produce_entry
-
-        digest, entry = produce_entry("fuzz-delete")
-        assert app.handle("PUT", f"/results/{digest}", entry).status == 201
+    def test_delete_never_removes_a_stored_result(self, app):
+        digest = warm_digest(app)
         response = app.handle("DELETE", f"/results/{digest}")
-        assert response.status == 200
-        assert response.body == {"digest": digest, "deleted": True}
-        assert_structured_4xx(app.handle("GET", f"/results/{digest}"), 404)
+        assert_structured_4xx(response, 405)
+        assert app.store.contains(digest)
+        assert app.handle("GET", f"/results/{digest}").status == 200
 
-    def test_store_entries_is_get_only(self, app):
-        for method in ("POST", "PUT", "DELETE"):
-            assert_structured_4xx(app.handle(method, "/store/entries"), 405)
+    @pytest.mark.parametrize("method", ["GET", "POST", "PUT", "DELETE"])
+    def test_store_entries_is_not_a_route(self, app, method):
+        response = app.handle(method, "/store/entries")
+        assert_structured_4xx(response, 404)
+        assert response.body["error"] == "not-found"
 
-    def test_store_entries_reflects_puts(self, app):
-        from tests.serving.test_federation import produce_entry
-
-        digest, entry = produce_entry("fuzz-entries")
-        assert app.handle("GET", "/store/entries").body == {
-            "entries": [],
-            "n_entries": 0,
-            "total_bytes": 0,
-        }
-        app.handle("PUT", f"/results/{digest}", entry)
-        listing = app.handle("GET", "/store/entries").body
-        assert listing["n_entries"] == 1
-        assert listing["entries"][0]["digest"] == digest
-        assert listing["entries"][0]["size_bytes"] == len(entry)
+    def test_an_entry_media_type_gets_the_json_reply(self, app):
+        # There is no raw-entry representation: asking for the store's
+        # entry media type gets the ordinary JSON reply and its 304.
+        digest = warm_digest(app)
+        accept = {"Accept": "application/x-repro-entry+json"}
+        plain = app.handle("GET", f"/results/{digest}")
+        asked = app.handle("GET", f"/results/{digest}", headers=accept)
+        assert asked.status == plain.status == 200
+        assert asked.content_type == plain.content_type is None
+        assert asked.body_bytes() == plain.body_bytes()
+        revalidated = app.handle(
+            "GET",
+            f"/results/{digest}",
+            headers={**accept, "If-None-Match": f'"{digest}"'},
+        )
+        assert revalidated.status == 304
 
 
 class TestIfNoneMatch:

@@ -29,16 +29,13 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
 9. A store named by a ``Path`` (or given as a backend object) is built
    into a :class:`ResultStore` like a URL is: the app used to keep the
    ``Path`` itself, so every request, ``/healthz`` included, was a 500.
-10. A raw-entry revalidation (``If-None-Match`` with the entry media
-    type) is answered by a backend read, so the peer's use of its copy
-    shows in the serving backend's counters and LRU.
-11. A request hidden in a POST body is never answered (request
+10. A request hidden in a POST body is never answered (request
     smuggling).  ``email.parser`` read the request head: a blank before a
     header's colon, or a malformed line, ended the headers early, and of
     two ``Content-Length`` lines the first won, so the body's bytes were
     parsed as a second request.  Each such head, and an obs-fold
     continuation line, is now a 400 that closes the connection.
-12. Protocol errors keep the JSON error contract: a method without a
+11. Protocol errors keep the JSON error contract: a method without a
     stdlib ``do_*`` handler got an HTML 501, ``GARBAGE`` and
     ``HTTP/2.0`` request lines got an HTML body with no status line, and
     414/431 came back as HTML.  Every method is routed to the app, and
@@ -63,7 +60,7 @@ import pytest
 
 from repro.errors import ConfigError, MappingError
 from repro.scenarios import get
-from repro.scenarios.backends import ENTRY_CONTENT_TYPE, InMemoryBackend
+from repro.scenarios.backends import InMemoryBackend
 from repro.scenarios.batch import run_many
 from repro.scenarios.store import ResultStore, run_cached, scenario_digest
 from repro.serving.app import ServeStats, ServingApp
@@ -382,26 +379,6 @@ class TestAnyStoreArgument:
         assert not cold.from_cache and backend.contains(cold.digest)
         (entry,) = run_many(["table1"], store=backend).entries
         assert entry.from_cache
-
-
-class TestRawRevalidationIsARead:
-    def test_raw_entry_304_counts_one_backend_read(self, app):
-        warm = app.handle(
-            "POST", "/run?wait=1", json.dumps({"scenario": "table1"}).encode()
-        )
-        digest = json.loads(warm.body_bytes())["digest"]
-        counters = app.store.backend.counters
-        hits, misses = counters.hits, counters.misses
-        reply = app.handle(
-            "GET",
-            f"/results/{digest}",
-            headers={
-                "Accept": ENTRY_CONTENT_TYPE,
-                "If-None-Match": f'"{digest}"',
-            },
-        )
-        assert reply.status == 304 and reply.body is None
-        assert (counters.hits, counters.misses) == (hits + 1, misses)
 
 
 #: ``GET /scenarios`` as a 36-byte POST body.

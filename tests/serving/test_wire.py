@@ -3,8 +3,9 @@
 Each test writes request bytes by hand and reads the replies as they come
 off the socket: pipelining, keep-alive and close, ``Expect:
 100-continue``, body framing by any spelling of ``Content-Length``, the
-request-line and header limits, HEAD, and the exact header set of each
-kind of reply.  The app sees each header under the name the client sent.
+request-line and header limits, encoded request bodies (refused),
+response gzip, HEAD, and the exact header set of each kind of reply.
+The app sees each header under the name the client sent.
 """
 
 from __future__ import annotations
@@ -146,6 +147,64 @@ class TestLimits:
         assert reply.status == 431
         assert conn.closed_by_server()
 
+    @pytest.mark.parametrize(
+        "encoding",
+        ["gzip", "br", "deflate", "compress", "GZIP", "gzip, identity"],
+    )
+    def test_an_encoded_request_body_is_415(self, wire, encoding):
+        conn = wire()
+        body = gzip.compress(run_body(CHEAP_TABLE))
+        conn.send(
+            request(
+                "POST", "/run", f"Content-Encoding: {encoding}", body=body
+            )
+        )
+        reply = conn.reply()
+        assert reply.status == 415
+        assert reply.json()["error"] == "unsupported-encoding"
+        assert reply.header("Connection") == "close"
+        assert conn.closed_by_server()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            gzip.compress(run_body(CHEAP_TABLE)),
+            b"\x1f\x8b\x08\x00 definitely not deflate",
+            gzip.compress(run_body(CHEAP_TABLE))[:-6],
+            gzip.compress(b"\0" * 1_000_000),
+        ],
+        ids=["valid", "garbage", "truncated", "bomb"],
+    )
+    def test_an_encoded_body_is_refused_unread(self, wire, live_server, body):
+        # The transport refuses the body before reading it, so its bytes
+        # never matter: nothing is inflated and the app sees no request.
+        conn = wire()
+        conn.send(
+            request("POST", "/run", "Content-Encoding: gzip", body=body)
+        )
+        reply = conn.reply()
+        assert reply.status == 415
+        assert reply.json()["error"] == "unsupported-encoding"
+        assert conn.closed_by_server()
+        assert live_server.app.stats.requests == 0
+
+    @pytest.mark.parametrize("encoding", ["identity", "IDENTITY", ""])
+    def test_an_identity_body_is_read_as_sent(self, wire, encoding):
+        conn = wire()
+        conn.send(
+            request(
+                "POST",
+                "/run?wait=1",
+                f"Content-Encoding: {encoding}",
+                body=run_body(CHEAP_TABLE),
+            )
+            + request("GET", "/healthz")
+        )
+        reply = conn.reply()
+        assert reply.status == 200
+        assert reply.json()["name"] == CHEAP_TABLE
+        assert conn.reply().status == 200  # still open
+
 
 class TestReplies:
     def test_head_carries_the_get_length_and_no_body(self, wire):
@@ -200,6 +259,64 @@ class TestReplies:
         assert zipped.header("Content-Encoding") == "gzip"
         assert zipped.header("Vary") == "Accept-Encoding"
         assert json.loads(gzip.decompress(zipped.body))["scenarios"]
+
+    def test_small_replies_stay_identity(self, wire):
+        conn = wire()
+        conn.send(request("GET", "/healthz", "Accept-Encoding: gzip"))
+        reply = conn.reply()
+        assert reply.status == 200
+        assert reply.header("Content-Encoding") is None
+
+    def test_q_zero_opts_out_of_gzip(self, wire, live_server):
+        warm = live_server.post_json("/run?wait=1", {"scenario": CHEAP_TABLE})
+        target = f"/results/{warm.json()['digest']}"
+        conn = wire()
+        conn.send(
+            request("GET", target, "Accept-Encoding: gzip;q=0")
+            + request("GET", target, "Accept-Encoding: gzip")
+        )
+        plain, zipped = conn.reply(), conn.reply()
+        assert plain.status == zipped.status == 200
+        assert plain.header("Content-Encoding") is None
+        assert zipped.header("Content-Encoding") == "gzip"
+        assert gzip.decompress(zipped.body) == plain.body
+
+    @pytest.mark.parametrize(
+        "accept, zipped",
+        [
+            ("gzip", True),
+            ("GZIP", True),
+            ("deflate, gzip", True),
+            ("gzip;q=0.5", True),
+            ("gzip ; q=1.0", True),
+            ("br;q=1, gzip;q=0.001", True),
+            ("gzip;level=9", True),
+            ("gzip;q=0", False),
+            ("gzip;q=0.000", False),
+            ("gzip;q=often", False),
+            ("br", False),
+            ("identity", False),
+            ("", False),
+        ],
+    )
+    def test_accept_encoding_admits_gzip_only_at_a_positive_q(
+        self, wire, accept, zipped
+    ):
+        conn = wire()
+        conn.send(
+            request("GET", "/scenarios", f"Accept-Encoding: {accept}")
+            + request("GET", "/scenarios")
+        )
+        reply, plain = conn.reply(), conn.reply()
+        assert reply.status == plain.status == 200
+        if zipped:
+            assert reply.header("Content-Encoding") == "gzip"
+            assert reply.header("Vary") == "Accept-Encoding"
+            assert gzip.decompress(reply.body) == plain.body
+        else:
+            assert reply.header("Content-Encoding") is None
+            assert reply.header("Vary") is None
+            assert reply.body == plain.body
 
     def test_app_sees_each_header_under_the_name_sent(self, wire, live_server):
         seen = []

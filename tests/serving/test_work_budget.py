@@ -22,13 +22,15 @@ and the calls into ``email/``.  Each route's requests are written, and
 have all arrived, before the handler reads the first of them, so every
 socket read returns the same bytes on every run.
 
-These counts repeat exactly from run to run, where timings on a shared
-host do not, so a count that rises by more than 1% over its pin in
-``tests/data/work_budget.json`` fails and names the ten functions whose
-call counts grew most.  A count that falls passes; re-pin it so that the
-saving is on record (the pins are per Python minor version)::
+Calls are summed per function label by ``tests/call_counts.py``, so the
+calls of every dataclass-generated method count, whichever class it
+belongs to.  These counts repeat exactly from run to run, where timings
+on a shared host do not, so a count that rises by more than 1% over its
+pin in ``tests/data/work_budget.json`` fails and names the ten functions
+whose call counts grew most.  A count that falls passes; re-pin it so
+that the saving is on record (the pins are per Python minor version)::
 
-    PYTHONPATH=src python tests/serving/test_work_budget.py
+    PYTHONPATH=src:tests python tests/serving/test_work_budget.py
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ from __future__ import annotations
 import cProfile
 import gc
 import json
-import pstats
 import socket
 import sys
-import sysconfig
 import tempfile
 import threading
 import time
@@ -54,6 +54,8 @@ from repro.scenarios.store import ResultStore, run_cached
 from repro.serving.app import ServingApp
 from repro.serving.server import _Handler
 
+from call_counts import calls_per_function, calls_per_label  # tests/
+
 BUDGET = Path(__file__).resolve().parents[1] / "data" / "work_budget.json"
 PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 MIX = ("fig5", "fig7-gpu", "dse", "table1")
@@ -67,17 +69,6 @@ COUNTS = (
     "json_decoder_calls",
     "backend_reads",
 )
-
-_STDLIB = sysconfig.get_paths()["stdlib"]
-
-
-def _where(filename: str) -> str:
-    """A profiled function's file, without the install prefix."""
-    if "/repro/" in filename:
-        return "repro/" + filename.rsplit("/repro/", 1)[1]
-    if filename.startswith(_STDLIB):
-        return filename[len(_STDLIB) :].lstrip("/")
-    return filename
 
 
 def _json_calls(calls: Counter, module: str) -> int:
@@ -113,10 +104,7 @@ def warm_requests(app: ServingApp) -> dict[str, list[tuple]]:
 
 def _profiled_calls(profiler: cProfile.Profile) -> Counter[str]:
     """Calls per function (``file:function``) of a finished profile."""
-    calls: Counter[str] = Counter()
-    for (filename, _, function), row in pstats.Stats(profiler).stats.items():
-        calls[f"{_where(filename)}:{function}"] += row[1]
-    return calls
+    return calls_per_function(calls_per_label(profiler))
 
 
 def wire_request(request: tuple, op: int) -> bytes:
@@ -299,7 +287,7 @@ def test_warm_path_stays_within_its_work_budget(tmp_path):
     if PYTHON not in pins:
         pytest.skip(
             f"no work budget pinned for Python {PYTHON}; pin one with "
-            "`PYTHONPATH=src python tests/serving/test_work_budget.py`"
+            "`PYTHONPATH=src:tests python tests/serving/test_work_budget.py`"
         )
     pinned = pins[PYTHON]
     measured = measure(tmp_path)
