@@ -21,8 +21,8 @@ read or written).  Every command that touches the store names it with
 ``--cache`` (also spelled ``--cache-dir``): a bare cache directory
 (default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/scenarios``) or a
 storage-backend URL — ``mem://``,
-``file:///path?shard=1&max_bytes=N&max_entries=N``, ``ro:///mirror``, or
-comma-separated tiers like ``mem://,file:///path``.
+``file:///path?max_bytes=N&max_entries=N``, or comma-separated tiers like
+``mem://,file:///path``.
 ``--out DIR`` emits the staged artifacts
 the qml-cutensornet-style pipelines use: ``<name>_raw.json`` (spec +
 per-point values), ``<name>.csv`` (grid scenarios) and ``<name>.txt``
@@ -157,8 +157,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"schema version {store.schema_version}")
     print(f"entries        {len(entries)}")
     print(f"total bytes    {sum(entry.size_bytes for entry in entries)}")
-    # Entry-age summary over provenance creation stamps — how a shared
-    # mirror is audited for staleness (the same summary as /stats).
+    # Entry-age summary over provenance creation stamps — how a cache dir
+    # is audited for staleness (the same summary as /stats).
     summary = provenance_summary(entries)
     for word in ("oldest", "newest", "median"):
         stamp = summary[f"{word}_created_unix"]
@@ -187,7 +187,6 @@ def _print_tier_lines(store: ResultStore) -> None:
         print(
             f"  tier         {tier['url']}  "
             f"{tier['n_entries']} entr(ies), {tier['total_bytes']} B"
-            + ("" if tier["writable"] else "  [read-only]")
         )
 
 
@@ -259,8 +258,8 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
         metavar="URL_OR_DIR",
         help="the result store: a cache directory (default: "
         "$REPRO_CACHE_DIR or ~/.cache/repro/scenarios) or a backend URL — "
-        "mem://, file:///path?shard=1&max_bytes=N&max_entries=N, "
-        "ro:///mirror, or comma-separated tiers such as mem://,file:///path",
+        "mem://, file:///path?max_bytes=N&max_entries=N, or "
+        "comma-separated tiers such as mem://,file:///path",
     )
 
 

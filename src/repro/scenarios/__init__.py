@@ -21,8 +21,7 @@ serves whole lists of scenarios (names, specs, user JSON files)
 compute-once through the shared caches.  *Where* results live is a
 pluggable storage backend (:mod:`~repro.scenarios.backends`), addressable
 by URL everywhere a store is accepted — ``mem://`` (in-process LRU hot
-tier), ``file:///path?shard=1`` (cache directory), ``ro:///mirror``
-(read-only shared mirror), or comma-separated tiers:
+tier), ``file:///path`` (cache directory), or comma-separated tiers:
 
 >>> from repro.scenarios import ResultStore, run_many
 >>> batch = run_many(["fig5", "fig6"], store=ResultStore("results/.cache"))
@@ -34,7 +33,6 @@ from repro.scenarios.backends import (
     BackendStats,
     InMemoryBackend,
     LocalFSBackend,
-    ReadOnlyMirrorBackend,
     StoreBackend,
     TieredStore,
     backend_from_url,
@@ -81,7 +79,6 @@ __all__ = [
     "BackendStats",
     "InMemoryBackend",
     "LocalFSBackend",
-    "ReadOnlyMirrorBackend",
     "StoreBackend",
     "TieredStore",
     "backend_from_url",

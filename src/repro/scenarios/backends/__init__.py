@@ -1,9 +1,8 @@
 """Pluggable tiered storage backends for the content-addressed result store.
 
-One address scheme (the sha256 spec digest), many places the bytes can
+One address scheme (the sha256 spec digest), a few places the bytes can
 live: a local cache directory (``file://``), an in-process byte-capped LRU
-(``mem://``), a read-only shared mirror (``ro://``), or a read-through
-tier stack (``mem://,file:///path,ro:///mirror``).  See
+(``mem://``), or a read-through tier stack (``mem://,file:///path``).  See
 :mod:`repro.scenarios.backends.base` for the contract and
 :mod:`repro.scenarios.backends.url` for the address syntax every store
 consumer accepts.
@@ -18,7 +17,6 @@ from repro.scenarios.backends.base import (
 )
 from repro.scenarios.backends.localfs import LocalFSBackend
 from repro.scenarios.backends.memory import DEFAULT_MEM_MAX_BYTES, InMemoryBackend
-from repro.scenarios.backends.mirror import ReadOnlyMirrorBackend
 from repro.scenarios.backends.tiered import TieredStore
 from repro.scenarios.backends.url import backend_from_url, is_store_url
 
@@ -29,7 +27,6 @@ __all__ = [
     "BackendStats",
     "InMemoryBackend",
     "LocalFSBackend",
-    "ReadOnlyMirrorBackend",
     "StoreBackend",
     "TieredStore",
     "backend_from_url",

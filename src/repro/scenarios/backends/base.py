@@ -3,12 +3,11 @@
 :class:`~repro.scenarios.store.ResultStore` is a thin digest/orchestration
 front-end: it computes content addresses, validates entry payloads, counts
 store-level traffic and decides when to recompute.  *Where* the bytes of an
-entry live — a local cache directory, a lock-guarded in-process dict, a
-read-only rsync'd mirror, or a tiered stack of all three — is a
-:class:`StoreBackend`.  The same address scheme (the sha256 spec digest)
-keys every backend, so digests, artifact payloads and provenance are
-backend-agnostic: an entry written through ``file://`` replays
-byte-identically through ``mem://`` promotion or an ``ro://`` mirror.
+entry live — a local cache directory, a lock-guarded in-process dict, or a
+tiered stack of both — is a :class:`StoreBackend`.  The same address
+scheme (the sha256 spec digest) keys every backend, so digests, artifact
+payloads and provenance are backend-agnostic: an entry written through
+``file://`` replays byte-identically through ``mem://`` promotion.
 
 A backend stores **opaque bytes per digest** — it never parses artifact
 payloads (the front-end owns validation and the corrupt/self-heal policy).
@@ -21,11 +20,9 @@ share one definition of the entry layout, at the end of this module
 Concrete backends:
 
 * :class:`~repro.scenarios.backends.localfs.LocalFSBackend` — ``file://``,
-  today's atomic-write + sharding + mtime-LRU cache directory;
+  a flat atomic-write + mtime-LRU cache directory;
 * :class:`~repro.scenarios.backends.memory.InMemoryBackend` — ``mem://``,
   the byte-capped LRU hot tier;
-* :class:`~repro.scenarios.backends.mirror.ReadOnlyMirrorBackend` —
-  ``ro://``, a shared mirror that is never written or healed;
 * :class:`~repro.scenarios.backends.tiered.TieredStore` — comma-separated
   tiers, read-through with promotion.
 """
@@ -33,19 +30,11 @@ Concrete backends:
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Iterable,
-    Iterator,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 #: Marker every entry file carries so foreign JSON is never misread as a
 #: result.  Lives here (not in ``store``) so backends can cheaply probe
@@ -57,9 +46,6 @@ DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 #: Entry filename shape: the sha256 digest plus the ``.json`` suffix.
 DIGEST_NAME_RE = re.compile(r"[0-9a-f]{64}\.json")
-
-#: Shard directory shape: the first two hex characters of the digest.
-SHARD_DIR_RE = re.compile(r"[0-9a-f]{2}")
 
 #: Orphaned temp files (a writer died mid-put) older than this are swept
 #: by filesystem-backend gc.
@@ -76,7 +62,7 @@ class BackendStats:
     acceptance criterion asserts on (a hot digest served from the mem tier
     leaves the file tier's ``reads`` frozen).  ``promotions`` only moves on
     composite backends; ``corrupt_skipped`` counts entries a tiered read
-    refused to promote (and a read-only mirror left in place).
+    refused to promote.
     """
 
     hits: int = 0
@@ -122,22 +108,17 @@ class BackendEntry:
     path: Path | None = None
 
 
-@runtime_checkable
 class StoreBackend(Protocol):
     """Where digest-addressed entry bytes live.
 
     Implementations must be safe to share across threads.  ``read`` may
     raise :class:`OSError` for an entry that exists but cannot be loaded —
-    the front-end treats that as a corrupt entry (and heals it only on
-    writable backends).
+    the front-end treats that as a corrupt entry and heals it.
     """
 
-    #: URL-style description of this backend (``file:///path``, ``mem://``,
-    #: ``ro:///mirror``, or a comma-joined tier list).
+    #: URL-style description of this backend (``file:///path``, ``mem://``
+    #: or a comma-joined tier list).
     url: str
-    #: Whether writes/deletes are accepted.  The front-end never attempts
-    #: to heal (discard) corrupt entries on a read-only backend.
-    writable: bool
 
     def read(self, digest: str) -> bytes | None:
         """The entry bytes, or ``None`` on a miss.  Counts hit/miss and
@@ -164,8 +145,7 @@ class StoreBackend(Protocol):
 
     def discard(self, digest: str) -> bool:
         """Corrupt-heal: drop only the copy :meth:`read` would have served
-        (other-layout or other-tier copies of the digest survive).  No-op
-        on read-only backends."""
+        (an intact copy of the digest in another tier survives)."""
         ...
 
     def contains(self, digest: str) -> bool:
@@ -193,7 +173,7 @@ class StoreBackend(Protocol):
 
     def stats(self) -> dict[str, Any]:
         """Plain-data description + counters (the ``/stats`` per-tier
-        block): kind, url, writability, caps, sizes, :class:`BackendStats`."""
+        block): kind, url, caps, sizes, :class:`BackendStats`."""
         ...
 
 
@@ -223,8 +203,9 @@ def entry_totals(entries: Iterable[BackendEntry]) -> dict[str, int]:
 
 class EntryError(ValueError):
     """Entry bytes failing validation; ``slug`` names the check:
-    ``invalid-entry``, ``schema-mismatch``, ``digest-mismatch`` or
-    ``checksum-mismatch`` (bytes damaged after ``put`` wrote them)."""
+    ``invalid-entry`` (not an entry ``put`` wrote for this digest and
+    schema) or ``checksum-mismatch`` (bytes damaged after ``put`` wrote
+    them)."""
 
     def __init__(self, slug: str, detail: str) -> None:
         super().__init__(detail)
@@ -295,20 +276,25 @@ def _part_spans(
 
 def entry_spans(
     data: bytes, digest: str, schema_version: int
-) -> dict[str, tuple[int, int]] | None:
-    """The span of each part of ``data`` if it is an entry in ``put``'s
-    layout, or ``None`` if it does not start as ``put`` starts one (its
-    reader must decode it in full).
+) -> dict[str, tuple[int, int]]:
+    """The span of each part of ``data``, an entry in ``put``'s layout.
 
-    Only ``put`` writes that start, always followed by the rest of its
-    layout.  Bytes with that start that break the layout or the sha256
-    were damaged after the write, in a value or where the checksum cannot
-    see (a key, a length): :class:`EntryError` ``checksum-mismatch``;
-    ``invalid-entry`` when the artifact shape fails.
+    Bytes that do not start as ``put`` starts an entry for ``digest`` and
+    ``schema_version`` (foreign bytes, another digest's or schema's entry,
+    a hand edit) raise :class:`EntryError` ``invalid-entry``, as does an
+    artifact of the wrong shape.  Only ``put`` writes that start, always
+    followed by the rest of its layout, so bytes with that start that
+    break the layout or the sha256 were damaged after the write, in a
+    value or where the checksum cannot see (a key, a length):
+    ``checksum-mismatch``.
     """
     head = entry_head(digest) + b'"schema_version":%d,' % schema_version
     if not data.startswith(head):
-        return None
+        raise EntryError(
+            "invalid-entry",
+            f"not a result-store entry for {digest} at schema version "
+            f"{schema_version}",
+        )
     spans = _laid_out(data, len(head))
     if spans is None:
         raise EntryError(
@@ -352,31 +338,19 @@ def _laid_out(data: bytes, at: int) -> dict[str, tuple[int, int]] | None:
 
 
 def plausible_entry(data: bytes, digest: str) -> bool:
-    """Cheap is-this-really-an-entry probe for composite backends.
+    """Cheap is-this-really-an-entry probe for composite backends: the
+    entry starts and ends as ``put`` writes one for ``digest``.
 
     Full validation (schema version, checksum, artifact shape) stays in
     the front-end; this only keeps torn or foreign bytes out of
-    promotion.  An entry that starts as ``put`` writes it must also end
-    as ``put`` writes it, and is not decoded; anything else — an older
-    indented entry, a hand-edited one, foreign bytes — is decoded.
+    promotion, and decodes nothing.
     """
-    if data.startswith(entry_head(digest)):
-        return data.endswith(_ENTRY_END)
-    try:
-        entry = json.loads(data)
-    except (ValueError, UnicodeDecodeError):
-        return False
-    return (
-        isinstance(entry, dict)
-        and entry.get("format") == STORE_FORMAT
-        and entry.get("digest") == digest
-    )
+    return data.startswith(entry_head(digest)) and data.endswith(_ENTRY_END)
 
 
 __all__ = [
     "DIGEST_NAME_RE",
     "DIGEST_RE",
-    "SHARD_DIR_RE",
     "STALE_TMP_SECONDS",
     "STORE_FORMAT",
     "ENTRY_PARTS",

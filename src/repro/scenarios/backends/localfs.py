@@ -1,16 +1,14 @@
 """``file://`` backend: the local cache-directory tier.
 
-The filesystem mechanics extracted verbatim from the pre-backend
-``ResultStore``: atomic writes (per-writer-unique temp file + rename),
-optional two-hex-prefix sharding with cross-layout reads, mtime-LRU
-eviction, stale-temp sweeping, and strictly digest-named entry filtering
-so a cache dir pointed at a directory holding other JSON never has foreign
-data counted — let alone deleted — as store entries.
+One flat directory of ``<digest>.json`` files: atomic writes
+(per-writer-unique temp file + rename), mtime-LRU eviction, stale-temp
+sweeping, and strictly digest-named entry filtering so a cache dir pointed
+at a directory holding other JSON never has foreign data counted — let
+alone deleted — as store entries.
 
 Every instance is safe to share across threads, and many processes may
 point at one directory: writes are atomic, readers treat torn/competing
-state as corrupt (the front-end self-heals on this backend because it is
-writable).
+state as corrupt (the front-end self-heals it).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Any, Iterator
 
 from repro.scenarios.backends.base import (
     DIGEST_NAME_RE,
-    SHARD_DIR_RE,
     STALE_TMP_SECONDS,
     BackendEntry,
     CountersMixin,
@@ -32,41 +29,30 @@ from repro.scenarios.backends.base import (
 
 
 class LocalFSBackend(CountersMixin):
-    """One cache directory of ``<digest>.json`` entry files.
-
-    Layout: flat by default (``<root>/<digest>.json``); with ``shard=True``
-    entries live under a two-hex-prefix directory (``<root>/ab/ab….json``)
-    so very large registries never put tens of thousands of files in one
-    directory.  Reads understand *both* layouts regardless of the flag, so
-    flipping sharding on an existing cache dir never orphans entries — new
-    writes just land in the new layout.
+    """One flat cache directory of ``<root>/<digest>.json`` entry files.
 
     ``max_bytes``/``max_entries`` are this tier's LRU caps: every
     :meth:`write` ends with a :meth:`gc` pass when either is set.
     """
 
     kind = "file"
-    writable = True
 
     def __init__(
         self,
         root: str | Path,
         *,
-        shard: bool = False,
         max_bytes: int | None = None,
         max_entries: int | None = None,
     ) -> None:
         super().__init__()
         self.root = Path(root)
-        self.shard = shard
         self.max_bytes = max_bytes
         self.max_entries = max_entries
 
     # -- identity -----------------------------------------------------------
     @property
     def url(self) -> str:
-        suffix = "?shard=1" if self.shard else ""
-        return f"file://{self.root}{suffix}"
+        return f"file://{self.root}"
 
     @property
     def cache_dir(self) -> Path:
@@ -74,54 +60,38 @@ class LocalFSBackend(CountersMixin):
         return self.root
 
     def __repr__(self) -> str:
-        return f"LocalFSBackend({str(self.root)!r}, shard={self.shard})"
+        return f"LocalFSBackend({str(self.root)!r})"
 
     # -- addressing ---------------------------------------------------------
     def path_for_digest(self, digest: str) -> Path:
-        """The entry file a digest's result lives in (write layout)."""
-        if self.shard:
-            return self.root / digest[:2] / f"{digest}.json"
+        """The entry file a digest's result lives in."""
         return self.root / f"{digest}.json"
-
-    def _candidate_paths(self, digest: str) -> tuple[Path, Path]:
-        """This backend's layout first, the other layout second."""
-        sharded = self.root / digest[:2] / f"{digest}.json"
-        flat = self.root / f"{digest}.json"
-        return (sharded, flat) if self.shard else (flat, sharded)
 
     # -- traffic ------------------------------------------------------------
     def read(self, digest: str) -> bytes | None:
-        for path in self._candidate_paths(digest):
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                continue
-            # Other OSErrors propagate: the entry exists but cannot be
-            # loaded, which the front-end treats as corrupt.
-            self._count("hits")
-            # A read *is* a use: refresh the LRU position here, so every
-            # consumer (front-end, tiered stack) gets the same semantics
-            # without a second candidate walk.
-            self._utime(path)
-            return data
-        self._count("misses")
-        return None
-
-    def _utime(self, path: Path) -> None:
-        """Refresh one entry file's LRU stamp; losing the race is
-        harmless.  The read-only mirror overrides this to a no-op."""
+        path = self.path_for_digest(digest)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            self._count("misses")
+            return None
+        # Other OSErrors propagate: the entry exists but cannot be
+        # loaded, which the front-end treats as corrupt.
+        self._count("hits")
+        # A read *is* a use: refresh the LRU position here, so every
+        # consumer (front-end, tiered stack) gets the same semantics.
+        # Losing the race to an evictor is harmless.
         try:
             os.utime(path)
         except OSError:
             pass
+        return data
 
     def peek(self, digest: str) -> bytes | None:
-        for path in self._candidate_paths(digest):
-            try:
-                return path.read_bytes()
-            except OSError:
-                continue
-        return None
+        try:
+            return self.path_for_digest(digest).read_bytes()
+        except OSError:
+            return None
 
     def write(self, digest: str, data: bytes) -> None:
         path = self.path_for_digest(digest)
@@ -144,48 +114,30 @@ class LocalFSBackend(CountersMixin):
             self.gc(sweep_tmp=False)
 
     def delete(self, digest: str) -> bool:
-        removed = False
-        for path in self._candidate_paths(digest):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed = True
-        if removed:
-            self._count("deletes")
-        return removed
+        try:
+            self.path_for_digest(digest).unlink()
+        except OSError:
+            return False
+        self._count("deletes")
+        return True
 
     def discard(self, digest: str) -> bool:
-        """Drop only the copy a read would have served (corrupt-heal).
-
-        Unlike :meth:`delete`, this never reaches past the first existing
-        candidate: a valid same-digest entry in the *other* shard layout
-        survives the heal and serves the next get.
-        """
-        for path in self._candidate_paths(digest):
-            if not path.exists():
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                return False
-            self._count("deletes")
-            return True
-        return False
+        """Corrupt-heal: identical to :meth:`delete` (one copy per digest)."""
+        return self.delete(digest)
 
     def contains(self, digest: str) -> bool:
-        return any(path.exists() for path in self._candidate_paths(digest))
+        return self.path_for_digest(digest).exists()
 
     # -- introspection ------------------------------------------------------
     def _entry_paths(self) -> list[Path]:
-        """Files that are store entries *by name* (``<64-hex>.json``), in
-        either layout — the strict filter gc/clear are allowed to unlink."""
+        """Files that are store entries *by name* (``<64-hex>.json``) —
+        the strict filter gc/clear are allowed to unlink."""
         if not self.root.is_dir():
             return []
-        candidates = list(self.root.glob("*.json"))
-        candidates += self.root.glob("[0-9a-f][0-9a-f]/*.json")
         return sorted(
-            path for path in candidates if DIGEST_NAME_RE.fullmatch(path.name)
+            path
+            for path in self.root.glob("*.json")
+            if DIGEST_NAME_RE.fullmatch(path.name)
         )
 
     def entries(self) -> Iterator[BackendEntry]:
@@ -250,8 +202,6 @@ class LocalFSBackend(CountersMixin):
             n_entries -= 1
             evicted.append(path.name[: -len(".json")])
         self._count("evictions", len(evicted))
-        if evicted:
-            self._prune_shard_dirs()
         return evicted
 
     def clear(self) -> int:
@@ -263,7 +213,6 @@ class LocalFSBackend(CountersMixin):
                 continue
             removed += 1
         self._count("deletes", removed)
-        self._prune_shard_dirs()
         return removed
 
     def _sweep_stale_tmp(self) -> None:
@@ -271,31 +220,17 @@ class LocalFSBackend(CountersMixin):
         if not self.root.is_dir():
             return
         cutoff = time.time() - STALE_TMP_SECONDS
-        for pattern in ("*.tmp", "[0-9a-f][0-9a-f]/*.tmp"):
-            for path in self.root.glob(pattern):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                except OSError:
-                    continue
-
-    def _prune_shard_dirs(self) -> None:
-        """Remove shard directories left empty by eviction/clearing."""
-        if not self.root.is_dir():
-            return
-        for child in self.root.iterdir():
-            if child.is_dir() and SHARD_DIR_RE.fullmatch(child.name):
-                try:
-                    child.rmdir()  # fails (correctly) unless empty
-                except OSError:
-                    continue
+        for path in self.root.glob("*.tmp"):
+            try:
+                if path.stat().st_mtime < cutoff:
+                    path.unlink()
+            except OSError:
+                continue
 
     def stats(self) -> dict[str, Any]:
         return {
             "kind": self.kind,
             "url": self.url,
-            "writable": self.writable,
-            "shard": self.shard,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
             "counters": self.counters.to_dict(),

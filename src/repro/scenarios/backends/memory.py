@@ -31,7 +31,6 @@ class InMemoryBackend(CountersMixin):
     math — nanoseconds, so one lock never becomes the bottleneck the
     file-backend's lock-free reads avoid)."""
 
-    writable = True
     cache_dir = None  # no filesystem presence
 
     def __init__(
@@ -170,7 +169,6 @@ class InMemoryBackend(CountersMixin):
         return {
             "kind": "mem",
             "url": self.url,
-            "writable": self.writable,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
             "counters": self.counters.to_dict(),

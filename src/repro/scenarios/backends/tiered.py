@@ -2,35 +2,28 @@
 
 The composition the serving daemon runs in production:
 ``TieredStore([InMemoryBackend(), LocalFSBackend(dir)])`` answers a hot
-digest from the mem tier without touching the filesystem at all, promotes
-a file-tier hit into mem on first read, and (via an optional trailing
-:class:`~repro.scenarios.backends.mirror.ReadOnlyMirrorBackend`) reads
-through to a shared mirror it never writes.
+digest from the mem tier without touching the filesystem at all, and
+promotes a file-tier hit into mem on first read.
 
 Policies, in one place:
 
 * **read** — tiers are probed in order; the first plausible entry wins and
-  is *promoted* (written) into every writable tier above it, so the next
-  read stops earlier.  A torn/foreign entry in a tier is skipped — deleted
-  there if the tier is writable, left alone if not — and the probe
-  continues downward, so one corrupt hot copy can never mask a good
-  durable one.  Plausibility is a cheap format+digest probe (for an entry
-  in ``put``'s layout, its first and last bytes), not the front-end's
-  full validation: a copy damaged inside (a flipped byte in a value) or
-  corrupt *at its own address* on an unhealable tier (e.g. a hand-edited
-  mirror entry) may be served and then rejected by the front-end, which
-  discards that copy and the copies promoted from it
-  (:meth:`TieredStore.discard`) — wasted work on a damaged entry, never a
-  wrong answer.  For a damaged copy in ``put``'s layout the front-end
-  then reads once more, so an intact copy in a lower tier still serves.
-* **write** — write-back to the *first writable* tier only; lower tiers
-  fill by their own producers (a CLI run against ``file://``, an rsync to
-  the mirror) or stay cold.  This keeps a put as cheap as its hottest
-  tier.  Each tier holds its own caps on every write, so a write (or a
-  promotion) that a tier's caps refuse at once falls through as refused
-  admission.
-* **delete/gc/clear** — fan out to every writable tier; read-only tiers
-  are untouched by construction.
+  is *promoted* (written) into every tier above it, so the next read
+  stops earlier.  A torn/foreign entry in a tier is skipped and deleted
+  there, and the probe continues downward, so one corrupt hot copy can
+  never mask a good durable one.  Plausibility is a cheap probe of an
+  entry's first and last bytes, not the front-end's full validation: a
+  copy damaged inside (a flipped byte in a value) may be served and then
+  rejected by the front-end, which discards that copy and the copies
+  promoted from it (:meth:`TieredStore.discard`) and reads once more, so
+  an intact copy in a lower tier still serves — wasted work on a damaged
+  entry, never a wrong answer.
+* **write** — a put lands in the *first* tier that admits it; lower tiers
+  fill by their own producers (a CLI run against ``file://``) or stay
+  cold.  This keeps a put as cheap as its hottest tier.  Each tier holds
+  its own caps on every write, so a write (or a promotion) that a tier's
+  caps refuse at once falls through as refused admission.
+* **delete/gc/clear** — fan out to every tier.
 
 Per-tier hit/miss stats come free: each tier keeps its own
 :class:`~repro.scenarios.backends.base.BackendStats`, and
@@ -55,43 +48,18 @@ from repro.scenarios.backends.base import (
 
 
 class TieredStore(CountersMixin):
-    """A stack of backends probed in order, hottest first.
+    """A stack of backends probed in order, hottest first."""
 
-    ``write_policy`` selects where a put lands: ``"first"`` (the default
-    write-back — only the first writable tier, cheapest put) or ``"all"``
-    (write-through to every writable tier — durable puts for a long-lived
-    daemon whose hot tier dies with the process).
-    """
-
-    def __init__(
-        self,
-        tiers: Iterable[StoreBackend],
-        *,
-        write_policy: str = "first",
-    ) -> None:
+    def __init__(self, tiers: Iterable[StoreBackend]) -> None:
         super().__init__()
         self.tiers: tuple[StoreBackend, ...] = tuple(tiers)
         if not self.tiers:
             raise ConfigError("a TieredStore needs at least one tier")
-        if write_policy not in ("first", "all"):
-            raise ConfigError(
-                f"unknown tiered write policy {write_policy!r} "
-                "(known: 'first', 'all')"
-            )
-        self.write_policy = write_policy
 
     # -- identity -----------------------------------------------------------
     @property
     def url(self) -> str:
         return ",".join(tier.url for tier in self.tiers)
-
-    @property
-    def writable(self) -> bool:
-        return any(tier.writable for tier in self.tiers)
-
-    @property
-    def _writable_tiers(self) -> list[StoreBackend]:
-        return [tier for tier in self.tiers if tier.writable]
 
     @property
     def cache_dir(self) -> Path | None:
@@ -125,24 +93,21 @@ class TieredStore(CountersMixin):
         return None
 
     def _skip_corrupt(self, tier: StoreBackend, digest: str) -> None:
-        """A torn/foreign entry in one tier: drop *that copy* there if we
-        may, keep probing lower tiers either way."""
+        """A torn/foreign entry in one tier: drop *that copy* there and
+        keep probing lower tiers."""
         self._count("corrupt_skipped")
-        if tier.writable:
-            tier.discard(digest)
+        tier.discard(digest)
 
     def _promote(self, index: int, digest: str, data: bytes) -> None:
-        """Copy a lower-tier hit into every writable tier above it.
+        """Copy a lower-tier hit into every tier above it.
 
         Best-effort: a hot tier that cannot accept the copy (disk full,
         permissions) must never turn a *successful* lower-tier read into a
         failure — the data is simply served unpromoted."""
         for upper in self.tiers[:index]:
-            if not upper.writable:
-                continue
             try:
                 upper.write(digest, data)
-            except (OSError, ConfigError):
+            except OSError:
                 continue
             if not upper.contains(digest):
                 # Admission refused (the tier's caps cannot hold it): not
@@ -159,30 +124,19 @@ class TieredStore(CountersMixin):
         return None
 
     def write(self, digest: str, data: bytes) -> None:
-        writable = False
         for tier in self.tiers:
-            if not tier.writable:
-                continue
-            writable = True
             tier.write(digest, data)
-            if not tier.contains(digest):
-                # The tier refused admission (its caps cannot hold the
-                # entry): fall through so the write still lands in a
-                # roomier tier below instead of nowhere.
-                continue
-            self._count("writes")
-            if self.write_policy == "first":
+            if tier.contains(digest):
+                self._count("writes")
                 return
-        if not writable:
-            raise ConfigError(
-                f"tiered store {self.url} has no writable tier to accept "
-                "writes"
-            )
+            # The tier refused admission (its caps cannot hold the entry):
+            # fall through so the write still lands in a roomier tier
+            # below instead of nowhere.
 
     def delete(self, digest: str) -> bool:
         removed = False
         for tier in self.tiers:
-            if tier.writable and tier.delete(digest):
+            if tier.delete(digest):
                 removed = True
         if removed:
             self._count("deletes")
@@ -203,7 +157,7 @@ class TieredStore(CountersMixin):
                 served = data
             elif data != served:
                 break
-            if tier.writable and tier.discard(digest):
+            if tier.discard(digest):
                 removed = True
         if removed:
             self._count("deletes")
@@ -230,7 +184,7 @@ class TieredStore(CountersMixin):
         *,
         sweep_tmp: bool = True,
     ) -> list[str]:
-        """Fan the caps out to every writable tier (each tier is capped
+        """Fan the caps out to every tier (each tier is capped
         independently — a 2-entry cap keeps ≤2 entries *per tier*).
 
         The returned digests are deduplicated: a promoted digest evicted
@@ -238,17 +192,16 @@ class TieredStore(CountersMixin):
         :meth:`entries`/:meth:`stats` count it as one entry."""
         evicted = (
             digest
-            for tier in self._writable_tiers
+            for tier in self.tiers
             for digest in tier.gc(max_bytes, max_entries, sweep_tmp=sweep_tmp)
         )
         return list(dict.fromkeys(evicted))
 
     def clear(self) -> int:
-        """Empty every writable tier; counts *logical* entries removed (a
-        promoted digest's several copies are one entry)."""
-        tiers = self._writable_tiers
-        removed = {entry.digest for tier in tiers for entry in tier.entries()}
-        for tier in tiers:
+        """Empty every tier; counts *logical* entries removed (a promoted
+        digest's several copies are one entry)."""
+        removed = {entry.digest for entry in self.entries()}
+        for tier in self.tiers:
             tier.clear()
         return len(removed)
 
@@ -259,8 +212,6 @@ class TieredStore(CountersMixin):
         return {
             "kind": "tiered",
             "url": self.url,
-            "writable": self.writable,
-            "write_policy": self.write_policy,
             "max_bytes": None,  # tiers own their caps
             "max_entries": None,
             **entry_totals(self.entries()),

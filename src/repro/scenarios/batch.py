@@ -166,9 +166,8 @@ def run_many(
     store:
         The result store to consult/populate (``None`` = no persistence):
         a :class:`ResultStore`, or anything that names one — a cache
-        directory path, a backend URL (``mem://``, ``file:///path?shard=1``,
-        ``ro:///mirror``, or comma-separated tiers) or a backend object.
-        Read-only stores are consulted but never written.
+        directory path, a backend URL (``mem://``, ``file:///path``, or
+        comma-separated tiers) or a backend object.
     use_cache:
         ``False`` bypasses the store in both directions (``--no-cache``).
     """

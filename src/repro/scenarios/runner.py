@@ -9,8 +9,8 @@ memoized op-program engine.  Grids go through
 :func:`repro.analysis.sweep.run_sweep` like any other sweep.
 
 This module always computes; store-aware execution (serve warm results
-from a pluggable storage backend — ``mem://``/``file://``/``ro://``
-tiers — instead of recomputing) is layered on top by
+from a pluggable storage backend — ``mem://``/``file://`` tiers —
+instead of recomputing) is layered on top by
 :func:`repro.scenarios.store.run_cached` and
 :func:`repro.scenarios.batch.run_many`, both of which produce artifact
 payloads byte-identical to a direct :func:`run_scenario` render.

@@ -12,7 +12,7 @@ orphans every old entry.
 :class:`ResultStore` is a thin digest/orchestration front-end over a
 pluggable :class:`~repro.scenarios.backends.base.StoreBackend` — *where*
 the entry bytes live is the backend's business (a local cache directory,
-an in-process LRU, a read-only mirror, or a tier stack of all three; see
+an in-process LRU, or a tier stack of both; see
 :mod:`repro.scenarios.backends`).  The front-end owns addressing,
 validation, the corrupt/self-heal policy and the store-level stats.  The
 default backend keeps one JSON file per digest under a cache directory,
@@ -32,11 +32,11 @@ an envelope spliced around these stored bytes, and a bit flip that keeps
 the entry valid JSON is still caught, as a corrupt miss.  Only ``put``
 starts an entry with these head bytes, so one that does but breaks the
 layout (a flipped key or length, outside the checksum) is corrupt too.
-An entry not in this layout at all (written before it, or edited by
-hand) is decoded in full and validated field by field instead; that
-reader ignores the two extra keys, as older readers do.  The layout is
-defined once, in :mod:`repro.scenarios.backends.base`, for this reader
-and for the tier stack's plausibility probe alike.
+An entry is read this one way: bytes not in this layout (foreign JSON,
+an entry re-serialized by hand or written before the layout existed)
+are a corrupt miss, healed and recomputed.  The layout is defined once,
+in :mod:`repro.scenarios.backends.base`, for this reader and for the
+tier stack's plausibility probe alike.
 
 What is cached is the *artifact payload* — the raw-JSON stage, the rendered
 text figure/table and the CSV stage of the ``python -m repro`` pipeline —
@@ -48,9 +48,8 @@ byte-identical to the cold run's regardless of which backend served them.
 A store is named by a URL or a bare cache-dir path, and by nothing else,
 everywhere one is accepted (:func:`run_cached`,
 :func:`~repro.scenarios.batch.run_many`, the serving daemon, the CLI's
-``--cache``): ``mem://``, ``file:///path?shard=1&max_bytes=N&max_entries=N``,
-``ro:///mirror``, or comma-separated tiers — see
-:mod:`repro.scenarios.backends.url`.  Each of
+``--cache``): ``mem://``, ``file:///path?max_bytes=N&max_entries=N``, or
+comma-separated tiers — see :mod:`repro.scenarios.backends.url`.  Each of
 those places also takes a ready-built :class:`ResultStore`, or a backend
 object, which :class:`ResultStore` wraps.
 
@@ -155,8 +154,8 @@ class EntryView:
     The parts are ``scenario``, ``provenance``, ``artifacts`` and the three
     artifact stages ``raw``, ``text`` and ``csv``.  A view over an entry in
     the layout :meth:`ResultStore.put` writes hands out :meth:`fragment`
-    as slices of the stored bytes; a view over decoded values (an older
-    entry, a result computed without a store) encodes them on demand.
+    as slices of the stored bytes; a view over values (a result computed
+    without a store) encodes them on demand.
     """
 
     __slots__ = ("digest", "_data", "_spans", "_values")
@@ -186,14 +185,8 @@ class EntryView:
             return self._values[part]
         except KeyError:
             pass
-        span = self._spans.get(part)
-        if span is not None:
-            value = json.loads(self._data[span[0] : span[1]])
-        elif part in ("raw", "text", "csv"):
-            value = self.value("artifacts").get(part)
-        else:
-            raise KeyError(part)
-        self._values[part] = value
+        span = self._spans[part]
+        value = self._values[part] = json.loads(self._data[span[0] : span[1]])
         return value
 
 
@@ -201,59 +194,15 @@ def parse_entry(
     data: bytes, digest: str, schema_version: int = SCHEMA_VERSION
 ) -> EntryView:
     """Validate the stored entry for ``digest``, or raise
-    :class:`EntryError` — the one reader behind every store read.
+    :class:`EntryError` — the one reader behind every store read and
+    listing.
 
-    An entry that starts as ``put`` starts one is checked by its layout,
-    its byte lengths and its sha256, and nothing is decoded
-    (:func:`~repro.scenarios.backends.base.entry_spans`).  Anything else
-    is decoded in full, and checked for JSON, the format marker, the
-    schema version, the digest field and the artifact shape.  A read
-    trusts the digest field; it does not hash the spec.
+    The entry is checked by its layout, its byte lengths and its sha256,
+    and nothing is decoded
+    (:func:`~repro.scenarios.backends.base.entry_spans`).  A read trusts
+    the digest in the entry's head; it does not hash the spec.
     """
-    spans = entry_spans(data, digest, schema_version)
-    if spans is not None:
-        return EntryView(digest, data, spans)
-    return _decode_entry(data, digest, schema_version)
-
-
-def _decode_entry(data: bytes, digest: str, schema_version: int) -> EntryView:
-    """The full-decode path of :func:`parse_entry`."""
-    try:
-        entry = json.loads(data)
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise EntryError("invalid-entry", f"entry is not JSON: {exc}") from None
-    if not isinstance(entry, dict) or entry.get("format") != STORE_FORMAT:
-        raise EntryError(
-            "invalid-entry",
-            f"not a result-store entry (missing {STORE_FORMAT!r} marker)",
-        )
-    if entry.get("schema_version") != schema_version:
-        raise EntryError(
-            "schema-mismatch",
-            f"entry schema_version {entry.get('schema_version')!r} != "
-            f"store schema_version {schema_version}",
-        )
-    if entry.get("digest") != digest:
-        raise EntryError(
-            "digest-mismatch",
-            f"entry claims digest {str(entry.get('digest'))[:72]!r}, "
-            f"expected {digest!r}",
-        )
-    artifacts = entry.get("artifacts")
-    if (
-        not isinstance(artifacts, dict)
-        or not isinstance(artifacts.get("raw"), dict)
-        or not isinstance(artifacts.get("text"), str)
-    ):
-        raise EntryError("invalid-entry", "entry artifact payload is malformed")
-    return EntryView(
-        digest,
-        values={
-            "scenario": entry.get("scenario"),
-            "provenance": entry.get("provenance"),
-            "artifacts": artifacts,
-        },
-    )
+    return EntryView(digest, data, entry_spans(data, digest, schema_version))
 
 
 @functools.lru_cache(maxsize=1)
@@ -283,9 +232,9 @@ class Provenance:
     lands on the same entry (the property suite pins this down).  It exists
     to age-date and trace entries: ``cache stats`` and the serving daemon's
     ``/stats`` surface it, and :meth:`ResultStore.gc` documentation leans on
-    ``created_unix`` for trajectory dashboards.  Pre-provenance entries
-    (written before this field existed) read back as ``None`` — they are
-    valid, just age-dated as oldest.
+    ``created_unix`` for trajectory dashboards.  An entry stored with
+    ``null`` or malformed provenance reads back as ``None`` — it is valid,
+    just age-dated as oldest.
     """
 
     schema_version: int
@@ -307,8 +256,8 @@ class Provenance:
     def from_dict(cls, data: Any) -> "Provenance | None":
         """Read provenance back leniently: anything malformed is ``None``.
 
-        A pre-GC-era entry (no ``provenance`` key) or a hand-edited one must
-        never be treated as corrupt — the artifacts are still good; only the
+        An entry whose provenance is ``null`` or malformed must never be
+        treated as corrupt — the artifacts are still good; only the
         age-dating is unavailable.
         """
         if not isinstance(data, Mapping):
@@ -400,8 +349,8 @@ class StoredResult:
     @property
     def provenance(self) -> Provenance | None:
         """Entry metadata (host, wall time, code rev); ``None`` for
-        uncached results and pre-provenance entries.  Never part of the
-        digest."""
+        uncached results and entries without provenance.  Never part of
+        the digest."""
         return Provenance.from_dict(self.entry.value("provenance"))
 
     # -- artifact stages ----------------------------------------------------
@@ -554,7 +503,8 @@ class StoreEntry:
     #: Last-use time (LRU position): ``put`` writes it, a ``get`` hit
     #: refreshes it, :meth:`ResultStore.gc` evicts ascending.
     mtime: float = 0.0
-    #: ``None`` for pre-provenance entries — valid, age-dated as oldest.
+    #: ``None`` for entries without provenance — valid, age-dated as
+    #: oldest.
     provenance: Provenance | None = None
 
     @property
@@ -567,15 +517,15 @@ class ResultStore:
     """Content-addressed cache of scenario results over one backend.
 
     ``get`` / ``put`` / ``invalidate`` key on :func:`scenario_digest`; a
-    corrupted or foreign entry (truncated write, wrong format marker,
-    digest mismatch, stale schema) is counted, removed best-effort *when
-    the backend is writable* (a read-only mirror is skipped, never healed)
-    and reported as a miss, so the caller always falls back to recompute.
+    corrupted or foreign entry (truncated write, damaged bytes, another
+    digest's or schema's entry, anything not in ``put``'s layout) is
+    counted, removed best-effort and reported as a miss, so the caller
+    always falls back to recompute.
 
     The backend is named by the one ``location`` argument: a plain path
     (or nothing) builds a plain local cache directory; a URL string
-    (``mem://``, ``file:///path?shard=1&max_bytes=N&max_entries=N``,
-    ``ro:///mirror``, comma-separated tiers) routes through
+    (``mem://``, ``file:///path?max_bytes=N&max_entries=N``,
+    comma-separated tiers) routes through
     :func:`~repro.scenarios.backends.url.backend_from_url`; anything else
     is taken as a ready-built
     :class:`~repro.scenarios.backends.base.StoreBackend`.
@@ -617,11 +567,6 @@ class ResultStore:
         return self.backend.url
 
     @property
-    def writable(self) -> bool:
-        """Whether :meth:`put` would be accepted (``False`` on ``ro://``)."""
-        return self.backend.writable
-
-    @property
     def cache_dir(self) -> Path | None:
         """The backing directory, when the backend has one (``mem://``
         stores have no filesystem presence)."""
@@ -633,8 +578,8 @@ class ResultStore:
         return scenario_digest(scenario, self.schema_version)
 
     def path_for(self, scenario: Scenario) -> Path:
-        """The entry file a scenario's result lives in (write layout);
-        only meaningful on filesystem-backed stores."""
+        """The entry file a scenario's result lives in; only meaningful on
+        filesystem-backed stores."""
         return self._path_for_digest(self.digest(scenario))
 
     def _path_for_digest(self, digest: str) -> Path:
@@ -710,13 +655,12 @@ class ResultStore:
         return self.backend.contains(digest)
 
     def _corrupt(self, digest: str) -> bool:
-        """Count an unusable entry and heal it on writable backends by
-        discarding *the copy that was served* (a valid same-digest copy in
-        another layout or tier survives); a read-only mirror's corrupt
-        entries are skipped, never touched.  ``True`` if a copy went."""
+        """Count an unusable entry and heal it by discarding *the copy that
+        was served* (a valid same-digest copy in another tier survives).
+        ``True`` if a copy went."""
         with self._stats_lock:
             self.stats.corrupt += 1
-        return self.backend.writable and self.backend.discard(digest)
+        return self.backend.discard(digest)
 
     def put(
         self,
@@ -735,10 +679,7 @@ class ResultStore:
         Each entry is stamped with :class:`Provenance` (``provenance``
         overrides, ``wall_time_s`` annotates the default stamp); provenance
         never feeds the digest.  A capped backend holds its caps on the
-        write itself.  Raises
-        :class:`~repro.errors.ConfigError` on a read-only backend — use
-        :func:`run_cached`, which skips persistence on mirrors.
-        ``_digest`` is as in :meth:`get`.
+        write itself.  ``_digest`` is as in :meth:`get`.
         """
         if isinstance(result, ScenarioResult):
             payload: Mapping[str, Any] = artifact_payload(result)
@@ -784,8 +725,8 @@ class ResultStore:
         Explicit arguments override the backend's configured caps for this
         call; with no cap at all this only sweeps stale temp files on
         filesystem backends.  On a tiered backend the caps apply per
-        writable tier; read-only mirrors are never evicted from.  Each
-        evicting backend counts its own ``counters.evictions``.
+        tier.  Each evicting backend counts its own
+        ``counters.evictions``.
         """
         return self.backend.gc(max_bytes, max_entries)
 
@@ -819,37 +760,40 @@ class ResultStore:
         return totals["n_entries"], totals["total_bytes"]
 
     def entries(self) -> Iterator[StoreEntry]:
-        """Stored metadata per entry (unreadable entries are skipped).
+        """Stored metadata per entry; an entry :meth:`get` would reject is
+        skipped.
 
-        Reads are side-effect free — the entry file discovered by the
-        backend scan is read directly when it has a path (no second
-        candidate walk per digest), falling back to the backend's ``peek``
-        for path-less backends — so introspection never perturbs LRU
-        positions or hit/miss counters.
+        Each entry is validated by the one reader (:func:`parse_entry`),
+        and only its scenario and provenance are decoded.  Reads are side-
+        effect free — the entry file discovered by the backend scan is
+        read directly when it has a path, falling back to the backend's
+        ``peek`` for path-less backends — so introspection never perturbs
+        LRU positions or hit/miss counters.
         """
         for backend_entry in self.backend.entries():
+            digest = backend_entry.digest
             if backend_entry.path is not None:
                 try:
                     data = backend_entry.path.read_bytes()
                 except OSError:
                     continue
             else:
-                data = self.backend.peek(backend_entry.digest)
+                data = self.backend.peek(digest)
             if data is None:
                 continue
             try:
-                entry = json.loads(data)
-                scenario = entry["scenario"]
+                entry = parse_entry(data, digest, self.schema_version)
+                scenario = entry.value("scenario")
                 yield StoreEntry(
-                    digest=entry["digest"],
+                    digest=digest,
                     name=scenario["name"],
                     kind=scenario["kind"],
                     path=backend_entry.path,
                     size_bytes=backend_entry.size_bytes,
                     mtime=backend_entry.mtime,
-                    provenance=Provenance.from_dict(entry.get("provenance")),
+                    provenance=Provenance.from_dict(entry.value("provenance")),
                 )
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):  # EntryError included
                 continue
 
 
@@ -859,7 +803,7 @@ def provenance_summary(entries: Iterable[StoreEntry]) -> dict[str, Any]:
     ``cache stats``, so both audit surfaces report the same numbers.
 
     Oldest/newest/median run over *stamped* entries only: the
-    ``created_unix=0.0`` age-dating sentinel of pre-provenance entries
+    ``created_unix=0.0`` age-dating sentinel of entries without provenance
     must not leak a fabricated 1970 timestamp into a dashboard.
     """
     # Imported here: statistics pulls decimal and fractions in with it,
@@ -893,8 +837,7 @@ def run_cached(
 
     ``store`` may be a :class:`ResultStore`, or anything that names one
     (a cache directory path, a backend URL — ``mem://``, ``file:///path``,
-    ``ro:///mirror``, tiers — or a backend object); ``None`` runs without
-    a store.
+    tiers — or a backend object); ``None`` runs without a store.
     A URL builds a fresh store *per call* — fine for filesystem backends
     (the entries persist), pointless for a bare ``mem://`` (the tier dies
     with the call); to share an in-memory tier across calls, build one
@@ -902,10 +845,8 @@ def run_cached(
     A warm entry is a pure backend read (zero mappings, zero kernel
     timings); a miss computes via
     :func:`~repro.scenarios.runner.run_scenario` and stores the artifact
-    payload — except on read-only stores (``ro://`` mirrors), which are
-    consulted but never written.  ``use_cache=False`` bypasses the store in
-    both directions — nothing is read *or* written (the CLI's
-    ``--no-cache``).
+    payload.  ``use_cache=False`` bypasses the store in both directions —
+    nothing is read *or* written (the CLI's ``--no-cache``).
     """
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
@@ -923,14 +864,14 @@ def run_cached(
 def _compute_and_store(
     scenario: Scenario, digest: str, store: ResultStore | None
 ) -> StoredResult:
-    """Compute one scenario and keep it in ``store`` when that is writable
-    (the one compute-and-store step of :func:`run_cached` and
+    """Compute one scenario and keep it in ``store``, if given (the one
+    compute-and-store step of :func:`run_cached` and
     :func:`~repro.scenarios.batch.run_many`).  The entry's ``wall_time_s``
     spans the compute alone, not the render or the write."""
     t0 = time.perf_counter()
     result = run_scenario(scenario)
     wall_time_s = time.perf_counter() - t0
-    if store is not None and store.writable:
+    if store is not None:
         return store.put(
             scenario, result, wall_time_s=wall_time_s, _digest=digest
         )

@@ -48,8 +48,7 @@ computation) and the request is answered ``202 {"digest", "status",
 "status_url"}`` immediately; the client polls ``GET /jobs/<digest>``
 until it is redirected (``303``) to the stored result.  ``?wait=1`` (or
 ``Prefer: wait``) submits the same job, or joins the one in flight, and
-answers ``200`` with the artifacts once it is done; a store that cannot
-keep results (``ro://``) always answers that way.  Either way a full
+answers ``200`` with the artifacts once it is done.  Either way a full
 queue answers a structured ``429`` carrying ``Retry-After``.
 
 Error contract: every failure is a structured JSON body
@@ -404,7 +403,6 @@ class ServingApp:
                 "jobs": self.jobs.stats(),
                 "store": {
                     "url": self.store.url,
-                    "writable": self.store.writable,
                     "cache_dir": (
                         str(cache_dir) if cache_dir is not None else None
                     ),
@@ -414,8 +412,8 @@ class ServingApp:
                     "total_bytes": backend_block["total_bytes"],
                     "counters": self.store.stats.to_dict(),
                     # Per-backend (and, for tiered stores, per-tier)
-                    # breakdown, caps and layout included — how shared
-                    # mirrors and hot tiers are audited.
+                    # breakdown, caps included — how the hot tier and
+                    # the cache dir are audited.
                     "backend": backend_block,
                     "provenance": provenance_block,
                 },
@@ -623,9 +621,7 @@ class ServingApp:
                 "invalid-request",
                 'exactly one of "scenario" or "scenarios" is required',
             )
-        # A store that cannot keep a result has nothing to redirect a
-        # poller to, so its cold runs are always answered by waiting.
-        wait = self._wants_wait(query, headers) or not self.store.writable
+        wait = self._wants_wait(query, headers)
         if has_single:
             return self._run_single(request["scenario"], headers, wait)
         return self._run_batch(request["scenarios"], wait)

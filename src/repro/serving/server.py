@@ -454,8 +454,8 @@ def create_server(
 
     ``cache`` is the store: a ready-built :class:`ResultStore`, or a
     store URL or a bare cache-dir path that names one
-    (``mem://,file:///path?shard=1&max_bytes=N`` stacks a hot tier over a
-    sharded, size-capped cache dir — see
+    (``mem://,file:///path?max_bytes=N`` stacks a hot tier over a
+    size-capped cache dir — see
     :mod:`repro.scenarios.backends.url`); ``None`` is the default cache
     dir.  ``job_workers``/``max_queue`` size the job engine behind cold
     ``POST /run`` (CLI ``--job-workers``/``--max-queue``); ``None`` keeps

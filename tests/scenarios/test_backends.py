@@ -1,19 +1,20 @@
 """Backend conformance suite: one contract, every backend.
 
-The same put/get round-trip, LRU eviction order, corrupt-entry handling
-and digest-stability checks run against ``LocalFSBackend`` (flat,
-sharded and capped), ``InMemoryBackend`` (default and capped) and
+The same put/get round-trip, listing, LRU eviction order, corrupt-entry
+handling and digest-stability checks run against ``LocalFSBackend``
+(plain and capped), ``InMemoryBackend`` (default and capped) and
 ``TieredStore`` stacks of two and three tiers — any backend that passes
-serves byte-identical artifacts through the front-end.  Mirror- and
-tier-specific policies (read-only refusal, skip-not-heal, promotion,
-write-back, tiers that raise, hostile entry files) and the URL address
-syntax are pinned separately below.
+serves byte-identical artifacts through the front-end.  Tier-specific
+policies (promotion, write-back, tiers that raise, hostile entry files),
+the one-file miss of a cache dir and the URL address syntax are pinned
+separately below.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,15 +22,26 @@ from repro.arch.config import SystemConfig
 from repro.errors import ConfigError
 from repro.scenarios import Scenario
 from repro.scenarios.backends import (
-    STORE_FORMAT,
     InMemoryBackend,
     LocalFSBackend,
-    ReadOnlyMirrorBackend,
     TieredStore,
     backend_from_url,
     is_store_url,
 )
-from repro.scenarios.store import ResultStore, run_cached
+from repro.scenarios.backends.base import (
+    ENTRY_PARTS,
+    EntryError,
+    encode_entry,
+    entry_head,
+    entry_spans,
+)
+from repro.scenarios.store import (
+    SCHEMA_VERSION,
+    ResultStore,
+    compact_json,
+    parse_entry,
+    run_cached,
+)
 
 
 def tiny_scenario(name: str = "backend-test") -> Scenario:
@@ -48,11 +60,27 @@ def payload(tag: str = "x") -> dict:
     return {"raw": {"series": {}, "tag": tag}, "text": tag, "csv": None}
 
 
+def restamp(store: ResultStore, scenario: Scenario, provenance) -> None:
+    """Re-lay the stored entry of ``scenario`` out as ``put`` does, with
+    ``provenance`` (any JSON value) in place of its stamp."""
+    digest = store.digest(scenario)
+    view = parse_entry(store.backend.peek(digest), digest)
+    chunks = [
+        compact_json(provenance)
+        if part == "provenance"
+        else view.fragment(part)
+        for part in ENTRY_PARTS
+    ]
+    data, _ = encode_entry(digest, store.schema_version, chunks)
+    store.backend.write(digest, data)
+
+
 def entry_bytes(digest: str, tag: str = "raw") -> bytes:
-    """Minimal plausible entry bytes for raw-backend byte round-trips."""
-    return json.dumps(
-        {"format": STORE_FORMAT, "digest": digest, "tag": tag}
-    ).encode()
+    """Small entry bytes in ``put``'s layout for raw-backend byte
+    round-trips."""
+    text = json.dumps(tag).encode()
+    chunks = (b'{"name":%s}' % text, b"null", b"{}", text, b"null")
+    return encode_entry(digest, SCHEMA_VERSION, chunks)[0]
 
 
 #: Store URLs for the conformance configurations that are spelled as a
@@ -60,8 +88,6 @@ def entry_bytes(digest: str, tag: str = "raw") -> bytes:
 #: above what a conformance test stores, so a cap never evicts here:
 #: a capped backend under its caps must behave like an uncapped one.
 CONFORMANCE_URLS = {
-    # Two-hex-prefix sharded cache-dir layout.
-    "sharded": "file://{root}/sharded?shard=1",
     # Cache dir whose LRU caps are enforced on every put.
     "file-capped": "file://{root}/capped?max_entries=1000&max_bytes=10000000",
     # Hot tier with explicit caps.
@@ -141,8 +167,55 @@ class TestConformancePutGet:
         assert entry.kind == "training"
         assert entry.digest == store.digest(scenario)
         assert entry.size_bytes > 0
-        # Introspection peeks: no hit/miss traffic, no LRU refresh.
+        assert store.contains(entry.digest)
+        # Introspection peeks and probes: no hit/miss traffic, no LRU
+        # refresh.
         assert store.stats.lookups == lookups
+
+
+class TestConformanceListing:
+    """``entries()`` (behind ``cache stats`` and ``/stats``) reads each
+    entry as ``get`` does, and decodes only what it lists."""
+
+    def test_a_listed_entry_decodes_only_scenario_and_provenance(
+        self, store, backend, monkeypatch
+    ):
+        scenario = tiny_scenario("listed")
+        store.put(scenario, payload("listed"))
+        digest = store.digest(scenario)
+        data = backend.peek(digest)
+        view = parse_entry(data, digest)
+        decoded = []
+        loads = json.loads
+
+        def recording_loads(text, *args, **kwargs):
+            decoded.append(len(text))
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", recording_loads)
+        (entry,) = store.entries()
+        assert (entry.name, entry.kind) == ("listed", "training")
+        assert entry.provenance is not None
+        assert sorted(decoded) == sorted(
+            len(view.fragment(part)) for part in ("scenario", "provenance")
+        )
+        assert sum(decoded) < len(data)
+
+    def test_a_damaged_entry_is_skipped_as_get_misses_it(
+        self, store, backend
+    ):
+        scenario = tiny_scenario("damaged-listing")
+        store.put(scenario, payload("text 12345"))
+        digest = store.digest(scenario)
+        good = backend.peek(digest)
+        text_start, _ = entry_spans(good, digest, SCHEMA_VERSION)["text"]
+        at = good.index(b"1", text_start)
+        damaged = good[:at] + b"9" + good[at + 1 :]  # one digit flipped
+        backend.write(digest, damaged)
+        assert list(store.entries()) == []
+        assert store.get(scenario) is None
+        skipped = backend.stats()["counters"]["corrupt_skipped"]
+        assert store.stats.corrupt + skipped == 1
 
 
 class TestConformanceLRU:
@@ -206,23 +279,34 @@ class TestConformanceCorruption:
         )
         assert store.get(scenario) is None
 
+    def test_a_json_dumps_entry_is_an_invalid_miss_healed_by_a_rerun(
+        self, store, backend
+    ):
+        """An entry re-serialized with plain ``json.dumps``, every field
+        right, is not in ``put``'s layout: an ``invalid-entry`` corrupt
+        miss, healed, and rewritten in ``put``'s layout by the rerun."""
+        scenario = tiny_scenario("re-dumped")
+        digest = store.digest(scenario)
+        store.put(scenario, payload("as-put"))
+        good = backend.peek(digest)
+        redumped = json.dumps(json.loads(good)).encode()
+        assert json.loads(redumped) == json.loads(good)
+        with pytest.raises(EntryError) as rejected:
+            parse_entry(redumped, digest)
+        assert rejected.value.slug == "invalid-entry"
 
-class TestCorruptHealPreservesOtherLayout:
-    def test_heal_discards_only_the_served_copy(self, tmp_path):
-        """A corrupt flat-layout entry must not take a valid sharded copy
-        of the same digest down with it."""
-        scenario = tiny_scenario("two-layouts")
-        flat = ResultStore(tmp_path)
-        sharded = ResultStore(f"file://{tmp_path}?shard=1")
-        sharded.put(scenario, payload("good-sharded-copy"))
-        digest = flat.digest(scenario)
-        # Plant a corrupt flat copy — the one a flat reader serves first.
-        (tmp_path / f"{digest}.json").write_text("{ torn")
-        assert flat.get(scenario) is None  # corrupt copy healed ...
-        assert flat.stats.corrupt == 1
-        assert not (tmp_path / f"{digest}.json").exists()
-        hit = flat.get(scenario)  # ... and the sharded copy survived
-        assert hit is not None and hit.text == "good-sharded-copy"
+        backend.write(digest, redumped)
+        assert store.get(scenario) is None
+        skipped = backend.stats()["counters"]["corrupt_skipped"]
+        assert store.stats.corrupt + skipped == 1
+        assert not backend.contains(digest)  # healed
+
+        rerun = run_cached(scenario, store)
+        assert not rerun.from_cache
+        rewritten = backend.peek(digest)
+        assert rewritten.startswith(entry_head(digest))
+        assert parse_entry(rewritten, digest).value("text") == rerun.text
+        assert store.get(scenario).from_cache
 
 
 class TestDigestIgnoresStorageMetadata:
@@ -273,7 +357,7 @@ class TestInMemoryBackend:
         """One entry bigger than the whole budget must never drain the
         hot tier on its way to being evicted anyway."""
         small = "0" * 64
-        backend = InMemoryBackend(max_bytes=200)
+        backend = InMemoryBackend(max_bytes=400)  # one small entry fits
         backend.write(small, entry_bytes(small))
         huge = "1" * 64
         backend.write(huge, b"x" * 500)
@@ -294,64 +378,23 @@ class TestLocalFSBackendCaps:
         assert backend.counters.evictions == 2
 
 
-class TestReadOnlyMirror:
-    @pytest.fixture
-    def mirror_dir(self, tmp_path):
-        """A producer-populated cache dir, mirrored read-only."""
-        producer = ResultStore(tmp_path / "mirror")
-        producer.put(tiny_scenario("mirrored"), payload("from-mirror"))
-        return tmp_path / "mirror"
+class TestLocalFSBackendLayout:
+    def test_a_miss_tries_one_file(self, tmp_path, monkeypatch):
+        """A cache dir is flat, so a miss opens the one path an entry can
+        live at."""
+        backend = LocalFSBackend(tmp_path / "fs")
+        digest = "ab" * 32
+        tried = []
+        read_bytes = Path.read_bytes
 
-    def test_reads_a_producer_cache_dir(self, mirror_dir):
-        store = ResultStore(f"ro://{mirror_dir}")
-        assert not store.writable
-        hit = store.get(tiny_scenario("mirrored"))
-        assert hit is not None and hit.text == "from-mirror"
+        def recording_read_bytes(path):
+            tried.append(path)
+            return read_bytes(path)
 
-    def test_put_is_refused(self, mirror_dir):
-        store = ResultStore(f"ro://{mirror_dir}")
-        with pytest.raises(ConfigError, match="read-only"):
-            store.put(tiny_scenario("new"), payload())
-
-    def test_run_cached_computes_without_writing(self, mirror_dir):
-        store = ResultStore(f"ro://{mirror_dir}")
-        scenario = (
-            Scenario.builder("ro-compute", "tiny real run")
-            .training("GPT3-76.1B", batch=32)
-            .parallel(tensor_parallel=8, pipeline_parallel=8)
-            .on(SystemConfig(kind="scd_blade"))
-            .extracting("time_per_batch")
-            .build()
-        )
-        result = run_cached(scenario, store)
-        assert not result.from_cache
-        assert store.n_entries == 1  # only the producer's entry
-        assert not store.contains(store.digest(scenario))
-
-    def test_corrupt_entries_are_skipped_not_healed(self, mirror_dir):
-        store = ResultStore(f"ro://{mirror_dir}")
-        scenario = tiny_scenario("mirrored")
-        path = next(iter(mirror_dir.glob("*.json")))
-        path.write_text("{ torn mirror entry")
-        assert store.get(scenario) is None
-        assert store.stats.corrupt == 1
-        assert path.exists()  # never deleted: the producer owns the mirror
-        assert path.read_text() == "{ torn mirror entry"
-
-    def test_touch_never_perturbs_mirror_mtimes(self, mirror_dir):
-        import os
-
-        path = next(iter(mirror_dir.glob("*.json")))
-        os.utime(path, (1_000_000, 1_000_000))
-        store = ResultStore(f"ro://{mirror_dir}")
-        assert store.get(tiny_scenario("mirrored")) is not None
-        assert path.stat().st_mtime == 1_000_000
-
-    def test_gc_and_clear_are_noops(self, mirror_dir):
-        store = ResultStore(f"ro://{mirror_dir}")
-        assert store.gc(max_entries=0) == []
-        assert store.clear() == 0
-        assert store.n_entries == 1
+        monkeypatch.setattr(Path, "read_bytes", recording_read_bytes)
+        assert backend.read(digest) is None
+        assert tried == [tmp_path / "fs" / f"{digest}.json"]
+        assert backend.counters.misses == 1
 
 
 class TestTieredStore:
@@ -420,9 +463,8 @@ class TestTieredStore:
         """A hot copy in ``put``'s layout, broken inside a value, still
         passes the tier's plausibility probe (its first and last bytes are
         intact); the front-end's checksum rejects it, discards it and reads
-        once more, so the intact copy below serves the same get as a hit
-        (from ``file://`` under ``mem://``, or an ``ro://`` mirror under
-        ``file://``)."""
+        once more, so the intact copy in the ``file://`` tier below serves
+        the same get as a hit."""
         scenario = tiny_scenario("damaged-hot")
         producer = ResultStore(tmp_path / "durable")
         producer.put(scenario, payload("durable"))
@@ -431,8 +473,9 @@ class TestTieredStore:
         at = good.index(b"durable")
         damaged = good[:at] + b'"' + good[at + 1 :]  # no longer JSON
 
-        lower = "file://{}/durable" if hot == "mem://" else "ro://{}/durable"
-        store = ResultStore(f"{hot},{lower}".format(tmp_path, tmp_path))
+        store = ResultStore(
+            f"{hot},file://{{}}/durable".format(tmp_path, tmp_path)
+        )
         upper = store.backend.tiers[0]
         upper.write(digest, damaged)
         hit = store.get(scenario)
@@ -441,34 +484,6 @@ class TestTieredStore:
         assert upper.peek(digest) == good  # healed by promotion
         assert producer.backend.peek(digest) == good
 
-    def test_mirror_tier_reads_through_without_writes(self, tmp_path):
-        producer = ResultStore(tmp_path / "mirror")
-        scenario = tiny_scenario("shared")
-        producer.put(scenario, payload("team-result"))
-
-        store = ResultStore(f"mem://,ro://{tmp_path / 'mirror'}")
-        hit = store.get(scenario)
-        assert hit is not None and hit.text == "team-result"
-        # Promoted into mem; the mirror itself is never written.
-        assert store.backend.tiers[0].contains(store.digest(scenario))
-        assert isinstance(store.backend.tiers[1], ReadOnlyMirrorBackend)
-        assert len(list((tmp_path / "mirror").glob("*.json"))) == 1
-
-    def test_write_through_policy_lands_in_every_writable_tier(
-        self, tmp_path
-    ):
-        mem = InMemoryBackend()
-        fs = LocalFSBackend(tmp_path / "fs")
-        store = ResultStore(
-            TieredStore([mem, fs], write_policy="all")
-        )
-        scenario = tiny_scenario("durable")
-        store.put(scenario, payload())
-        digest = store.digest(scenario)
-        assert mem.contains(digest) and fs.contains(digest)
-        with pytest.raises(ConfigError, match="write policy"):
-            TieredStore([mem], write_policy="sometimes")
-
     def test_capped_file_tier_is_gced_on_put_through_the_stack(
         self, tmp_path
     ):
@@ -476,7 +491,7 @@ class TestTieredStore:
         (on exactly the tier the write landed in — the front-end never
         re-scans untouched tiers per put)."""
         store = ResultStore(
-            f"file://{tmp_path}/capped?max_entries=2,ro://{tmp_path}/mirror"
+            f"file://{tmp_path}/capped?max_entries=2,file://{tmp_path}/lower"
         )
         for i in range(5):
             store.put(tiny_scenario(f"cap-{i}"), payload(str(i)))
@@ -532,20 +547,6 @@ class TestTieredStore:
             assert store.get(scenario) is not None  # mem hits
         # Zero filesystem side effects once hot: no reads, no utimes.
         assert path.stat().st_mtime == 1_000_000
-
-    def test_write_all_url_param_selects_write_through(self, tmp_path):
-        store = ResultStore(f"mem://,file://{tmp_path}/fs?write=all")
-        assert store.backend.write_policy == "all"
-        scenario = tiny_scenario("durable-url")
-        store.put(scenario, payload())
-        digest = store.digest(scenario)
-        assert all(t.contains(digest) for t in store.backend.tiers)
-        with pytest.raises(ConfigError, match="write policy"):
-            backend_from_url(f"mem://,file://{tmp_path}/fs?write=sometimes")
-        with pytest.raises(ConfigError, match="conflicting write policies"):
-            backend_from_url(
-                f"mem://?write=first,file://{tmp_path}/fs?write=all"
-            )
 
     def test_failed_promotion_never_breaks_a_good_read(self, tmp_path):
         """A hot tier that cannot accept writes (broken disk) must not turn
@@ -623,17 +624,6 @@ class TestTieredStore:
         ResultStore(tmp_path / "fs").put(scenario, payload())
         assert store.get(scenario) is not None
         assert store.clear() == 1
-
-    def test_delete_and_gc_reach_only_writable_tiers(self, tmp_path):
-        producer = ResultStore(tmp_path / "mirror")
-        scenario = tiny_scenario("shared")
-        producer.put(scenario, payload())
-        store = ResultStore(f"mem://,ro://{tmp_path / 'mirror'}")
-        assert store.get(scenario) is not None  # promote into mem
-        assert store.invalidate(scenario)  # drops the mem copy only
-        assert len(list((tmp_path / "mirror").glob("*.json"))) == 1
-        assert store.get(scenario) is not None  # mirror still serves
-
 
 class TestTierFailurePaths:
     """A tier that raises :class:`OSError` costs a skip or a miss, never
@@ -765,29 +755,20 @@ class TestUrlAddressing:
 
     def test_file_url_with_params(self, tmp_path):
         backend = backend_from_url(
-            f"file://{tmp_path}/cache?shard=1&max_entries=16"
+            f"file://{tmp_path}/cache?max_bytes=4096&max_entries=16"
         )
         assert isinstance(backend, LocalFSBackend)
         assert backend.root == tmp_path / "cache"
-        assert backend.shard is True
+        assert backend.max_bytes == 4096
         assert backend.max_entries == 16
-
-    def test_ro_url(self, tmp_path):
-        backend = backend_from_url(f"ro://{tmp_path}")
-        assert isinstance(backend, ReadOnlyMirrorBackend)
-        assert backend.writable is False
 
     def test_tier_list(self, tmp_path):
         backend = backend_from_url(
-            f"mem://,file://{tmp_path}/cache,ro://{tmp_path}/mirror"
+            f"mem://,file://{tmp_path}/cache,file://{tmp_path}/cold"
         )
         assert isinstance(backend, TieredStore)
         kinds = [type(tier).__name__ for tier in backend.tiers]
-        assert kinds == [
-            "InMemoryBackend",
-            "LocalFSBackend",
-            "ReadOnlyMirrorBackend",
-        ]
+        assert kinds == ["InMemoryBackend", "LocalFSBackend", "LocalFSBackend"]
 
     def test_bare_paths_stay_plain_cache_dirs(self, tmp_path):
         store = ResultStore(str(tmp_path / "plain"))
@@ -799,15 +780,13 @@ class TestUrlAddressing:
         gone, so passing one fails loudly instead of being dropped."""
         with pytest.raises(TypeError, match="max_bytes"):
             ResultStore(f"file://{tmp_path}", max_bytes=1_000)
-        with pytest.raises(TypeError, match="shard"):
-            ResultStore(InMemoryBackend(), shard=True)
         # A backend object goes where a URL or a path does: there is no
         # second ``backend=`` argument to conflict with the first.
         with pytest.raises(TypeError, match="backend"):
             ResultStore(tmp_path / "dir", backend=InMemoryBackend())
         # The URL spelling configures the cache-dir backend.
-        store = ResultStore(f"file://{tmp_path}/d?max_entries=4&shard=1")
-        assert store.backend.max_entries == 4 and store.backend.shard
+        store = ResultStore(f"file://{tmp_path}/d?max_entries=4")
+        assert store.backend.max_entries == 4
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -818,7 +797,7 @@ class TestUrlAddressing:
             ("file:///x?compress=1", "unknown store-URL parameter"),
             ("file://", "names no directory"),
             ("mem://,", "empty tier"),
-            ("file:///x?shard=maybe", "not a boolean"),
+            ("file:///x?shard=maybe", "unknown store-URL parameter"),
             ("file:///data/runs,v2", "has no scheme"),
             ("mem://,plain/path", "has no scheme"),
             ("http://h:1", "unknown store-URL scheme"),
@@ -827,6 +806,13 @@ class TestUrlAddressing:
             ("HTTPS://h", "unknown store-URL scheme"),
             ("mem://,http://h:1", "unknown store-URL scheme"),
             ("file:///x,ring://a:1", "unknown store-URL scheme"),
+            ("ro:///x", "unknown store-URL scheme"),
+            ("RO:///x", "unknown store-URL scheme"),
+            ("mem://,ro:///x", "unknown store-URL scheme"),
+            ("file:///x?shard=1", "unknown store-URL parameter"),
+            ("file:///x?shard=0", "unknown store-URL parameter"),
+            ("mem://,file:///x?write=all", "unknown store-URL parameter"),
+            ("mem://?write=first,file:///x", "unknown store-URL parameter"),
         ],
     )
     def test_malformed_urls_raise_config_error(self, bad, match):

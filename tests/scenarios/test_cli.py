@@ -217,18 +217,12 @@ class TestCacheCommands:
     def test_stats_age_dates_pre_provenance_entries_as_oldest(
         self, capsys, isolated_cache_dir
     ):
-        import json as _json
-
         from repro.scenarios import ResultStore, get
+        from tests.scenarios.test_backends import restamp
 
         assert main(["run", "fig3c-blade-spec"]) == 0
         capsys.readouterr()
-        path = ResultStore(isolated_cache_dir).path_for(
-            get("fig3c-blade-spec")
-        )
-        entry = _json.loads(path.read_text())
-        del entry["provenance"]  # a PR-3-era entry
-        path.write_text(_json.dumps(entry))
+        restamp(ResultStore(isolated_cache_dir), get("fig3c-blade-spec"), None)
 
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
@@ -255,26 +249,24 @@ class TestCacheUrlFlag:
         assert "served from result store" in second.err
         assert second.out == first.out
 
-    def test_ro_mirror_reads_but_never_writes(self, capsys, tmp_path):
-        mirror = tmp_path / "mirror"
-        assert main(["run", "fig3c-blade-spec", "--cache-dir", str(mirror)]) == 0
-        capsys.readouterr()
-        before = sorted(p.name for p in mirror.glob("*.json"))
-
-        # A warm scenario is served straight from the mirror...
-        assert main(["run", "fig3c-blade-spec", "--cache", f"ro://{mirror}"]) == 0
-        assert "served from result store" in capsys.readouterr().err
-        # ... and a cold one computes without writing anything back.
-        assert main(["run", "table1", "--cache", f"ro://{mirror}"]) == 0
-        assert "served from result store" not in capsys.readouterr().err
-        assert sorted(p.name for p in mirror.glob("*.json")) == before
-
     @pytest.mark.parametrize(
-        "url", ["s3://x", "http://h:1", "https://h", "ring://a;b"]
+        "url, error",
+        [
+            pytest.param(url, f"unknown store-URL {error}", id=url)
+            for url, error in (
+                ("s3://x", "scheme"),
+                ("http://h:1", "scheme"),
+                ("https://h", "scheme"),
+                ("ring://a;b", "scheme"),
+                ("ro:///x", "scheme"),
+                ("file:///x?shard=1", "parameter"),
+                ("mem://,file:///x?write=all", "parameter"),
+            )
+        ],
     )
-    def test_bad_cache_url_exits_2(self, capsys, url):
+    def test_bad_cache_url_exits_2(self, capsys, url, error):
         assert main(["run", "fig3c-blade-spec", "--cache", url]) == 2
-        assert "unknown store-URL scheme" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_cache_stats_reports_tiers_and_age_summary(
         self, capsys, tmp_path

@@ -380,8 +380,8 @@ def _mutations(scenario: Scenario, rng: random.Random):
 
 class TestDigestIgnoresStorageMetadata:
     """The complement of the mutation property: storage-side metadata —
-    provenance stamps and the shard layout — must NOT move the digest, or
-    re-computing on another host/commit would orphan every cached entry."""
+    provenance stamps — must NOT move the digest, or re-computing on
+    another host/commit would orphan every cached entry."""
 
     def test_canonical_json_carries_no_storage_fields(self):
         from repro.scenarios.store import canonical_spec_json
@@ -395,7 +395,6 @@ class TestDigestIgnoresStorageMetadata:
                 '"code_rev"',
                 '"created_unix"',
                 '"wall_time_s"',
-                '"shard"',
             ):
                 assert forbidden not in canonical, forbidden
 
@@ -424,40 +423,24 @@ class TestDigestIgnoresStorageMetadata:
             ).name
 
     def test_mutating_provenance_on_disk_keeps_the_entry_warm(self, tmp_path):
-        from repro.scenarios.store import ResultStore
+        from repro.scenarios.store import Provenance, ResultStore
 
         rng = random.Random(0xED17)
         payload = {"raw": {"series": {}}, "text": "t", "csv": None}
+        elsewhere = Provenance(
+            1, "rewritten-elsewhere", 4.0e9, "feedface", 9.9
+        )
         for i in range(25):
             scenario = gen_scenario(rng)
             store = ResultStore(tmp_path / str(i))
             digest = store.put(scenario, payload).digest
-            path = store.path_for(scenario)
-            entry = json.loads(path.read_text())
-            entry["provenance"] = {
-                "schema_version": 1,
-                "host": "rewritten-elsewhere",
-                "created_unix": 4.0e9,
-                "code_rev": "feedface",
-                "wall_time_s": 9.9,
-            }
-            path.write_text(json.dumps(entry))
+            # The entry rewritten on disk with another stamp.
+            store.put(scenario, payload, provenance=elsewhere)
             hit = store.get(scenario)
             assert hit is not None, scenario  # still a hit, not corrupt
             assert hit.digest == digest
             assert hit.provenance.host == "rewritten-elsewhere"
             assert store.stats.corrupt == 0
-
-    def test_digest_identical_across_shard_layouts(self, tmp_path):
-        from repro.scenarios.store import ResultStore
-
-        rng = random.Random(0x54A2)
-        flat = ResultStore(tmp_path / "flat")
-        sharded = ResultStore(f"file://{tmp_path}/sharded?shard=1")
-        for _ in range(N_CASES):
-            scenario = gen_scenario(rng)
-            assert flat.digest(scenario) == sharded.digest(scenario)
-            assert flat.digest(scenario) == scenario_digest(scenario)
 
 
 class TestMutationChangesDigest:

@@ -261,17 +261,10 @@ class TestInvalidationRules:
         run_cached(scenario, store)
         other = tiny_scenario("impostor")
         assert store.digest(other) != store.digest(scenario)
-        # Graft the impostor's entry body under the original's address.
-        store.path_for(scenario).write_text(
-            json.dumps(
-                {
-                    "format": "repro-scenario-result",
-                    "schema_version": store.schema_version,
-                    "digest": store.digest(other),
-                    "scenario": other.to_dict(),
-                    "artifacts": {"raw": {}, "text": "", "csv": None},
-                }
-            )
+        # Graft the impostor's entry under the original's address.
+        store.put(other, {"raw": {}, "text": "", "csv": None})
+        store.path_for(scenario).write_bytes(
+            store.path_for(other).read_bytes()
         )
         assert store.get(scenario) is None
         assert store.stats.corrupt == 1

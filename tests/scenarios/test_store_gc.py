@@ -1,4 +1,4 @@
-"""LRU eviction, sharding and provenance tests for the result store."""
+"""LRU eviction and provenance tests for the result store."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from repro.scenarios.store import (
     current_provenance,
     run_cached,
 )
+from tests.scenarios.test_backends import restamp
 
 
 def tiny_scenario(name: str = "store-test", bandwidths=(1, 4)) -> Scenario:
@@ -130,73 +131,6 @@ class TestAutoGcOnPut:
         assert store.n_entries == 1
 
 
-class TestSharding:
-    def test_sharded_layout_two_hex_prefix(self, tmp_path):
-        store = ResultStore(f"file://{tmp_path}?shard=1")
-        scenario = tiny_scenario("sharded")
-        store.put(scenario, payload())
-        digest = store.digest(scenario)
-        path = store.path_for(scenario)
-        assert path.parent.name == digest[:2]
-        assert path.is_file()
-        assert store.n_entries == 1
-        assert store.get(scenario) is not None
-
-    def test_sharding_does_not_change_the_digest(self, tmp_path):
-        flat = ResultStore(tmp_path / "flat")
-        sharded = ResultStore(f"file://{tmp_path}/sharded?shard=1")
-        scenario = tiny_scenario()
-        assert flat.digest(scenario) == sharded.digest(scenario)
-
-    def test_flat_reader_finds_sharded_entries_and_vice_versa(self, tmp_path):
-        scenario = tiny_scenario("cross-layout")
-        writer = ResultStore(f"file://{tmp_path}?shard=1")
-        writer.put(scenario, payload("sharded-write"))
-        flat_reader = ResultStore(tmp_path)
-        hit = flat_reader.get(scenario)
-        assert hit is not None and hit.text == "sharded-write"
-
-        other = tiny_scenario("flat-write")
-        ResultStore(tmp_path).put(other, payload("flat-write"))
-        assert writer.get(other) is not None
-        assert writer.n_entries == 2
-
-    def test_gc_and_clear_cover_both_layouts(self, tmp_path):
-        sharded = ResultStore(f"file://{tmp_path}?shard=1")
-        flat = ResultStore(tmp_path)
-        put_n(sharded, 2, "sh")
-        put_n(flat, 2, "fl")
-        assert sharded.n_entries == 4
-        assert flat.clear() == 4
-        assert sharded.n_entries == 0
-        # Emptied shard dirs are pruned.
-        assert not any(
-            child.is_dir() and len(child.name) == 2
-            for child in tmp_path.iterdir()
-        )
-
-    def test_contains_probes_both_layouts_without_stats_traffic(
-        self, tmp_path
-    ):
-        scenario = tiny_scenario("probe")
-        sharded = ResultStore(f"file://{tmp_path}?shard=1")
-        flat = ResultStore(tmp_path)
-        digest = flat.digest(scenario)
-        assert not flat.contains(digest)
-        sharded.put(scenario, payload())
-        assert flat.contains(digest)
-        assert sharded.contains(digest)
-        assert flat.stats.lookups == 0  # a probe is not a lookup
-
-    def test_invalidate_reaches_either_layout(self, tmp_path):
-        scenario = tiny_scenario("inval-cross")
-        ResultStore(f"file://{tmp_path}?shard=1").put(scenario, payload())
-        flat = ResultStore(tmp_path)
-        assert flat.invalidate(scenario)
-        assert flat.get(scenario) is None
-        assert flat.stats.misses == 1
-
-
 class TestProvenance:
     def test_put_stamps_provenance(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -222,14 +156,11 @@ class TestProvenance:
         assert cold.provenance.wall_time_s > 0
 
     def test_pre_provenance_entries_are_valid_and_oldest(self, tmp_path):
-        """PR-3-era entries (no provenance key) must read back fine."""
+        """An entry stored with ``null`` provenance reads back fine."""
         store = ResultStore(tmp_path)
         scenario = tiny_scenario("pre-gc-era")
         store.put(scenario, payload("old"))
-        path = store.path_for(scenario)
-        entry = json.loads(path.read_text())
-        del entry["provenance"]
-        path.write_text(json.dumps(entry))
+        restamp(store, scenario, None)
 
         hit = store.get(scenario)
         assert hit is not None and hit.text == "old"
@@ -247,10 +178,7 @@ class TestProvenance:
         store = ResultStore(tmp_path)
         scenario = tiny_scenario("bad-prov")
         store.put(scenario, payload())
-        path = store.path_for(scenario)
-        entry = json.loads(path.read_text())
-        entry["provenance"] = bad
-        path.write_text(json.dumps(entry))
+        restamp(store, scenario, bad)
         hit = store.get(scenario)
         assert hit is not None
         assert hit.provenance is None

@@ -65,15 +65,11 @@ def test_create_server_rejects_cache_url_plus_store_knobs(tmp_path):
         create_server(port=0, cache="mem://", max_cache_entries=0)
     # The URL carries every one of them.
     server = create_server(
-        port=0, cache=f"file://{tmp_path}/c?shard=1&max_bytes=1000&max_entries=0"
+        port=0, cache=f"file://{tmp_path}/c?max_bytes=1000&max_entries=0"
     )
     try:
         backend = server.app.store.backend
-        assert (backend.shard, backend.max_bytes, backend.max_entries) == (
-            True,
-            1000,
-            0,
-        )
+        assert (backend.max_bytes, backend.max_entries) == (1000, 0)
     finally:
         server.server_close()
     # A ready-built store is passed as ``cache`` too: there is no second
@@ -90,14 +86,14 @@ def test_serve_cli_flags_parse():
             "serve",
             "--port", "0",
             "--cache",
-            "file:///tmp/x?shard=1&max_bytes=1000000&max_entries=64",
+            "file:///tmp/x?max_bytes=1000000&max_entries=64",
             "--job-workers", "4",
             "--max-queue", "16",
             "--verbose",
         ]
     )
     assert args.port == 0
-    assert args.cache == "file:///tmp/x?shard=1&max_bytes=1000000&max_entries=64"
+    assert args.cache == "file:///tmp/x?max_bytes=1000000&max_entries=64"
     assert args.job_workers == 4
     assert args.max_queue == 16
     assert args.quiet is False

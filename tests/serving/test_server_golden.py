@@ -21,6 +21,7 @@ from repro.parallel.mapper import default_mapping_cache
 from repro.scenarios import Scenario, get, names, scenario_digest
 from repro.scenarios.store import ResultStore, run_cached
 from repro.serving.app import ServingApp
+from tests.scenarios.test_backends import restamp
 
 CHEAP_TABLE = "fig3c-blade-spec"
 CHEAP_POINT = "fig7-gpu"
@@ -196,14 +197,11 @@ class TestBatchRun:
     def test_stats_never_report_the_pre_provenance_sentinel(
         self, live_server
     ):
-        """A PR-3-era entry must not leak a fabricated 1970 timestamp."""
+        """An entry without provenance must not leak a fabricated 1970
+        timestamp."""
         live_server.post_json("/run?wait=1", {"scenario": CHEAP_TABLE})
         live_server.post_json("/run?wait=1", {"scenario": "table1"})
-        # Strip one entry's provenance, as a pre-GC-era writer would have.
-        path = live_server.store.path_for(get(CHEAP_TABLE))
-        entry = json.loads(path.read_text())
-        del entry["provenance"]
-        path.write_text(json.dumps(entry))
+        restamp(live_server.store, get(CHEAP_TABLE), None)
 
         block = live_server.request("GET", "/stats").json()["store"][
             "provenance"

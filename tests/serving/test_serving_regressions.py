@@ -21,21 +21,19 @@ Four separately-shipped fixes, each pinned so it cannot quietly revert:
    wrong type is rejected by spec validation, before any job is queued.
 6. ``shutdown()`` stops the accept loop at once: it used to return only
    after ``serve_forever``'s next select timeout (0.5 s by default).
-7. A cold ``POST /run`` on a read-only store is answered with the
-   artifacts: it used to 202, and the job's 303 then led to a 404.
-8. A warm ``POST /run`` hashes an inline spec once (the store lookup
+7. A warm ``POST /run`` hashes an inline spec once (the store lookup
    used to digest it a second time), and a registry name not at all
    after its first request.
-9. A store named by a ``Path`` (or given as a backend object) is built
+8. A store named by a ``Path`` (or given as a backend object) is built
    into a :class:`ResultStore` like a URL is: the app used to keep the
    ``Path`` itself, so every request, ``/healthz`` included, was a 500.
-10. A request hidden in a POST body is never answered (request
-    smuggling).  ``email.parser`` read the request head: a blank before a
-    header's colon, or a malformed line, ended the headers early, and of
-    two ``Content-Length`` lines the first won, so the body's bytes were
-    parsed as a second request.  Each such head, and an obs-fold
-    continuation line, is now a 400 that closes the connection.
-11. Protocol errors keep the JSON error contract: a method without a
+9. A request hidden in a POST body is never answered (request
+   smuggling).  ``email.parser`` read the request head: a blank before a
+   header's colon, or a malformed line, ended the headers early, and of
+   two ``Content-Length`` lines the first won, so the body's bytes were
+   parsed as a second request.  Each such head, and an obs-fold
+   continuation line, is now a 400 that closes the connection.
+10. Protocol errors keep the JSON error contract: a method without a
     stdlib ``do_*`` handler got an HTML 501, ``GARBAGE`` and
     ``HTTP/2.0`` request lines got an HTML body with no status line, and
     414/431 came back as HTML.  Every method is routed to the app, and
@@ -274,38 +272,6 @@ class TestComputeErrorClassification:
             assert response.body["error"] == "invalid-scenario"
             assert "system.dram_bandwidth_tbps" in response.body["detail"]
         assert app.jobs.counters.submitted == 0
-
-
-class TestReadOnlyStoreAnswersColdRunsInline:
-    def test_cold_single_and_batch_return_artifacts(self, tmp_path):
-        mirror = tmp_path / "mirror"
-        mirror.mkdir()
-        ro_app = ServingApp(ResultStore(f"ro://{mirror}"))
-        try:
-            single = ro_app.handle(
-                "POST", "/run", json.dumps({"scenario": "table1"}).encode()
-            )
-            assert single.status == 200
-            single_body = json.loads(single.body_bytes())
-            assert single_body["from_cache"] is False
-            assert single_body["artifacts"]["text"]
-            batch = ro_app.handle(
-                "POST",
-                "/run",
-                json.dumps(
-                    {"scenarios": ["table1", "fig3c-blade-spec"]}
-                ).encode(),
-            )
-            assert batch.status == 200
-            entries = json.loads(batch.body_bytes())["entries"]
-            assert [e["from_cache"] for e in entries] == [
-                False,
-                False,
-            ]
-            assert all(e["artifacts"]["text"] for e in entries)
-            assert list(mirror.iterdir()) == []  # nothing written
-        finally:
-            ro_app.close()
 
 
 class TestWarmRunDigestsOnce:

@@ -144,7 +144,10 @@ def replay_wire(
 
     The handler runs on this thread one request at a time while a second
     thread drains the replies.  All of a route's request bytes have
-    arrived before the handler reads the first of them.
+    arrived before the handler reads the first of them.  The handler's
+    clock stands still for the replay: the ``Date`` header is memoized
+    for one wall-clock second, so a replay that crossed a second would
+    count one more miss of the memo.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     client = socket.create_connection(listener.getsockname()[:2])
@@ -176,6 +179,9 @@ def replay_wire(
             time.sleep(0.001)
 
     functions: Counter[str] = Counter()
+    clock = time.time
+    # A builtin, as time.time is, so cProfile counts each call the same.
+    time.time = float(clock()).conjugate  # the handler's time.time
     try:
         for requests in routes.values():  # an unprofiled pass first
             write(requests)
@@ -194,6 +200,7 @@ def replay_wire(
             gc.enable()
             functions.update(_profiled_calls(profiler))
     finally:
+        time.time = clock
         handler.finish()
         conn.close()
         drainer.join(timeout=30)
