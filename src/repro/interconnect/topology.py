@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-import networkx as nx
-
 from repro.errors import require_positive
 
 
@@ -125,15 +123,6 @@ class Torus2D:
         """Bisection bandwidth for a given per-link bandwidth, bytes/s."""
         require_positive("link_bandwidth", link_bandwidth)
         return self.bisection_links * link_bandwidth
-
-    def graph(self) -> "nx.Graph":
-        """The torus as a :mod:`networkx` graph (for analysis/tests)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes())
-        for node in self.nodes():
-            for nbr in self.neighbors(node):
-                graph.add_edge(node, nbr)
-        return graph
 
     def ring_order(self) -> list[Coordinate]:
         """A Hamiltonian cycle (boustrophedon) used by ring collectives.

@@ -117,9 +117,11 @@ class TieredStore(CountersMixin):
             self._count("promotions")
 
     def peek(self, digest: str) -> bytes | None:
+        """The copy :meth:`read` would serve, read past a torn one as
+        :meth:`read` does, but with no promotion, heal or count."""
         for tier in self.tiers:
             data = tier.peek(digest)
-            if data is not None:
+            if data is not None and plausible_entry(data, digest):
                 return data
         return None
 

@@ -764,21 +764,14 @@ class ResultStore:
         skipped.
 
         Each entry is validated by the one reader (:func:`parse_entry`),
-        and only its scenario and provenance are decoded.  Reads are side-
-        effect free — the entry file discovered by the backend scan is
-        read directly when it has a path, falling back to the backend's
-        ``peek`` for path-less backends — so introspection never perturbs
-        LRU positions or hit/miss counters.
+        and only its scenario and provenance are decoded.  Each copy is
+        read with the backend's ``peek``, which reads past a torn copy
+        in an upper tier as ``get`` does but never perturbs LRU
+        positions or hit/miss counters.
         """
         for backend_entry in self.backend.entries():
             digest = backend_entry.digest
-            if backend_entry.path is not None:
-                try:
-                    data = backend_entry.path.read_bytes()
-                except OSError:
-                    continue
-            else:
-                data = self.backend.peek(digest)
+            data = self.backend.peek(digest)
             if data is None:
                 continue
             try:
@@ -789,7 +782,7 @@ class ResultStore:
                     name=scenario["name"],
                     kind=scenario["kind"],
                     path=backend_entry.path,
-                    size_bytes=backend_entry.size_bytes,
+                    size_bytes=len(data),
                     mtime=backend_entry.mtime,
                     provenance=Provenance.from_dict(entry.value("provenance")),
                 )

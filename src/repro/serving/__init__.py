@@ -7,8 +7,8 @@ scenarios, inline specs or whole batches as jobs on
 straight from the :class:`~repro.scenarios.store.ResultStore` as pure
 file reads with the spec digest as the ``ETag`` (``If-None-Match`` ⇒
 ``304``).  Routing lives in :mod:`~repro.serving.app` (socket-free,
-fuzz-tested); the stdlib ``ThreadingHTTPServer`` adapter in
-:mod:`~repro.serving.server`.
+fuzz-tested); the HTTP/1.1 transport on the stdlib's
+``socketserver.ThreadingTCPServer`` in :mod:`~repro.serving.server`.
 
 >>> from repro.serving import create_server
 >>> server = create_server(port=0)          # ephemeral port

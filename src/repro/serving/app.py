@@ -5,7 +5,7 @@
 contract (status codes, structured error JSON, ``ETag``/``If-None-Match``
 semantics) can be unit- and fuzz-tested in-process at memory speed; the
 thin :mod:`repro.serving.server` layer adapts it onto
-``http.server.ThreadingHTTPServer``.
+``socketserver.ThreadingTCPServer``.
 
 Routes (responses are JSON unless noted)::
 

@@ -1,11 +1,11 @@
 """HTTP plumbing for the scenario serving daemon.
 
 A thin stdlib-only adapter: :class:`ReproHTTPServer` is a
-``ThreadingHTTPServer`` whose handler forwards every request to the
-attached :class:`~repro.serving.app.ServingApp` and writes the returned
-:class:`~repro.serving.app.Response` back out — all routing, caching and
-error semantics live in the app (where they are fuzz-tested without
-sockets).
+``socketserver.ThreadingTCPServer`` whose handler forwards every request
+to the attached :class:`~repro.serving.app.ServingApp` and writes the
+returned :class:`~repro.serving.app.Response` back out — all routing,
+caching and error semantics live in the app (where they are fuzz-tested
+without sockets).
 
 The server is threaded so warm traffic scales: every worker thread serves
 store hits as pure file reads concurrently, while cold computes run on
@@ -15,9 +15,9 @@ the app's job engine (a handler thread that waits on one just blocks).
 are rejected *before* the body is read, and the connection is closed so an
 unread body can never desynchronize the stream.
 
-The handler reads each request head itself, with one strict reader; the
-stdlib's ``http.client.parse_headers`` / ``email.parser`` path is not
-used:
+The handler reads each request head itself, with one strict reader, and
+writes each reply itself; ``http.server`` (and with it ``email`` and
+``http.client``) is not imported:
 
 * the request line is ``METHOD SP target SP HTTP/1.x`` of at most
   :data:`MAX_LINE_BYTES` (else 414; another HTTP major version is 505,
@@ -31,7 +31,7 @@ used:
 * names match case-insensitively in the transport (``fields``), and the
   app gets each name as the client sent it (``headers``);
 * ``Connection``, HTTP/1.0, ``Expect: 100-continue`` and ``//`` paths
-  are handled as the stdlib handles them.
+  are handled as ``http.server`` handles them.
 
 Every method is routed to the app, and every protocol error is answered
 with :func:`~repro.serving.app.error_response`'s JSON and ``Connection:
@@ -39,7 +39,8 @@ close``.  Each reply is built in one buffer and leaves in one
 ``sendall``: status line, ``Server``, ``Date``, the response's own
 headers, ``Content-Type``, ``Content-Length`` and gzip's
 ``Content-Encoding``/``Vary``; a HEAD reply and a 304 send the head
-alone.
+alone.  Unless the server is quiet, each reply is logged to stderr in
+``http.server``'s access-log line, with its escapes.
 
 Compression is negotiated per response: 200 responses of ≥512 bytes are
 gzip'd when ``Accept-Encoding`` admits it (and it actually shrinks the
@@ -63,10 +64,10 @@ import functools
 import gzip
 import re
 import socket
+import socketserver
 import sys
 import time
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.scenarios.store import ResultStore
@@ -111,6 +112,11 @@ _MONTHS = (
     "", "Jan", "Feb", "Mar", "Apr", "May", "Jun",
     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 )
+#: The access log's escapes, ``http.server``'s: a C0 control, DEL or a C1
+#: control becomes ``\xNN`` and a backslash is doubled, so no byte of a
+#: request line (which admits ``\x80``-``\xff``) reaches a terminal raw.
+_LOG_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_LOG_ESCAPES[ord("\\")] = "\\\\"
 
 
 @functools.lru_cache(maxsize=1)
@@ -125,9 +131,10 @@ def _imf_fixdate(second: int) -> str:
     )
 
 
-class ReproHTTPServer(ThreadingHTTPServer):
+class ReproHTTPServer(socketserver.ThreadingTCPServer):
     """A threading HTTP server bound to one :class:`ServingApp`."""
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(
@@ -174,9 +181,9 @@ class ReproHTTPServer(ThreadingHTTPServer):
         self.app.close()
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(socketserver.StreamRequestHandler):
     server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
+    sys_version = "Python/" + sys.version.split()[0]
     # Without this, Nagle + the client's delayed ACK cost ~40 ms per
     # keep-alive round trip — two orders of magnitude over the warm
     # file-read serving path this daemon exists for.
@@ -184,6 +191,12 @@ class _Handler(BaseHTTPRequestHandler):
     # Socket read timeout: a client that declares a Content-Length and then
     # goes silent must not pin a handler thread forever (slowloris).
     timeout = 60
+
+    def handle(self) -> None:
+        """Answer requests until one ends the connection."""
+        self.handle_one_request()
+        while not self.close_connection:
+            self.handle_one_request()
 
     # -- reading ------------------------------------------------------------
     def handle_one_request(self) -> None:
@@ -229,7 +242,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
         # HTTP/1.1 keeps the connection open by default, HTTP/1.0 does not.
         self.close_connection = minor == "0"
-        self.command, self.request_version = method, f"HTTP/1.{minor}"
         if not self._read_fields():
             return None
         fields = self.fields
@@ -435,9 +447,18 @@ class _Handler(BaseHTTPRequestHandler):
                 f"\r\nContent-Length: {len(payload)}\r\n"
             )
         if not self.server.quiet:
-            self.log_request(status, len(payload))
+            self._log(status, len(payload))
         wire = (head + "\r\n").encode("latin-1")
         self.connection.sendall(wire if head_only else wire + payload)
+
+    def _log(self, status: int, size: int) -> None:
+        """Write the reply's access-log line to stderr, as ``http.server``
+        does: client, local time, the escaped request line, status and
+        body size."""
+        t = time.localtime()
+        when = time.strftime(f"%d/{_MONTHS[t.tm_mon]}/%Y %H:%M:%S", t)
+        line = f'"{self.requestline}" {status} {size}'.translate(_LOG_ESCAPES)
+        sys.stderr.write(f"{self.client_address[0]} - - [{when}] {line}\n")
 
 
 def create_server(

@@ -217,6 +217,33 @@ class TestConformanceListing:
         skipped = backend.stats()["counters"]["corrupt_skipped"]
         assert store.stats.corrupt + skipped == 1
 
+    @pytest.mark.parametrize(
+        "config, torn",
+        [("bounded-stack", 0), ("deep", 0), ("deep", 1)],
+        ids=["bounded-stack", "deep-mem", "deep-warm"],
+    )
+    def test_a_torn_upper_copy_is_listed_past_as_get_reads_past_it(
+        self, tmp_path, config, torn
+    ):
+        """A torn copy in a tier above an intact one hides nothing: the
+        listing reads past it to the copy ``get`` serves, and leaves it
+        in place."""
+        url = CONFORMANCE_URLS[config].format(root=tmp_path)
+        backend = backend_from_url(url)
+        store = ResultStore(backend)
+        scenario = tiny_scenario("listed-past")
+        digest = store.digest(scenario)
+        ResultStore(backend.tiers[-1]).put(scenario, payload("durable"))
+        durable = backend.tiers[-1].peek(digest)
+        backend.tiers[torn].write(digest, b"{ torn upper copy")
+        (entry,) = store.entries()
+        assert (entry.digest, entry.name) == (digest, "listed-past")
+        assert entry.size_bytes == len(durable)
+        assert store.n_entries == 1
+        assert backend.tiers[torn].peek(digest) == b"{ torn upper copy"
+        hit = store.get(scenario)
+        assert hit is not None and hit.text == "durable"
+
 
 class TestConformanceLRU:
     def test_eviction_is_least_recently_used_first(self, store):

@@ -82,9 +82,13 @@ class LiveServer:
 
 
 @pytest.fixture
-def live_server(isolated_cache_dir):
-    """A daemon over the isolated store; shut down cleanly afterwards."""
-    with launch_daemon(cache=ResultStore(isolated_cache_dir)) as daemon:
+def live_server(isolated_cache_dir, request):
+    """A daemon over the isolated store; shut down cleanly afterwards.
+
+    Quiet unless parametrized indirectly with ``False``."""
+    quiet = getattr(request, "param", True)
+    store = ResultStore(isolated_cache_dir)
+    with launch_daemon(cache=store, quiet=quiet) as daemon:
         yield LiveServer(daemon.server)
 
 

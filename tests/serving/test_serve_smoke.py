@@ -1,7 +1,7 @@
 """Tier-1 serve smoke test: boot, one cold + one warm request, clean stop.
 
 The cheapest end-to-end pass through the whole serving stack (CLI-built
-server → ThreadingHTTPServer → app → store), kept to one tiny table
+server → socketserver transport → app → store), kept to one tiny table
 scenario so it stays a smoke test.  Also pins the ``python -m repro
 serve`` argument surface so the flags named in the docs cannot drift.
 """

@@ -1,4 +1,4 @@
-"""End-to-end golden tests: a real ThreadingHTTPServer on an ephemeral port.
+"""End-to-end golden tests: the real daemon on an ephemeral port.
 
 The serving contract in the acceptance criteria, verified over actual
 sockets: a warm ``POST /run`` performs zero kernel timings and returns

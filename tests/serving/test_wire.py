@@ -5,7 +5,8 @@ off the socket: pipelining, keep-alive and close, ``Expect:
 100-continue``, body framing by any spelling of ``Content-Length``, the
 request-line and header limits, encoded request bodies (refused),
 response gzip, HEAD, and the exact header set of each kind of reply.
-The app sees each header under the name the client sent.
+The app sees each header under the name the client sent, and a
+verbose daemon logs each reply in ``http.server``'s access-log line.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ MAX_LINE = 65536
 #: ... and at most this many header lines.
 MAX_HEADERS = 100
 
+#: ``http.server``'s access-log line: client, local time, then the
+#: escaped request line, the status and the body size.
+ACCESS_LOG_LINE = re.compile(
+    r"127\.0\.0\.1 - - \[\d\d/"
+    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)/\d{4} "
+    r"\d\d:\d\d:\d\d\] (.*)"
+)
 IMF_FIXDATE = re.compile(
     r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d "
     r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} "
@@ -333,3 +341,25 @@ class TestReplies:
         assert seen[0]["X-Bench-Op"] == "w42"
         assert seen[0]["x-lower"] == "1"
         assert seen[0]["Host"] == "wire"
+
+
+class TestAccessLog:
+    @pytest.mark.parametrize(
+        "live_server", [False], indirect=True, ids=["verbose"]
+    )
+    def test_each_reply_is_one_escaped_line_on_stderr(self, wire, capsys):
+        """A request line admits bytes ``\\x80``-``\\xff``; the C1 controls
+        among them (``\\x9b`` is a terminal's CSI) are logged as ``\\xNN``,
+        and a backslash doubled, as ``http.server`` logs them."""
+        conn = wire()
+        conn.send(request("GET", "/healthz") + request("GET", "/x\x9b\\y"))
+        healthz, hostile = conn.reply(), conn.reply()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2, lines
+        logged = [ACCESS_LOG_LINE.fullmatch(line) for line in lines]
+        assert all(logged), lines
+        assert [match.group(2) for match in logged] == [
+            f'"GET /healthz HTTP/1.1" 200 {len(healthz.body)}',
+            f'"GET /x\\x9b\\\\y HTTP/1.1" {hostile.status} '
+            f"{len(hostile.body)}",
+        ]
