@@ -16,11 +16,15 @@ import pytest
 
 
 def pytest_collect_file(file_path, parent):
-    """Collect ``benchmarks/perf/bench_*.py`` in the default test run."""
+    """Collect ``benchmarks/perf/bench_*.py`` in the default test run.
+
+    A file named on the command line is left to pytest, which collects
+    any file named there; a second Module would run its tests twice."""
     if (
         file_path.suffix == ".py"
         and file_path.name.startswith("bench_")
         and file_path.parent.name == "perf"
+        and not parent.session.isinitpath(file_path)
     ):
         return pytest.Module.from_parent(parent, path=file_path)
 

@@ -7,7 +7,7 @@ batch driver behind them, replacing the hand-rolled per-figure loops:
 
 >>> grid = SweepGrid.product(bandwidth_tbps=(0.5, 1, 2, 4))
 >>> result = run_sweep(point_fn, grid, common={"batch": 128})
->>> result.series(lambda report: report.time_per_batch)
+>>> [report.time_per_batch for report in result.values()]
 
 Grids come in three flavors:
 
@@ -90,9 +90,6 @@ class SweepGrid:
         return cls(names=names, rows=rows)
 
     # -- views -------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def points(self) -> Iterator[dict[str, Any]]:
         """Parameter dict per grid point, in order."""
         for row in self.rows:
@@ -122,9 +119,6 @@ class SweepResult:
     grid: SweepGrid
     points: tuple[SweepPoint, ...] = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def values(self) -> tuple[Any, ...]:
         """The point values, in grid order."""
         return tuple(point.value for point in self.points)
@@ -133,39 +127,16 @@ class SweepResult:
         """The swept values of one axis, in grid order."""
         return self.grid.axis(name)
 
-    def series(self, extract: Callable[[Any], Any] | str) -> tuple[Any, ...]:
-        """Map an extractor (callable, or attribute name) over the values."""
-        if isinstance(extract, str):
-            name = extract
-            return tuple(getattr(point.value, name) for point in self.points)
-        return tuple(extract(point.value) for point in self.points)
-
-    def where(self, **fixed: Any) -> "SweepResult":
-        """Sub-sweep with the given axes pinned to fixed values (possibly
-        empty, with the axis names preserved)."""
-        keep = tuple(
-            point
-            for point in self.points
-            if all(point.params[k] == v for k, v in fixed.items())
-        )
-        grid = SweepGrid(
-            names=self.grid.names,
-            rows=tuple(
-                tuple(p.params[n] for n in self.grid.names) for p in keep
-            ),
-        )
-        return SweepResult(grid=grid, points=keep)
-
     # -- persistence (the staged raw → CSV pipeline shape) -----------------
     def to_csv_text(self) -> str:
         """The sweep as CSV text: axis columns plus flattened value columns.
 
         Point values may be scalars (one ``value`` column), mappings, or
         dataclasses (one column per scalar field; non-scalar fields are
-        dropped).  The first line records the axis names so
-        :meth:`from_csv` can split axes from values without guessing.  The
-        text is deterministic for a given sweep — the scenario result store
-        relies on cached and recomputed CSV artifacts being byte-identical.
+        dropped).  The first line records the axis names, so a reader can
+        split axes from values without guessing.  The text is
+        deterministic for a given sweep — the scenario result store relies
+        on cached and recomputed CSV artifacts being byte-identical.
         """
         import csv
         import io
@@ -186,63 +157,6 @@ class SweepResult:
             row.extend(_to_cell(values.get(c)) for c in value_cols)
             writer.writerow(row)
         return buffer.getvalue()
-
-    def to_csv(self, path) -> None:
-        """Write :meth:`to_csv_text` to ``path``."""
-        with open(path, "w", newline="") as handle:
-            handle.write(self.to_csv_text())
-
-    @classmethod
-    def from_csv_text(cls, text: str, source: str = "<string>") -> "SweepResult":
-        """Parse :meth:`to_csv_text` output back into a sweep.
-
-        Every cell — axis values included — comes back as a plain cell type
-        (``int``/``float``/``bool``/``str``/``None``), so a *string* that
-        happens to look numeric (an axis value ``"2"``) is restored as a
-        number.  A lone ``value`` column restores scalar points, anything
-        else restores a dict per point.
-        """
-        import csv
-        import io
-
-        handle = io.StringIO(text, newline="")
-        first = handle.readline()
-        if not first.startswith("# axes:"):
-            raise ConfigError(
-                f"{source}: not a SweepResult CSV (missing '# axes:' line)"
-            )
-        axes = tuple(
-            name for name in first.split(":", 1)[1].strip().split(",") if name
-        )
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header[: len(axes)]) != axes:
-            raise ConfigError(
-                f"{source}: header {header!r} does not start with axes {axes!r}"
-            )
-        value_cols = header[len(axes):]
-        rows = []
-        values = []
-        for cells in reader:
-            parsed = [_from_cell(c) for c in cells]
-            rows.append(tuple(parsed[: len(axes)]))
-            rest = parsed[len(axes):]
-            if value_cols == ["value"]:
-                values.append(rest[0])
-            else:
-                values.append(dict(zip(value_cols, rest)))
-        grid = SweepGrid(names=axes, rows=tuple(rows))
-        points = tuple(
-            SweepPoint(params=dict(zip(axes, row)), value=value)
-            for row, value in zip(rows, values)
-        )
-        return cls(grid=grid, points=points)
-
-    @classmethod
-    def from_csv(cls, path) -> "SweepResult":
-        """Read a :meth:`to_csv` file back into a sweep."""
-        with open(path, newline="") as handle:
-            return cls.from_csv_text(handle.read(), source=str(path))
 
 
 _SCALAR_TYPES = (int, float, bool, str)
@@ -272,24 +186,6 @@ def _to_cell(value: Any) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def _from_cell(cell: str) -> Any:
-    """Inverse of :func:`_to_cell`: recover int/float/bool/None, else str."""
-    if cell == "":
-        return None
-    if cell == "True":
-        return True
-    if cell == "False":
-        return False
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
 
 
 def run_sweep(

@@ -190,10 +190,6 @@ class SystemConfig:
             )
         return cls(**dict(data))
 
-    def with_overrides(self, **overrides: Any) -> "SystemConfig":
-        """Copy with the given fields replaced (sweep-axis application)."""
-        return replace(self, **overrides)
-
 
 #: A config's field values, in field order.
 _recipe = operator.attrgetter(*(f.name for f in fields(SystemConfig)))

@@ -189,19 +189,5 @@ class SystemSpec:
         """Copy with a different accelerator count."""
         return replace(self, n_accelerators=n_accelerators)
 
-    # -- spec construction -------------------------------------------------
-    @classmethod
-    def from_dict(cls, data) -> "SystemSpec":
-        """Build a system from a declarative :class:`~repro.arch.config.SystemConfig` dict.
-
-        The dict names a builder recipe (``kind`` plus scalar knobs), not a
-        fully-resolved accelerator — see :mod:`repro.arch.config` for the
-        schema.  This is the deserialization hook the scenario API
-        (:mod:`repro.scenarios`) routes through.
-        """
-        from repro.arch.config import SystemConfig
-
-        return SystemConfig.from_dict(data).build()
-
 
 __all__ = ["Accelerator", "SystemSpec", "AnyFabric"]

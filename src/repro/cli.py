@@ -41,6 +41,7 @@ from repro.scenarios import REGISTRY, get
 from repro.scenarios.batch import resolve_scenario, run_many
 from repro.scenarios.store import (
     CACHE_DIR_ENV,
+    SCHEMA_VERSION,
     ResultStore,
     provenance_summary,
     run_cached,
@@ -69,11 +70,10 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = run_cached(
-        resolve_scenario(args.name),
-        ResultStore(args.cache),
-        use_cache=not args.no_cache,
-    )
+    scenario = resolve_scenario(args.name)
+    # Built even under --no-cache, so a bad --cache is still an error.
+    store = ResultStore(args.cache)
+    result = run_cached(scenario, None if args.no_cache else store)
     print(result.render())
     if result.from_cache:
         print(
@@ -95,11 +95,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     if not names:
         print(f"no scenarios of kind {args.kind!r}")
         return 1
-    batch = run_many(
-        names,
-        store=ResultStore(args.cache),
-        use_cache=not args.no_cache,
-    )
+    store = ResultStore(args.cache)
+    batch = run_many(names, store=None if args.no_cache else store)
     width = max(len(name) for name in names)
     for entry in batch.entries:
         status = "cached" if entry.from_cache else "computed"
@@ -154,7 +151,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"cache dir      {cache_dir if cache_dir is not None else '-'}")
     print(f"backend        {store.url}")
     _print_tier_lines(store)
-    print(f"schema version {store.schema_version}")
+    print(f"schema version {SCHEMA_VERSION}")
     print(f"entries        {len(entries)}")
     print(f"total bytes    {sum(entry.size_bytes for entry in entries)}")
     # Entry-age summary over provenance creation stamps — how a cache dir

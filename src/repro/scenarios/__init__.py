@@ -47,7 +47,7 @@ from repro.scenarios.batch import (
     run_many,
 )
 from repro.scenarios.extractors import EXTRACTORS, PointOutcome, extract
-from repro.scenarios.registry import REGISTRY, get, names, register
+from repro.scenarios.registry import REGISTRY, get, register
 from repro.scenarios.runner import (
     ScenarioResult,
     apply_axes,
@@ -108,5 +108,4 @@ __all__ = [
     "REGISTRY",
     "register",
     "get",
-    "names",
 ]

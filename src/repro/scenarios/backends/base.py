@@ -11,11 +11,12 @@ payloads and provenance are backend-agnostic: an entry written through
 
 A backend stores **opaque bytes per digest** — it never parses artifact
 payloads (the front-end owns validation and the corrupt/self-heal policy).
-The one exception is :class:`~repro.scenarios.backends.tiered.TieredStore`'s
-cheap :func:`plausible_entry` probe, which keeps a corrupt lower tier from
-being promoted into the hot tier.  That probe and the front-end's reader
-share one definition of the entry layout, at the end of this module
-(:func:`encode_entry`, :func:`entry_spans`).
+The one exception is :class:`~repro.scenarios.backends.tiered.TieredStore`,
+whose reads run the cheap :func:`plausible_entry` probe, which keeps a
+corrupt lower tier from being promoted into the hot tier, and whose
+``peek`` validates each copy with the front-end's own
+:func:`entry_spans`.  Both share one definition of the entry layout, at
+the end of this module (:func:`encode_entry`, :func:`entry_spans`).
 
 Concrete backends:
 
@@ -40,6 +41,13 @@ from typing import Any, Iterable, Iterator, Protocol, Sequence
 #: result.  Lives here (not in ``store``) so backends can cheaply probe
 #: entries without importing the front-end.
 STORE_FORMAT = "repro-scenario-result"
+
+#: Result-schema/code version.  Bump whenever the runner, the extractor
+#: vocabulary or the artifact layout change what a stored payload means —
+#: the digest folds it in and every entry's head carries it, so every old
+#: entry simply stops matching.  Read at call time, never bound as a
+#: default.
+SCHEMA_VERSION = 1
 
 #: A full sha256 content address (the ``/results/<digest>`` route shape).
 DIGEST_RE = re.compile(r"[0-9a-f]{64}")
@@ -136,11 +144,6 @@ class StoreBackend(Protocol):
         old entry, the new entry, or a miss — never a torn write).  A
         capped backend leaves itself within its caps, so a write its caps
         refuse at once reads back as a miss."""
-        ...
-
-    def delete(self, digest: str) -> bool:
-        """Drop one entry everywhere this backend holds it; ``True`` if
-        something was removed."""
         ...
 
     def discard(self, digest: str) -> bool:
@@ -246,7 +249,7 @@ def entry_head(digest: str) -> bytes:
 
 
 def encode_entry(
-    digest: str, schema_version: int, chunks: Sequence[bytes]
+    digest: str, chunks: Sequence[bytes]
 ) -> tuple[bytes, dict[str, tuple[int, int]]]:
     """An entry's bytes, given each of :data:`ENTRY_PARTS` as encoded
     JSON, and the span of each part in them."""
@@ -254,7 +257,7 @@ def encode_entry(
         [piece for pair in zip(_KEYS, chunks) for piece in pair] + [b"}"]
     )
     head = entry_head(digest) + b'"schema_version":%d,"lengths":[%s],' % (
-        schema_version,
+        SCHEMA_VERSION,
         b",".join(b"%d" % len(chunk) for chunk in chunks),
     )
     head += b'"sha256":"%s",' % hashlib.sha256(body).hexdigest().encode()
@@ -274,13 +277,11 @@ def _part_spans(
     return spans
 
 
-def entry_spans(
-    data: bytes, digest: str, schema_version: int
-) -> dict[str, tuple[int, int]]:
+def entry_spans(data: bytes, digest: str) -> dict[str, tuple[int, int]]:
     """The span of each part of ``data``, an entry in ``put``'s layout.
 
-    Bytes that do not start as ``put`` starts an entry for ``digest`` and
-    ``schema_version`` (foreign bytes, another digest's or schema's entry,
+    Bytes that do not start as ``put`` starts an entry for ``digest`` at
+    :data:`SCHEMA_VERSION` (foreign bytes, another digest's or schema's entry,
     a hand edit) raise :class:`EntryError` ``invalid-entry``, as does an
     artifact of the wrong shape.  Only ``put`` writes that start, always
     followed by the rest of its layout, so bytes with that start that
@@ -288,12 +289,12 @@ def entry_spans(
     value or where the checksum cannot see (a key, a length):
     ``checksum-mismatch``.
     """
-    head = entry_head(digest) + b'"schema_version":%d,' % schema_version
+    head = entry_head(digest) + b'"schema_version":%d,' % SCHEMA_VERSION
     if not data.startswith(head):
         raise EntryError(
             "invalid-entry",
             f"not a result-store entry for {digest} at schema version "
-            f"{schema_version}",
+            f"{SCHEMA_VERSION}",
         )
     spans = _laid_out(data, len(head))
     if spans is None:
@@ -341,8 +342,8 @@ def plausible_entry(data: bytes, digest: str) -> bool:
     """Cheap is-this-really-an-entry probe for composite backends: the
     entry starts and ends as ``put`` writes one for ``digest``.
 
-    Full validation (schema version, checksum, artifact shape) stays in
-    the front-end; this only keeps torn or foreign bytes out of
+    Full validation (schema version, checksum, artifact shape) is
+    :func:`entry_spans`'s; this only keeps torn or foreign bytes out of
     promotion, and decodes nothing.
     """
     return data.startswith(entry_head(digest)) and data.endswith(_ENTRY_END)
@@ -351,6 +352,7 @@ def plausible_entry(data: bytes, digest: str) -> bool:
 __all__ = [
     "DIGEST_NAME_RE",
     "DIGEST_RE",
+    "SCHEMA_VERSION",
     "STALE_TMP_SECONDS",
     "STORE_FORMAT",
     "ENTRY_PARTS",

@@ -113,17 +113,14 @@ class LocalFSBackend(CountersMixin):
             # a tier promotion).
             self.gc(sweep_tmp=False)
 
-    def delete(self, digest: str) -> bool:
+    def discard(self, digest: str) -> bool:
+        """Corrupt-heal: drop the entry (one copy per digest)."""
         try:
             self.path_for_digest(digest).unlink()
         except OSError:
             return False
         self._count("deletes")
         return True
-
-    def discard(self, digest: str) -> bool:
-        """Corrupt-heal: identical to :meth:`delete` (one copy per digest)."""
-        return self.delete(digest)
 
     def contains(self, digest: str) -> bool:
         return self.path_for_digest(digest).exists()

@@ -91,7 +91,8 @@ class InMemoryBackend(CountersMixin):
             self._count("writes")
             self._evict_locked(self.max_bytes, self.max_entries)
 
-    def delete(self, digest: str) -> bool:
+    def discard(self, digest: str) -> bool:
+        """Corrupt-heal: drop the entry (one copy per digest)."""
         with self._lock:
             hit = self._store.pop(digest, None)
             if hit is None:
@@ -99,10 +100,6 @@ class InMemoryBackend(CountersMixin):
             self._total_bytes -= len(hit[0])
             self._count("deletes")
             return True
-
-    def discard(self, digest: str) -> bool:
-        """Corrupt-heal: identical to :meth:`delete` (one copy per digest)."""
-        return self.delete(digest)
 
     def contains(self, digest: str) -> bool:
         with self._lock:

@@ -9,7 +9,7 @@ Policies, in one place:
 
 * **read** — tiers are probed in order; the first plausible entry wins and
   is *promoted* (written) into every tier above it, so the next read
-  stops earlier.  A torn/foreign entry in a tier is skipped and deleted
+  stops earlier.  A torn/foreign entry in a tier is skipped and discarded
   there, and the probe continues downward, so one corrupt hot copy can
   never mask a good durable one.  Plausibility is a cheap probe of an
   entry's first and last bytes, not the front-end's full validation: a
@@ -18,12 +18,15 @@ Policies, in one place:
   promoted from it (:meth:`TieredStore.discard`) and reads once more, so
   an intact copy in a lower tier still serves — wasted work on a damaged
   entry, never a wrong answer.
+* **peek** (listings) — validates each copy fully, as the front-end
+  does, and reads past one that fails, so a damaged upper copy never
+  hides an intact lower one from ``cache stats`` or ``/stats``.
 * **write** — a put lands in the *first* tier that admits it; lower tiers
   fill by their own producers (a CLI run against ``file://``) or stay
   cold.  This keeps a put as cheap as its hottest tier.  Each tier holds
   its own caps on every write, so a write (or a promotion) that a tier's
   caps refuse at once falls through as refused admission.
-* **delete/gc/clear** — fan out to every tier.
+* **gc/clear** — fan out to every tier.
 
 Per-tier hit/miss stats come free: each tier keeps its own
 :class:`~repro.scenarios.backends.base.BackendStats`, and
@@ -41,7 +44,9 @@ from repro.errors import ConfigError
 from repro.scenarios.backends.base import (
     BackendEntry,
     CountersMixin,
+    EntryError,
     StoreBackend,
+    entry_spans,
     entry_totals,
     plausible_entry,
 )
@@ -117,12 +122,19 @@ class TieredStore(CountersMixin):
             self._count("promotions")
 
     def peek(self, digest: str) -> bytes | None:
-        """The copy :meth:`read` would serve, read past a torn one as
-        :meth:`read` does, but with no promotion, heal or count."""
+        """The first copy that passes the front-end's validation
+        (:func:`~repro.scenarios.backends.base.entry_spans`), with no
+        promotion, heal or count: a copy :meth:`read` would serve and the
+        front-end then discard is read past, as ``get`` reads past it."""
         for tier in self.tiers:
             data = tier.peek(digest)
-            if data is not None and plausible_entry(data, digest):
-                return data
+            if data is None:
+                continue
+            try:
+                entry_spans(data, digest)
+            except EntryError:
+                continue
+            return data
         return None
 
     def write(self, digest: str, data: bytes) -> None:
@@ -134,15 +146,6 @@ class TieredStore(CountersMixin):
             # The tier refused admission (its caps cannot hold the entry):
             # fall through so the write still lands in a roomier tier
             # below instead of nowhere.
-
-    def delete(self, digest: str) -> bool:
-        removed = False
-        for tier in self.tiers:
-            if tier.delete(digest):
-                removed = True
-        if removed:
-            self._count("deletes")
-        return removed
 
     def discard(self, digest: str) -> bool:
         """Corrupt-heal entry point (the front-end saw bad bytes): drop the

@@ -19,8 +19,7 @@ shared pair of process-wide caches:
   most of their points) are mapped and kernel-timed once for the whole
   batch.
 
-The CLI's ``run-all`` and the cache-warm serving benchmark are thin
-wrappers over this function.
+The CLI's ``run-all`` is a thin wrapper over this function.
 """
 
 from __future__ import annotations
@@ -29,14 +28,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.core.timing_cache import default_timing_cache
 from repro.errors import ConfigError
-from repro.parallel.mapper import default_mapping_cache
 from repro.scenarios.backends import StoreBackend
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.spec import Scenario
 from repro.scenarios.store import (
-    SCHEMA_VERSION,
     ResultStore,
     StoredResult,
     _compute_and_store,
@@ -104,21 +100,13 @@ class BatchEntry:
 
 @dataclass(frozen=True)
 class BatchStats:
-    """What serving the batch cost.
-
-    Cache counters are deltas over the batch on this process's shared
-    caches.
-    """
+    """What serving the batch cost."""
 
     n_items: int
     n_unique: int
     n_from_store: int
     n_computed: int
     n_deduplicated: int
-    mapping_hits: int
-    mapping_misses: int
-    timing_hits: int
-    timing_misses: int
     store_hit_rate: float
 
 
@@ -129,33 +117,11 @@ class BatchResult:
     entries: tuple[BatchEntry, ...] = field(repr=False)
     stats: BatchStats
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def results(self) -> tuple[StoredResult, ...]:
-        """The stored-result views, in item order."""
-        return tuple(entry.result for entry in self.entries)
-
-    def result(self, name: str) -> StoredResult:
-        """The first entry with a given scenario name."""
-        for entry in self.entries:
-            if entry.scenario.name == name:
-                return entry.result
-        raise ConfigError(
-            f"no scenario {name!r} in this batch; ran "
-            f"{[e.scenario.name for e in self.entries]}"
-        )
-
-    def render(self) -> str:
-        """Every rendered artifact, in item order."""
-        return "\n\n".join(entry.result.render() for entry in self.entries)
-
 
 def run_many(
     items: Iterable["Scenario | str | Path"],
     *,
     store: "ResultStore | str | Path | StoreBackend | None" = None,
-    use_cache: bool = True,
 ) -> BatchResult:
     """Serve a batch of scenarios, compute-once per unique spec.
 
@@ -164,28 +130,16 @@ def run_many(
     items:
         Scenarios, registry names, or paths to scenario JSON files.
     store:
-        The result store to consult/populate (``None`` = no persistence):
-        a :class:`ResultStore`, or anything that names one — a cache
-        directory path, a backend URL (``mem://``, ``file:///path``, or
-        comma-separated tiers) or a backend object.
-    use_cache:
-        ``False`` bypasses the store in both directions (``--no-cache``).
+        The result store to consult/populate: a :class:`ResultStore`, or
+        anything that names one — a cache directory path, a backend URL
+        (``mem://``, ``file:///path``, or comma-separated tiers) or a
+        backend object.  ``None`` reads and writes nothing
+        (``--no-cache``).
     """
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
     scenarios = [resolve_scenario(item) for item in items]
-    schema = store.schema_version if store is not None else SCHEMA_VERSION
-    digests = [scenario_digest(scenario, schema) for scenario in scenarios]
-    caching = store is not None and use_cache
-
-    mapping_cache = default_mapping_cache()
-    timing_cache = default_timing_cache()
-    counters0 = (
-        mapping_cache.hits,
-        mapping_cache.misses,
-        timing_cache.hits,
-        timing_cache.misses,
-    )
+    digests = [scenario_digest(scenario) for scenario in scenarios]
 
     # Pass 1: serve whatever the store already holds, digest-deduplicated.
     outcomes: dict[str, StoredResult] = {}
@@ -193,7 +147,7 @@ def run_many(
     for digest, scenario in zip(digests, scenarios):
         if digest in outcomes or any(d == digest for d, _ in to_compute):
             continue
-        if caching:
+        if store is not None:
             cached = store.get(scenario, _digest=digest)
             if cached is not None:
                 outcomes[digest] = cached
@@ -203,16 +157,7 @@ def run_many(
     # Pass 2: compute the misses, in this process on its shared caches.
     n_from_store = len(outcomes)
     for digest, scenario in to_compute:
-        outcomes[digest] = _compute_and_store(
-            scenario, digest, store if caching else None
-        )
-
-    counters1 = (
-        mapping_cache.hits,
-        mapping_cache.misses,
-        timing_cache.hits,
-        timing_cache.misses,
-    )
+        outcomes[digest] = _compute_and_store(scenario, digest, store)
 
     seen: set[str] = set()
     entries = []
@@ -234,13 +179,7 @@ def run_many(
         n_from_store=n_from_store,
         n_computed=len(to_compute),
         n_deduplicated=len(entries) - len(seen),
-        mapping_hits=counters1[0] - counters0[0],
-        mapping_misses=counters1[1] - counters0[1],
-        timing_hits=counters1[2] - counters0[2],
-        timing_misses=counters1[3] - counters0[3],
-        store_hit_rate=(
-            n_from_store / len(seen) if seen else 0.0
-        ),
+        store_hit_rate=n_from_store / len(seen) if seen else 0.0,
     )
     return BatchResult(entries=tuple(entries), stats=stats)
 

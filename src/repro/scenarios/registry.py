@@ -600,11 +600,6 @@ def get(name: str) -> Scenario:
         ) from None
 
 
-def names() -> tuple[str, ...]:
-    """All registered scenario names, in registration order."""
-    return tuple(REGISTRY)
-
-
 for _scenario in (
     fig5_scenario(),
     fig6_scenario(),
@@ -636,7 +631,6 @@ __all__ = [
     "REGISTRY",
     "register",
     "get",
-    "names",
     "fig5_scenario",
     "fig6_scenario",
     "fig7_bandwidth_scenario",

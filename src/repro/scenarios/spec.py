@@ -372,18 +372,6 @@ class Scenario:
         """Copy with a different (or no) sweep grid."""
         return replace(self, grid=grid)
 
-    def with_workload(self, **overrides: Any) -> "Scenario":
-        """Copy with workload fields replaced."""
-        if self.workload is None:
-            raise ConfigError(f"scenario {self.name!r} has no workload")
-        return replace(self, workload=replace(self.workload, **overrides))
-
-    def with_system(self, **overrides: Any) -> "Scenario":
-        """Copy with system-config fields replaced."""
-        if self.system is None:
-            raise ConfigError(f"scenario {self.name!r} has no system")
-        return replace(self, system=self.system.with_overrides(**overrides))
-
     # -- execution (delegates to the runner) --------------------------------
     def run(self):
         """Execute this scenario; see :func:`repro.scenarios.runner.run_scenario`."""

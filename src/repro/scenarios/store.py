@@ -3,7 +3,7 @@
 Every :class:`~repro.scenarios.spec.Scenario` round-trips losslessly through
 ``to_dict``, so a stable digest of that dict **is** the result's identity: a
 sha256 over the canonical (sorted-key, separator-normalized) JSON of the
-spec plus the store's *schema version* — the code-version stamp that is
+spec plus the *schema version* — the code-version stamp that is
 bumped whenever the runner, the extractors or the artifact layout change
 meaning.  Any field mutation anywhere in the spec (a swept bandwidth, a
 different batch, a renamed extractor) changes the digest; any schema bump
@@ -78,11 +78,13 @@ from repro.scenarios.backends import (
     LocalFSBackend,
     StoreBackend,
     backend_from_url,
+    base,
     is_store_url,
 )
 from repro.scenarios.backends.base import (
     DIGEST_RE,
     ENTRY_PARTS,
+    SCHEMA_VERSION,
     STALE_TMP_SECONDS,
     EntryError,
     encode_entry,
@@ -91,11 +93,6 @@ from repro.scenarios.backends.base import (
 )
 from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.spec import Scenario
-
-#: Result-schema/code version.  Bump whenever the runner, the extractor
-#: vocabulary or the artifact layout change what a stored payload means —
-#: the digest folds it in, so every old entry simply stops matching.
-SCHEMA_VERSION = 1
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -110,25 +107,22 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "scenarios"
 
 
-def canonical_spec_json(
-    scenario: Scenario, schema_version: int = SCHEMA_VERSION
-) -> str:
-    """The canonical serialization the digest is computed over."""
+def canonical_spec_json(scenario: Scenario) -> str:
+    """The canonical serialization the digest is computed over.
+
+    :data:`~repro.scenarios.backends.base.SCHEMA_VERSION` is read at call
+    time, so a bump changes every digest."""
     return json.dumps(
-        {"schema_version": schema_version, "scenario": scenario.to_dict()},
+        {"schema_version": base.SCHEMA_VERSION, "scenario": scenario.to_dict()},
         sort_keys=True,
         separators=(",", ":"),
     )
 
 
-def scenario_digest(
-    scenario: Scenario, schema_version: int = SCHEMA_VERSION
-) -> str:
+def scenario_digest(scenario: Scenario) -> str:
     """Content address of a scenario's result: sha256 of the canonical spec
     JSON + schema version."""
-    return hashlib.sha256(
-        canonical_spec_json(scenario, schema_version).encode()
-    ).hexdigest()
+    return hashlib.sha256(canonical_spec_json(scenario).encode()).hexdigest()
 
 
 def is_digest(value: str) -> bool:
@@ -190,9 +184,7 @@ class EntryView:
         return value
 
 
-def parse_entry(
-    data: bytes, digest: str, schema_version: int = SCHEMA_VERSION
-) -> EntryView:
+def parse_entry(data: bytes, digest: str) -> EntryView:
     """Validate the stored entry for ``digest``, or raise
     :class:`EntryError` — the one reader behind every store read and
     listing.
@@ -202,7 +194,7 @@ def parse_entry(
     (:func:`~repro.scenarios.backends.base.entry_spans`).  A read trusts
     the digest in the entry's head; it does not hash the spec.
     """
-    return EntryView(digest, data, entry_spans(data, digest, schema_version))
+    return EntryView(digest, data, entry_spans(data, digest))
 
 
 @functools.lru_cache(maxsize=1)
@@ -231,8 +223,7 @@ class Provenance:
     same scenario on another host, at another time, from another commit
     lands on the same entry (the property suite pins this down).  It exists
     to age-date and trace entries: ``cache stats`` and the serving daemon's
-    ``/stats`` surface it, and :meth:`ResultStore.gc` documentation leans on
-    ``created_unix`` for trajectory dashboards.  An entry stored with
+    ``/stats`` surface it.  An entry stored with
     ``null`` or malformed provenance reads back as ``None`` — it is valid,
     just age-dated as oldest.
     """
@@ -285,7 +276,7 @@ class Provenance:
 def current_provenance(wall_time_s: float | None = None) -> Provenance:
     """Provenance stamped by this process, right now."""
     return Provenance(
-        schema_version=SCHEMA_VERSION,
+        schema_version=base.SCHEMA_VERSION,
         host=socket.gethostname(),
         created_unix=time.time(),
         code_rev=_code_rev(),
@@ -358,10 +349,6 @@ class StoredResult:
         """The rendered text figure/table (identical to the cold render)."""
         return self.text
 
-    def to_raw(self) -> Mapping[str, Any]:
-        """The raw-JSON stage (spec + per-point values)."""
-        return self.raw
-
     def raw_json(self) -> str:
         """The exact bytes of the ``<name>_raw.json`` artifact."""
         return json.dumps(self.raw, indent=2) + "\n"
@@ -387,39 +374,6 @@ class StoredResult:
         text_path.write_text(self.text + "\n")
         written.append(text_path)
         return written
-
-    # -- series views (mirror ScenarioResult's accessors) -------------------
-    def series(self, name: str) -> tuple[Any, ...]:
-        """One named extractor's values across all points."""
-        series = self.raw.get("series")
-        if series is None or name not in series:
-            raise ConfigError(
-                f"stored result for {self.scenario.name!r} has no series "
-                f"{name!r}"
-            )
-        return tuple(series[name])
-
-    def all_series(self) -> dict[str, tuple[Any, ...]]:
-        """Every extracted series, keyed by extractor name."""
-        return {
-            name: tuple(values)
-            for name, values in self.raw.get("series", {}).items()
-        }
-
-    def axis(self, name: str) -> tuple[Any, ...]:
-        """The swept values of one grid axis."""
-        points = self.raw.get("points")
-        if not points:
-            raise ConfigError(
-                f"stored result for {self.scenario.name!r} has no sweep points"
-            )
-        try:
-            return tuple(point["params"][name] for point in points)
-        except KeyError:
-            raise ConfigError(
-                f"stored result for {self.scenario.name!r} has no axis "
-                f"{name!r}"
-            ) from None
 
 
 def stored_from_payload(
@@ -507,16 +461,11 @@ class StoreEntry:
     #: oldest.
     provenance: Provenance | None = None
 
-    @property
-    def created_unix(self) -> float:
-        """Creation time for age-dating; missing provenance ⇒ oldest (0)."""
-        return self.provenance.created_unix if self.provenance else 0.0
-
 
 class ResultStore:
     """Content-addressed cache of scenario results over one backend.
 
-    ``get`` / ``put`` / ``invalidate`` key on :func:`scenario_digest`; a
+    ``get`` / ``put`` key on :func:`scenario_digest`; a
     corrupted or foreign entry (truncated write, damaged bytes, another
     digest's or schema's entry, anything not in ``put``'s layout) is
     counted, removed best-effort and reported as a miss, so the caller
@@ -542,9 +491,7 @@ class ResultStore:
     """
 
     def __init__(
-        self,
-        location: "str | Path | StoreBackend | None" = None,
-        schema_version: int = SCHEMA_VERSION,
+        self, location: "str | Path | StoreBackend | None" = None
     ) -> None:
         if isinstance(location, str) and is_store_url(location):
             location = backend_from_url(location)
@@ -553,7 +500,6 @@ class ResultStore:
                 Path(location) if location else default_cache_dir()
             )
         self.backend: StoreBackend = location
-        self.schema_version = schema_version
         self.stats = StoreStats()
         #: Guards counter updates only — backend I/O itself needs no lock
         #: here (atomic writes + validate-on-read), and must not hold one,
@@ -574,21 +520,8 @@ class ResultStore:
 
     # -- addressing ---------------------------------------------------------
     def digest(self, scenario: Scenario) -> str:
-        """The content address of ``scenario`` under this store's schema."""
-        return scenario_digest(scenario, self.schema_version)
-
-    def path_for(self, scenario: Scenario) -> Path:
-        """The entry file a scenario's result lives in; only meaningful on
-        filesystem-backed stores."""
-        return self._path_for_digest(self.digest(scenario))
-
-    def _path_for_digest(self, digest: str) -> Path:
-        path_for_digest = getattr(self.backend, "path_for_digest", None)
-        if path_for_digest is None:
-            raise ConfigError(
-                f"store backend {self.url!r} has no filesystem paths"
-            )
-        return path_for_digest(digest)
+        """The content address of ``scenario``."""
+        return scenario_digest(scenario)
 
     # -- traffic ------------------------------------------------------------
     def get(
@@ -633,7 +566,7 @@ class ResultStore:
             if data is None:
                 break
             try:
-                entry = parse_entry(data, digest, self.schema_version)
+                entry = parse_entry(data, digest)
             except EntryError as exc:
                 if self._corrupt(digest) and exc.slug == "checksum-mismatch":
                     continue
@@ -690,22 +623,12 @@ class ResultStore:
             provenance = current_provenance(wall_time_s)
         values = _entry_values(scenario, payload, provenance)
         data, spans = encode_entry(
-            digest,
-            self.schema_version,
-            [compact_json(values[part]) for part in ENTRY_PARTS],
+            digest, [compact_json(values[part]) for part in ENTRY_PARTS]
         )
         self.backend.write(digest, data)
         with self._stats_lock:
             self.stats.puts += 1
         return StoredResult(scenario, EntryView(digest, data, spans, values))
-
-    def invalidate(self, scenario: Scenario) -> bool:
-        """Drop one scenario's entry; ``True`` if something was removed."""
-        removed = self.backend.delete(self.digest(scenario))
-        if removed:
-            with self._stats_lock:
-                self.stats.invalidations += 1
-        return removed
 
     def clear(self) -> int:
         """Remove every entry; returns how many were dropped."""
@@ -731,31 +654,8 @@ class ResultStore:
         return self.backend.gc(max_bytes, max_entries)
 
     # -- introspection ------------------------------------------------------
-    def _entry_paths(self) -> list[Path]:
-        """Entry files of a filesystem-backed store (test/diagnostic hook)."""
-        entry_paths = getattr(self.backend, "_entry_paths", None)
-        if entry_paths is not None:
-            return entry_paths()
-        return [
-            entry.path
-            for entry in self.backend.entries()
-            if entry.path is not None
-        ]
-
-    @property
-    def n_entries(self) -> int:
-        """Entries currently stored."""
-        return self.disk_usage()[0]
-
-    @property
-    def total_bytes(self) -> int:
-        """Total stored size of all entries."""
-        return self.disk_usage()[1]
-
     def disk_usage(self) -> tuple[int, int]:
-        """``(n_entries, total_bytes)`` in a single backend scan — what a
-        polled monitoring endpoint should call instead of reading the two
-        properties (and scanning twice)."""
+        """``(n_entries, total_bytes)`` in a single backend scan."""
         totals = entry_totals(self.backend.entries())
         return totals["n_entries"], totals["total_bytes"]
 
@@ -765,7 +665,7 @@ class ResultStore:
 
         Each entry is validated by the one reader (:func:`parse_entry`),
         and only its scenario and provenance are decoded.  Each copy is
-        read with the backend's ``peek``, which reads past a torn copy
+        read with the backend's ``peek``, which reads past a damaged copy
         in an upper tier as ``get`` does but never perturbs LRU
         positions or hit/miss counters.
         """
@@ -775,7 +675,7 @@ class ResultStore:
             if data is None:
                 continue
             try:
-                entry = parse_entry(data, digest, self.schema_version)
+                entry = parse_entry(data, digest)
                 scenario = entry.value("scenario")
                 yield StoreEntry(
                     digest=digest,
@@ -795,9 +695,9 @@ def provenance_summary(entries: Iterable[StoreEntry]) -> dict[str, Any]:
     one summary behind ``/stats`` → ``store.provenance`` and the CLI's
     ``cache stats``, so both audit surfaces report the same numbers.
 
-    Oldest/newest/median run over *stamped* entries only: the
-    ``created_unix=0.0`` age-dating sentinel of entries without provenance
-    must not leak a fabricated 1970 timestamp into a dashboard.
+    Oldest/newest/median run over *stamped* entries only: an entry
+    without provenance must not leak a fabricated 1970 timestamp into a
+    dashboard.
     """
     # Imported here: statistics pulls decimal and fractions in with it,
     # which no cold compute or warm read should pay for.
@@ -823,14 +723,13 @@ def provenance_summary(entries: Iterable[StoreEntry]) -> dict[str, Any]:
 def run_cached(
     scenario: Scenario,
     store: "ResultStore | str | Path | StoreBackend | None" = None,
-    *,
-    use_cache: bool = True,
 ) -> StoredResult:
     """Run a scenario through the result store.
 
     ``store`` may be a :class:`ResultStore`, or anything that names one
     (a cache directory path, a backend URL — ``mem://``, ``file:///path``,
-    tiers — or a backend object); ``None`` runs without a store.
+    tiers — or a backend object); ``None`` runs without a store, reading
+    and writing nothing (the CLI's ``--no-cache``).
     A URL builds a fresh store *per call* — fine for filesystem backends
     (the entries persist), pointless for a bare ``mem://`` (the tier dies
     with the call); to share an in-memory tier across calls, build one
@@ -838,15 +737,12 @@ def run_cached(
     A warm entry is a pure backend read (zero mappings, zero kernel
     timings); a miss computes via
     :func:`~repro.scenarios.runner.run_scenario` and stores the artifact
-    payload.  ``use_cache=False`` bypasses the store in both directions —
-    nothing is read *or* written (the CLI's ``--no-cache``).
+    payload.
     """
-    if store is not None and not isinstance(store, ResultStore):
+    if store is None:
+        return _compute_and_store(scenario, scenario_digest(scenario), None)
+    if not isinstance(store, ResultStore):
         store = ResultStore(store)
-    if store is None or not use_cache:
-        schema = store.schema_version if store is not None else SCHEMA_VERSION
-        digest = scenario_digest(scenario, schema)
-        return _compute_and_store(scenario, digest, None)
     digest = store.digest(scenario)
     cached = store.get(scenario, _digest=digest)
     if cached is not None:

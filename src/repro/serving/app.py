@@ -84,6 +84,7 @@ from repro.scenarios.backends import StoreBackend
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.spec import Scenario
 from repro.scenarios.store import (
+    SCHEMA_VERSION,
     ResultStore,
     StoredResult,
     compact_json,
@@ -98,8 +99,8 @@ from repro.serving.jobs import (
     QueueFullError,
 )
 
-#: Default request-body ceiling: far above any sane inline spec (the
-#: largest registry spec serializes to ~2 KiB) yet small enough that a
+#: Request-body ceiling: far above any sane inline spec (the largest
+#: registry spec serializes to ~2 KiB) yet small enough that a
 #: misdirected upload cannot balloon the process.
 MAX_BODY_BYTES = 1 << 20
 
@@ -251,7 +252,6 @@ class ServingApp:
         self,
         store: "ResultStore | str | Path | StoreBackend | None" = None,
         *,
-        max_body_bytes: int = MAX_BODY_BYTES,
         job_workers: int = DEFAULT_JOB_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
     ) -> None:
@@ -260,7 +260,6 @@ class ServingApp:
         self.store = (
             store if isinstance(store, ResultStore) else ResultStore(store)
         )
-        self.max_body_bytes = max_body_bytes
         self.stats = ServeStats()
         self._stats_lock = threading.Lock()
         #: Registry name -> (its scenario, that scenario's digest here).
@@ -384,7 +383,7 @@ class ServingApp:
     def _handle_healthz(self) -> Response:
         return Response(
             200,
-            {"status": "ok", "schema_version": self.store.schema_version},
+            {"status": "ok", "schema_version": SCHEMA_VERSION},
         )
 
     def _handle_stats(self) -> Response:
@@ -406,7 +405,7 @@ class ServingApp:
                     "cache_dir": (
                         str(cache_dir) if cache_dir is not None else None
                     ),
-                    "schema_version": self.store.schema_version,
+                    "schema_version": SCHEMA_VERSION,
                     # stat-only: never scales with cached payload bytes.
                     "n_entries": backend_block["n_entries"],
                     "total_bytes": backend_block["total_bytes"],
@@ -595,11 +594,9 @@ class ServingApp:
     def _handle_run(
         self, body: bytes, headers: Mapping[str, str], query: str = ""
     ) -> Response:
-        if len(body) > self.max_body_bytes:
+        if len(body) > MAX_BODY_BYTES:
             return error_response(
-                413,
-                "payload-too-large",
-                f"body exceeds {self.max_body_bytes} bytes",
+                413, "payload-too-large", f"body exceeds {MAX_BODY_BYTES} bytes"
             )
         if not body:
             return error_response(

@@ -18,10 +18,11 @@ Job lifecycle (one digest, one job)::
 the result in hand (``?wait=1``): it blocks until the job is terminal,
 and the worker hands it the :class:`StoredResult` without keeping one.
 
-Terminal jobs are retained (capped, FIFO-evicted) so ``GET
-/jobs/<digest>`` can answer "done, result at /results/<digest>" or
-"failed, here is why" long after the worker moved on; a *re*-submission
-of a failed digest starts a fresh job (failures are not cached).
+Terminal jobs are retained (the newest :data:`DEFAULT_RETENTION`,
+FIFO-evicted) so ``GET /jobs/<digest>`` can answer "done, result at
+/results/<digest>" or "failed, here is why" long after the worker moved
+on; a *re*-submission of a failed digest starts a fresh job (failures
+are not cached).
 Everything the manager reports is a plain-data snapshot taken under the
 manager lock — callers never touch live :class:`Job` state.
 
@@ -41,7 +42,7 @@ import math
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future, wait as wait_futures
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -148,8 +149,6 @@ class JobManager:
     max_queue:
         Bound on queued jobs; beyond it :meth:`submit` raises
         :class:`QueueFullError`.
-    retention:
-        How many terminal jobs stay queryable before FIFO eviction.
     compute:
         Override the compute callable (tests inject slow/failing
         computes); defaults to ``run_cached(scenario, store)``.
@@ -165,7 +164,6 @@ class JobManager:
         *,
         n_workers: int = DEFAULT_JOB_WORKERS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        retention: int = DEFAULT_RETENTION,
         compute: "Callable[[Scenario], StoredResult] | None" = None,
         on_terminal: "Callable[[Job], None] | None" = None,
     ) -> None:
@@ -173,12 +171,9 @@ class JobManager:
             raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
         if max_queue < 1:
             raise ConfigError(f"max_queue must be >= 1, got {max_queue}")
-        if retention < 0:
-            raise ConfigError(f"retention must be >= 0, got {retention}")
         self.store = store
         self.n_workers = n_workers
         self.max_queue = max_queue
-        self.retention = retention
         self._compute = compute or (
             lambda scenario: run_cached(scenario, self.store)
         )
@@ -284,19 +279,6 @@ class JobManager:
             if job is None:
                 return None
             return self._snapshot_locked(job)
-
-    def wait(self, digest: str, timeout: float | None = None) -> bool:
-        """Block until ``digest``'s job reaches a terminal state.
-
-        ``True`` on completion (either way), ``False`` on timeout or an
-        unknown digest.
-        """
-        with self._cond:
-            job = self._jobs.get(digest)
-            if job is None:
-                return digest in self._terminal
-            future = job.future
-        return bool(wait_futures([future], timeout).done)
 
     def list_jobs(self, max_terminal: int = 32) -> list[dict[str, Any]]:
         """Snapshots of every in-flight job plus the most recent terminal
@@ -466,7 +448,7 @@ class JobManager:
                 self.counters.failed += 1
             self._jobs.pop(job.digest, None)
             self._terminal[job.digest] = job
-            while len(self._terminal) > self.retention:
+            while len(self._terminal) > DEFAULT_RETENTION:
                 self._terminal.popitem(last=False)
             future, job.future = job.future, None
             if self._on_terminal is not None:

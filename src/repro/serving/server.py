@@ -357,7 +357,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return error_response(
                 400, "bad-content-length", f"not a length: {length_header!r}"
             )
-        limit = self.server.app.max_body_bytes
+        limit = MAX_BODY_BYTES
         # int() refuses a string of over 4300 digits; a length with more
         # digits than the limit is over it anyway.
         digits = length_header.lstrip("0")
@@ -466,7 +466,6 @@ def create_server(
     port: int = 0,
     *,
     cache: "ResultStore | str | Path | None" = None,
-    max_body_bytes: int = MAX_BODY_BYTES,
     job_workers: int | None = None,
     max_queue: int | None = None,
     quiet: bool = True,
@@ -487,7 +486,7 @@ def create_server(
         job_knobs["job_workers"] = job_workers
     if max_queue is not None:
         job_knobs["max_queue"] = max_queue
-    app = ServingApp(cache, max_body_bytes=max_body_bytes, **job_knobs)
+    app = ServingApp(cache, **job_knobs)
     return ReproHTTPServer((host, port), app, quiet=quiet)
 
 

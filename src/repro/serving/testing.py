@@ -1,11 +1,11 @@
 """In-process daemon harness shared by tests, benchmarks and tooling.
 
-Every suite that needs a live daemon — the server golden and wire
-tests, the serving benchmarks — used to hand-roll a server, a thread
-and a teardown.  :func:`launch_daemon` is that pattern once: ephemeral
-port, any :func:`~repro.serving.server.create_server` configuration,
-and a guaranteed ``shutdown()`` + ``server_close()`` (which also stops
-the job engine's worker pool) on exit.
+Every caller that needs a live daemon — the server golden and wire
+tests, the reachability trace in ``benchmarks/`` — gets a server, a
+thread and a teardown from :func:`launch_daemon`: ephemeral port, any
+:func:`~repro.serving.server.create_server` configuration, and a
+guaranteed ``shutdown()`` + ``server_close()`` (which also stops the
+job engine's worker pool) on exit.
 
 Lives in ``src`` rather than a conftest because the benchmark tree has
 its own conftest chain and the CLI's smoke tooling wants it too.
@@ -26,10 +26,6 @@ class LiveDaemon:
     """A serving daemon running on its own thread."""
 
     server: ReproHTTPServer
-
-    @property
-    def app(self):
-        return self.server.app
 
     @property
     def host(self) -> str:

@@ -22,7 +22,7 @@ class TestSweepGrid:
             {"a": 2, "b": "x"},
             {"a": 2, "b": "y"},
         ]
-        assert len(grid) == 4
+        assert len(grid.rows) == 4
         assert grid.axis("a") == (1, 1, 2, 2)
 
     def test_zipped_lockstep(self):
@@ -67,24 +67,6 @@ class TestRunSweep:
         )
         assert result.values() == (20.0, 30.0)
 
-    def test_series_with_callable_and_attribute(self):
-        result = run_sweep(complex, SweepGrid.product(real=(1.0, 2.0)))
-        assert result.series(lambda v: v.real) == (1.0, 2.0)
-        assert result.series("imag") == (0.0, 0.0)
-
-    def test_where_filters_points(self):
-        result = run_sweep(scaled_sum, SweepGrid.product(x=(1.0, 2.0), y=(0.0, 5.0)))
-        sub = result.where(y=5.0)
-        assert sub.axis("x") == (1.0, 2.0)
-        assert sub.values() == (6.0, 7.0)
-
-    def test_where_with_no_matches_is_empty(self):
-        result = run_sweep(scaled_sum, SweepGrid.product(x=(1.0, 2.0)))
-        empty = result.where(x=99.0)
-        assert len(empty) == 0
-        assert empty.values() == ()
-        assert empty.grid.names == ("x",)
-
     def test_explicit_accepts_reordered_keys(self):
         grid = SweepGrid.explicit([{"a": 1, "b": 2}, {"b": 4, "a": 3}])
         assert grid.rows == ((1, 2), (3, 4))
@@ -103,35 +85,28 @@ class TestRunSweep:
 
 
 class TestCsvPersistence:
-    def test_scalar_values_round_trip(self, tmp_path):
+    """The CSV artifact the result store keeps: an ``# axes:`` line, then
+    the axis columns and the flattened value columns."""
+
+    def test_scalar_values(self):
         result = run_sweep(
             scaled_sum, SweepGrid.product(x=(1.0, 2.0), y=(0.5, 1.5))
         )
-        path = tmp_path / "sweep.csv"
-        result.to_csv(path)
+        assert result.to_csv_text() == (
+            "# axes: x,y\nx,y,value\r\n1.0,0.5,1.5\r\n1.0,1.5,2.5\r\n"
+            "2.0,0.5,2.5\r\n2.0,1.5,3.5\r\n"
+        )
 
-        from repro.analysis.sweep import SweepResult
-
-        loaded = SweepResult.from_csv(path)
-        assert loaded.grid.names == result.grid.names
-        assert loaded.grid.rows == result.grid.rows
-        assert loaded.values() == result.values()
-
-    def test_mapping_values_round_trip(self, tmp_path):
+    def test_mapping_values_one_column_per_key(self):
         def point(x):
             return {"double": 2 * x, "label": f"p{x}", "none": None}
 
         result = run_sweep(point, SweepGrid.product(x=(1, 2)))
-        path = tmp_path / "sweep.csv"
-        result.to_csv(path)
+        assert result.to_csv_text() == (
+            "# axes: x\nx,double,label,none\r\n1,2,p1,\r\n2,4,p2,\r\n"
+        )
 
-        from repro.analysis.sweep import SweepResult
-
-        loaded = SweepResult.from_csv(path)
-        assert loaded.points[0].value == {"double": 2, "label": "p1", "none": None}
-        assert loaded.axis("x") == (1, 2)
-
-    def test_dataclass_values_flatten_scalar_fields(self, tmp_path):
+    def test_dataclass_values_flatten_scalar_fields(self):
         from dataclasses import dataclass
 
         @dataclass(frozen=True)
@@ -144,18 +119,6 @@ class TestCsvPersistence:
             lambda x: Report(latency=x * 0.5, name=f"r{x}", payload=(x,)),
             SweepGrid.product(x=(2, 4)),
         )
-        path = tmp_path / "sweep.csv"
-        result.to_csv(path)
-
-        from repro.analysis.sweep import SweepResult
-
-        loaded = SweepResult.from_csv(path)
-        assert loaded.points[0].value == {"latency": 1.0, "name": "r2"}
-
-    def test_from_csv_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b\n1,2\n")
-        from repro.analysis.sweep import SweepResult
-
-        with pytest.raises(ConfigError, match="axes"):
-            SweepResult.from_csv(path)
+        assert result.to_csv_text() == (
+            "# axes: x\nx,latency,name\r\n2,1.0,r2\r\n4,2.0,r4\r\n"
+        )

@@ -67,7 +67,7 @@ class TestRoofline:
     def test_every_registry_pair_times_as_the_accelerator_properties_do(self):
         cache = default_timing_cache()
         cache.clear()
-        for name in scenarios.names():
+        for name in scenarios.REGISTRY:
             if scenarios.get(name).kind != "table":
                 run_scenario(scenarios.get(name))
         pairs = [

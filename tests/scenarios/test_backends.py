@@ -36,7 +36,6 @@ from repro.scenarios.backends.base import (
     entry_spans,
 )
 from repro.scenarios.store import (
-    SCHEMA_VERSION,
     ResultStore,
     compact_json,
     parse_entry,
@@ -71,7 +70,7 @@ def restamp(store: ResultStore, scenario: Scenario, provenance) -> None:
         else view.fragment(part)
         for part in ENTRY_PARTS
     ]
-    data, _ = encode_entry(digest, store.schema_version, chunks)
+    data, _ = encode_entry(digest, chunks)
     store.backend.write(digest, data)
 
 
@@ -80,7 +79,7 @@ def entry_bytes(digest: str, tag: str = "raw") -> bytes:
     round-trips."""
     text = json.dumps(tag).encode()
     chunks = (b'{"name":%s}' % text, b"null", b"{}", text, b"null")
-    return encode_entry(digest, SCHEMA_VERSION, chunks)[0]
+    return encode_entry(digest, chunks)[0]
 
 
 #: Store URLs for the conformance configurations that are spelled as a
@@ -144,19 +143,35 @@ class TestConformancePutGet:
         assert backend.contains(digest)
         assert backend.read(digest) == data
         assert backend.peek(digest) == data
-        assert backend.delete(digest)
+        assert backend.discard(digest)
         assert not backend.contains(digest)
         assert backend.read(digest) is None
 
-    def test_invalidate_and_clear(self, store):
+    def test_clear(self, store):
         a, b = tiny_scenario("clear-a"), tiny_scenario("clear-b")
         store.put(a, payload())
         store.put(b, payload())
-        assert store.n_entries == 2
-        assert store.invalidate(a)
-        assert not store.invalidate(a)  # already gone
+        assert store.disk_usage()[0] == 2
+        assert store.clear() == 2
+        assert store.clear() == 0  # already gone
+        assert store.disk_usage() == (0, 0)
+
+    def test_discard_drops_one_entry_and_keeps_the_other(self, store):
+        """``discard`` (the corrupt heal) is the one way to remove a single
+        entry: it drops that digest, counts one delete, and leaves every
+        other entry readable and listed."""
+        a, b = tiny_scenario("discard-a"), tiny_scenario("discard-b")
+        store.put(a, payload("a"))
+        store.put(b, payload("b"))
+        backend = store.backend
+        assert backend.discard(store.digest(a))
+        assert not backend.discard(store.digest(a))  # already gone
+        assert backend.counters.deletes == 1
+        assert store.get(a) is None
+        kept = store.get(b)
+        assert kept is not None and kept.text == "b"
+        assert [entry.name for entry in store.entries()] == ["discard-b"]
         assert store.clear() == 1
-        assert store.n_entries == 0
 
     def test_entries_metadata_without_stats_traffic(self, store):
         scenario = tiny_scenario("meta")
@@ -208,7 +223,7 @@ class TestConformanceListing:
         store.put(scenario, payload("text 12345"))
         digest = store.digest(scenario)
         good = backend.peek(digest)
-        text_start, _ = entry_spans(good, digest, SCHEMA_VERSION)["text"]
+        text_start, _ = entry_spans(good, digest)["text"]
         at = good.index(b"1", text_start)
         damaged = good[:at] + b"9" + good[at + 1 :]  # one digit flipped
         backend.write(digest, damaged)
@@ -239,10 +254,40 @@ class TestConformanceListing:
         (entry,) = store.entries()
         assert (entry.digest, entry.name) == (digest, "listed-past")
         assert entry.size_bytes == len(durable)
-        assert store.n_entries == 1
+        assert store.disk_usage()[0] == 1
         assert backend.tiers[torn].peek(digest) == b"{ torn upper copy"
         hit = store.get(scenario)
         assert hit is not None and hit.text == "durable"
+
+    @pytest.mark.parametrize(
+        "config, damaged",
+        [("bounded-stack", 0), ("deep", 0), ("deep", 1)],
+        ids=["bounded-stack", "deep-mem", "deep-warm"],
+    )
+    def test_a_value_damaged_upper_copy_is_listed_past_before_any_get(
+        self, tmp_path, config, damaged
+    ):
+        """An upper copy with one digit of a value changed keeps the first
+        and last bytes the tiers' plausibility probe checks, but fails
+        the front-end's checksum: the listing reads past it to the intact
+        copy below at once, not only after a ``get`` has discarded it."""
+        url = CONFORMANCE_URLS[config].format(root=tmp_path)
+        backend = backend_from_url(url)
+        store = ResultStore(backend)
+        scenario = tiny_scenario("listed-past-damage")
+        digest = store.digest(scenario)
+        ResultStore(backend.tiers[-1]).put(scenario, payload("durable 12345"))
+        durable = backend.tiers[-1].peek(digest)
+        at = durable.index(b"1", entry_spans(durable, digest)["text"][0])
+        bad = durable[:at] + b"9" + durable[at + 1 :]
+        backend.tiers[damaged].write(digest, bad)
+        (entry,) = store.entries()
+        assert (entry.digest, entry.name) == (digest, "listed-past-damage")
+        assert entry.size_bytes == len(durable)
+        assert backend.peek(digest) == durable
+        assert backend.tiers[damaged].peek(digest) == bad  # left in place
+        hit = store.get(scenario)
+        assert hit is not None and hit.text == "durable 12345"
 
 
 class TestConformanceLRU:
@@ -270,7 +315,7 @@ class TestConformanceLRU:
             store.put(tiny_scenario(f"bytes-{i}"), payload(str(i)))
             time.sleep(0.02)
         assert len(store.gc(max_bytes=0)) == 3
-        assert store.n_entries == 0
+        assert store.disk_usage()[0] == 0
 
 
 class TestConformanceCorruption:
@@ -523,7 +568,7 @@ class TestTieredStore:
         for i in range(5):
             store.put(tiny_scenario(f"cap-{i}"), payload(str(i)))
             time.sleep(0.02)
-            assert store.n_entries <= 2
+            assert store.disk_usage()[0] <= 2
         assert store.backend.tiers[0].counters.evictions == 3
 
     def test_promotion_into_a_capped_tier_enforces_its_caps(self, tmp_path):
@@ -568,7 +613,7 @@ class TestTieredStore:
         producer.put(scenario, payload())
         store = ResultStore(f"mem://,file://{tmp_path / 'fs'}")
         assert store.get(scenario) is not None  # file hit + promotion
-        path = producer.path_for(scenario)
+        path = producer.backend.path_for_digest(producer.digest(scenario))
         os.utime(path, (1_000_000, 1_000_000))
         for _ in range(3):
             assert store.get(scenario) is not None  # mem hits

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from repro import scenarios
+from repro.core.timing_cache import default_timing_cache
 from repro.errors import ConfigError
+from repro.parallel.mapper import default_mapping_cache
 from repro.scenarios import Scenario
 from repro.scenarios.batch import load_scenario_file, resolve_scenario, run_many
 from repro.scenarios.store import ResultStore
@@ -44,36 +46,37 @@ def assert_series(actual, expected):
 
 def assert_figures_match_golden(batch, golden):
     """The run_many results reproduce the seed golden fixture to 1e-9."""
-    fig5 = batch.result("fig5")
+    series = {entry.name: entry.result.raw["series"] for entry in batch.entries}
     assert_series(
-        fig5.series("achieved_pflops_per_pu"),
+        series["fig5"]["achieved_pflops_per_pu"],
         golden["fig5"]["achieved_pflops_per_spu"],
     )
-    fig6 = batch.result("fig6")
-    assert_series(fig6.series("speedup"), golden["fig6"]["speedups"])
+    assert_series(series["fig6"]["speedup"], golden["fig6"]["speedups"])
     assert_series(
-        batch.result("fig7-bandwidth").series("latency"),
-        golden["fig7"]["latencies"],
+        series["fig7-bandwidth"]["latency"], golden["fig7"]["latencies"]
     )
     assert_series(
-        batch.result("fig7-dram-latency").series("achieved_pflops_per_pu"),
+        series["fig7-dram-latency"]["achieved_pflops_per_pu"],
         golden["fig7"]["latency_sweep_pflops_per_spu"],
     )
     assert_series(
-        batch.result("fig7-batch").series("latency"),
-        golden["fig7"]["batch_latencies"],
+        series["fig7-batch"]["latency"], golden["fig7"]["batch_latencies"]
     )
-    assert batch.result("fig7-gpu").series("latency")[0] == pytest.approx(
+    assert series["fig7-gpu"]["latency"][0] == pytest.approx(
         golden["fig7"]["gpu_latency"], rel=REL
     )
     assert_series(
-        batch.result("fig8-models").series("speedup"),
-        golden["fig8"]["model_speedups"],
+        series["fig8-models"]["speedup"], golden["fig8"]["model_speedups"]
     )
     assert_series(
-        batch.result("fig8-batch").series("kv_cache_bytes"),
-        golden["fig8"]["kv_cache_bytes"],
+        series["fig8-batch"]["kv_cache_bytes"], golden["fig8"]["kv_cache_bytes"]
     )
+
+
+def cache_counters() -> tuple[int, int, int, int]:
+    """The process-wide timing and mapping caches' hit/miss counters."""
+    timing, mapping = default_timing_cache(), default_mapping_cache()
+    return timing.hits, timing.misses, mapping.hits, mapping.misses
 
 
 class TestBatchGoldenEquivalence:
@@ -87,13 +90,13 @@ class TestBatchGoldenEquivalence:
         assert cold.stats.n_computed == len(FIGURE_NAMES)
         assert_figures_match_golden(cold, golden)
 
+        counters = cache_counters()
         warm = run_many(FIGURE_NAMES, store=store)
         assert all(e.from_cache for e in warm.entries)
         assert warm.stats.n_computed == 0
         assert warm.stats.store_hit_rate == 1.0
         # The warm pass is compute-free on the shared caches...
-        assert warm.stats.timing_hits == warm.stats.timing_misses == 0
-        assert warm.stats.mapping_hits == warm.stats.mapping_misses == 0
+        assert cache_counters() == counters
         # ... and still reproduces the golden numbers bit-for-bit.
         assert_figures_match_golden(warm, golden)
         for cold_entry, warm_entry in zip(cold.entries, warm.entries):
@@ -107,7 +110,7 @@ class TestBatchGoldenEquivalence:
         store = ResultStore(tmp_path / "store")
         names = ("fig6", "fig7-gpu")
         cached = run_many(names, store=store)
-        bypass = run_many(names, store=store, use_cache=False)
+        bypass = run_many(names)
         assert all(not e.from_cache for e in bypass.entries)
         for a, b in zip(cached.entries, bypass.entries):
             assert a.result.raw_json() == b.result.raw_json()
@@ -208,26 +211,13 @@ class TestDedupAndSharing:
 
     def test_cross_scenario_point_dedup_through_shared_caches(self, tmp_path):
         """fig7-batch and fig8-batch share every sweep point's mapping."""
-        from repro.parallel.mapper import default_mapping_cache
-
         mapping = default_mapping_cache()
         mapping.clear()
-        batch = run_many(["fig7-batch", "fig8-batch"])
+        run_many(["fig7-batch", "fig8-batch"])
         # fig8-batch adds a GPU reference but re-times the *same* mapped
         # SPU workloads fig7-batch already mapped: the shared cache turns
         # those points into pure hits.
-        assert batch.stats.mapping_hits >= 6
-
-    def test_result_lookup_by_name(self):
-        batch = run_many(["fig7-gpu"])
-        assert batch.result("fig7-gpu").series("latency")
-        with pytest.raises(ConfigError, match="no scenario"):
-            batch.result("fig5")
-
-    def test_render_concatenates(self):
-        batch = run_many(["table1", "fig3c-blade-spec"])
-        text = batch.render()
-        assert "CMOS" in text and "No. of SPUs" in text
+        assert mapping.hits >= 6
 
 
 class TestBatchProvenance:

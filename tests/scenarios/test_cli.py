@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -72,6 +73,13 @@ class TestRunCaching:
         assert not list(isolated_cache_dir.glob("*.json"))
         assert main(["run", "fig7-gpu", "--no-cache"]) == 0
         assert "served from result store" not in capsys.readouterr().err
+
+    def test_no_cache_still_rejects_a_bad_cache_url(self, capsys):
+        # --no-cache skips the store's reads and writes, not the parsing
+        # of the --cache the user named.
+        argv = ["run", "fig3c-blade-spec", "--no-cache", "--cache", "ring://a:1"]
+        assert main(argv) == 2
+        assert "unknown store-URL scheme" in capsys.readouterr().err
 
     def test_cache_dir_flag_overrides_env(self, capsys, tmp_path):
         cache_dir = tmp_path / "explicit"
@@ -150,6 +158,16 @@ class TestRunAll:
 
     def test_run_all_unknown_kind(self, capsys):
         assert main(["run-all", "--kind", "nope"]) == 1
+
+    def test_run_all_no_cache_leaves_a_fresh_cache_dir_empty(
+        self, capsys, tmp_path
+    ):
+        cache_dir = tmp_path / "fresh"
+        cache_dir.mkdir()
+        argv = ["run-all", "--kind", "table", "--no-cache"]
+        assert main(argv + ["--cache", str(cache_dir)]) == 0
+        assert "4 computed" in capsys.readouterr().out
+        assert list(cache_dir.iterdir()) == []
 
     def test_run_all_writes_artifacts(self, capsys, tmp_path):
         out_dir = tmp_path / "artifacts"
@@ -346,11 +364,10 @@ class TestSweep:
         assert Scenario.from_dict(raw["scenario"]).name == "fig6"
         assert len(raw["points"]) == 3
 
-        from repro.analysis.sweep import SweepResult
-
-        loaded = SweepResult.from_csv(tmp_path / "fig6.csv")
-        assert loaded.grid.names == ("workload.model",)
-        assert [p.value["speedup"] for p in loaded.points] == pytest.approx(
+        lines = (tmp_path / "fig6.csv").read_text().splitlines()
+        assert lines[0] == "# axes: workload.model"
+        rows = list(csv.DictReader(lines[1:]))
+        assert [float(row["speedup"]) for row in rows] == pytest.approx(
             raw["series"]["speedup"]
         )
         assert "speedup" in (tmp_path / "fig6.txt").read_text()

@@ -335,18 +335,20 @@ def _mutations(scenario: Scenario, rng: random.Random):
         bandwidth = scenario.system.dram_bandwidth_tbps
         yield "system.dram_bandwidth_tbps", dataclasses.replace(
             scenario,
-            system=scenario.system.with_overrides(
-                dram_bandwidth_tbps=1.0 if bandwidth is None else bandwidth * 2
+            system=dataclasses.replace(
+                scenario.system,
+                dram_bandwidth_tbps=1.0 if bandwidth is None else bandwidth * 2,
             ),
         )
         yield "system.l2_policy", dataclasses.replace(
             scenario,
-            system=scenario.system.with_overrides(
+            system=dataclasses.replace(
+                scenario.system,
                 l2_policy=(
                     "l2_kv_cache"
                     if scenario.system.l2_policy == "dram"
                     else "dram"
-                )
+                ),
             ),
         )
     if scenario.parallel is not None:
@@ -418,9 +420,9 @@ class TestDigestIgnoresStorageMetadata:
                 provenance=Provenance(1, "host-b", 2.0e9, None, None),
             )
             assert put_a.digest == put_b.digest, scenario
-            assert store_a.path_for(scenario).name == store_b.path_for(
-                scenario
-            ).name
+            assert [p.name for p in store_a.cache_dir.iterdir()] == [
+                p.name for p in store_b.cache_dir.iterdir()
+            ]
 
     def test_mutating_provenance_on_disk_keeps_the_entry_warm(self, tmp_path):
         from repro.scenarios.store import Provenance, ResultStore
@@ -456,8 +458,12 @@ class TestMutationChangesDigest:
         # The generator mix must actually exercise every mutation family.
         assert checked > 5 * N_CASES
 
-    def test_schema_version_acts_as_a_global_mutation(self):
+    def test_schema_version_acts_as_a_global_mutation(self, monkeypatch):
+        from repro.scenarios.backends import base
+
         rng = random.Random(0xA11CE)
-        for _ in range(50):
-            scenario = gen_scenario(rng)
-            assert scenario_digest(scenario, 1) != scenario_digest(scenario, 2)
+        scenarios = [gen_scenario(rng) for _ in range(50)]
+        before = [scenario_digest(scenario) for scenario in scenarios]
+        monkeypatch.setattr(base, "SCHEMA_VERSION", base.SCHEMA_VERSION + 1)
+        for scenario, digest in zip(scenarios, before):
+            assert scenario_digest(scenario) != digest

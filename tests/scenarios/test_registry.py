@@ -29,7 +29,7 @@ def assert_series(actual, expected):
 
 class TestRegistryBasics:
     def test_expected_names_registered(self):
-        names = scenarios.names()
+        names = tuple(scenarios.REGISTRY)
         for name in (
             "fig5",
             "fig6",
@@ -62,7 +62,7 @@ class TestRegistryBasics:
             scenarios.register(scenarios.get("fig5"))
 
     def test_every_registered_scenario_round_trips(self):
-        for name in scenarios.names():
+        for name in scenarios.REGISTRY:
             scenario = scenarios.get(name)
             assert scenarios.Scenario.from_json(scenario.to_json()) == scenario
 

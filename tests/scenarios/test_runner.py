@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from repro.arch.config import SystemConfig, gpu_config, scd_blade_config
@@ -161,17 +163,17 @@ class TestDseScenario:
 
 
 class TestArtifacts:
-    def test_extracted_sweep_round_trips_csv(self, tmp_path):
+    def test_extracted_sweep_csv_carries_axes_and_series(self):
         result = run_scenario(bandwidth_sweep_scenario())
-        path = tmp_path / "sweep.csv"
-        result.extracted_sweep().to_csv(path)
-
-        from repro.analysis.sweep import SweepResult
-
-        loaded = SweepResult.from_csv(path)
-        assert loaded.grid.names == ("system.dram_bandwidth_tbps",)
-        assert loaded.axis("system.dram_bandwidth_tbps") == (1, 4, 16)
-        assert tuple(p.value["time_per_batch"] for p in loaded.points) == (
+        lines = result.extracted_sweep().to_csv_text().splitlines()
+        assert lines[0] == "# axes: system.dram_bandwidth_tbps"
+        rows = list(csv.DictReader(lines[1:]))
+        assert [row["system.dram_bandwidth_tbps"] for row in rows] == [
+            "1",
+            "4",
+            "16",
+        ]
+        assert tuple(float(row["time_per_batch"]) for row in rows) == (
             pytest.approx(result.series("time_per_batch"))
         )
 

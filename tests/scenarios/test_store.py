@@ -10,9 +10,9 @@ import pytest
 from repro import scenarios
 from repro.arch.config import SystemConfig
 from repro.core.timing_cache import default_timing_cache
-from repro.errors import ConfigError
 from repro.parallel.mapper import default_mapping_cache
 from repro.scenarios import Scenario
+from repro.scenarios.backends import base
 from repro.scenarios.store import (
     SCHEMA_VERSION,
     CACHE_DIR_ENV,
@@ -52,13 +52,15 @@ class TestDigest:
 
     def test_every_registered_scenario_digest_is_unique(self):
         digests = {
-            scenario_digest(scenarios.get(name)) for name in scenarios.names()
+            scenario_digest(scenarios.get(name)) for name in scenarios.REGISTRY
         }
-        assert len(digests) == len(scenarios.names())
+        assert len(digests) == len(scenarios.REGISTRY)
 
-    def test_schema_version_changes_digest(self):
+    def test_schema_version_changes_digest(self, monkeypatch):
         scenario = tiny_scenario()
-        assert scenario_digest(scenario, 1) != scenario_digest(scenario, 2)
+        before = scenario_digest(scenario)
+        monkeypatch.setattr(base, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        assert scenario_digest(scenario) != before
 
     def test_default_cache_dir_honors_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "elsewhere"))
@@ -74,34 +76,34 @@ class TestHitMissInvalidate:
         result = run_cached(scenario, store)
         assert not result.from_cache
         assert store.stats.puts == 1
-        assert store.path_for(scenario).is_file()
+        assert store.backend.path_for_digest(result.digest).is_file()
 
         again = run_cached(scenario, store)
         assert again.from_cache
         assert store.stats.hits == 1
         assert again.digest == result.digest
 
-    def test_invalidate_forces_recompute(self, store):
+    def test_clear_forces_recompute(self, store):
         scenario = tiny_scenario()
         run_cached(scenario, store)
-        assert store.invalidate(scenario)
-        assert not store.invalidate(scenario)  # already gone
+        assert store.clear() == 1
+        assert store.clear() == 0  # already gone
         assert store.stats.invalidations == 1
         assert not run_cached(scenario, store).from_cache
 
     def test_clear_empties_the_store(self, store):
         run_cached(tiny_scenario("clear-a"), store)
         run_cached(tiny_scenario("clear-b"), store)
-        assert store.n_entries == 2
+        assert store.disk_usage()[0] == 2
         assert store.clear() == 2
-        assert store.n_entries == 0
+        assert store.disk_usage() == (0, 0)
 
     def test_clear_leaves_foreign_files_alone(self, store):
         """Only digest-named entries are counted — and deleted."""
         run_cached(tiny_scenario(), store)
         foreign = store.cache_dir / "notes.json"
         foreign.write_text('{"mine": true}')
-        assert store.n_entries == 1  # the foreign file is not an entry
+        assert store.disk_usage()[0] == 1  # the foreign file is not an entry
         assert store.clear() == 1
         assert foreign.exists()
         assert json.loads(foreign.read_text()) == {"mine": True}
@@ -118,9 +120,9 @@ class TestHitMissInvalidate:
     def test_cold_run_digests_the_spec_once(self, store, monkeypatch):
         calls = []
 
-        def counting(scenario, schema_version=SCHEMA_VERSION):
+        def counting(scenario):
             calls.append(scenario.name)
-            return scenario_digest(scenario, schema_version)
+            return scenario_digest(scenario)
 
         monkeypatch.setattr("repro.scenarios.store.scenario_digest", counting)
         scenario = tiny_scenario()
@@ -132,17 +134,19 @@ class TestHitMissInvalidate:
         run_cached(scenario, None)
         assert len(calls) == 3
 
-    def test_no_cache_bypasses_both_directions(self, store):
+    def test_no_store_computes_every_time(self, store):
         scenario = tiny_scenario()
-        result = run_cached(scenario, store, use_cache=False)
+        result = run_cached(scenario, None)
         assert not result.from_cache
-        assert store.n_entries == 0
-        assert store.stats.lookups == 0
+        assert result.digest == scenario_digest(scenario)
 
-        # Even with a warm entry, use_cache=False recomputes.
-        run_cached(scenario, store)
-        fresh = run_cached(scenario, store, use_cache=False)
+        # Even with a warm entry elsewhere, no store recomputes.
+        warm = run_cached(scenario, store)
+        fresh = run_cached(scenario, None)
         assert not fresh.from_cache
+        assert fresh.entry.fragment("artifacts") == warm.entry.fragment(
+            "artifacts"
+        )
 
 
 class TestInvalidationRules:
@@ -154,7 +158,9 @@ class TestInvalidationRules:
             "extract": ("time_per_batch",),
             "max_candidates": 7,
             "workload": dataclasses.replace(scenario.workload, batch=64),
-            "system": scenario.system.with_overrides(dram_latency_ns=50.0),
+            "system": dataclasses.replace(
+                scenario.system, dram_latency_ns=50.0
+            ),
             "parallel": dataclasses.replace(
                 scenario.parallel, microbatch_size=2
             ),
@@ -164,25 +170,25 @@ class TestInvalidationRules:
             mutated = dataclasses.replace(scenario, **{field_name: value})
             assert scenario_digest(mutated) != base, field_name
 
-    def test_schema_bump_invalidates_old_entries(self, tmp_path):
+    def test_schema_bump_invalidates_old_entries(self, tmp_path, monkeypatch):
         scenario = tiny_scenario()
-        old = ResultStore(tmp_path / "store", schema_version=SCHEMA_VERSION)
-        run_cached(scenario, old)
-        assert old.get(scenario) is not None
+        store = ResultStore(tmp_path / "store")
+        old = run_cached(scenario, store)
+        assert store.get(scenario) is not None
 
-        new = ResultStore(
-            tmp_path / "store", schema_version=SCHEMA_VERSION + 1
-        )
-        assert new.get(scenario) is None
-        result = run_cached(scenario, new)
+        monkeypatch.setattr(base, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        assert store.get(scenario) is None
+        result = run_cached(scenario, store)
         assert not result.from_cache
+        assert result.digest != old.digest
+        assert result.provenance.schema_version == SCHEMA_VERSION + 1
         # Both generations now coexist under their own digests.
-        assert new.n_entries == 2
+        assert store.disk_usage()[0] == 2
 
     def test_corrupted_entry_falls_back_to_recompute(self, store):
         scenario = tiny_scenario()
         cold = run_cached(scenario, store)
-        path = store.path_for(scenario)
+        path = store.backend.path_for_digest(cold.digest)
         path.write_text("{ not json !!!")
 
         assert store.get(scenario) is None
@@ -195,8 +201,8 @@ class TestInvalidationRules:
 
     def test_foreign_json_is_treated_as_corrupt(self, store):
         scenario = tiny_scenario()
-        run_cached(scenario, store)
-        path = store.path_for(scenario)
+        cold = run_cached(scenario, store)
+        path = store.backend.path_for_digest(cold.digest)
         path.write_text(json.dumps({"format": "something-else"}))
         assert store.get(scenario) is None
         assert store.stats.corrupt == 1
@@ -263,8 +269,9 @@ class TestInvalidationRules:
         assert store.digest(other) != store.digest(scenario)
         # Graft the impostor's entry under the original's address.
         store.put(other, {"raw": {}, "text": "", "csv": None})
-        store.path_for(scenario).write_bytes(
-            store.path_for(other).read_bytes()
+        path_for_digest = store.backend.path_for_digest
+        path_for_digest(store.digest(scenario)).write_bytes(
+            path_for_digest(store.digest(other)).read_bytes()
         )
         assert store.get(scenario) is None
         assert store.stats.corrupt == 1
@@ -303,21 +310,6 @@ class TestWarmRunsAreComputeFree:
 
 
 class TestStoredResultViews:
-    def test_series_axis_and_all_series(self, store):
-        scenario = tiny_scenario()
-        run_cached(scenario, store)
-        warm = store.get(scenario)
-        assert warm.axis("system.dram_bandwidth_tbps") == (1, 4)
-        assert len(warm.series("time_per_batch")) == 2
-        assert set(warm.all_series()) == {
-            "time_per_batch",
-            "achieved_pflops_per_pu",
-        }
-        with pytest.raises(ConfigError, match="no series"):
-            warm.series("latency")
-        with pytest.raises(ConfigError, match="no axis"):
-            warm.axis("workload.batch")
-
     def test_table_scenarios_cache_their_rendering(self, store):
         scenario = scenarios.get("fig3c-blade-spec")
         cold = run_cached(scenario, store)

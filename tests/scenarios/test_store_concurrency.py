@@ -75,10 +75,10 @@ def hammer(
     ``sabotage_path`` maps a digest to the file to clobber (defaults to the
     store's own entry path; a tiered store passes its file tier's)."""
     if sabotage_path is None:
-        sabotage_path = store._path_for_digest
+        sabotage_path = store.backend.path_for_digest
     rng = random.Random(seed)
     scenarios = [stress_scenario(i) for i in range(N_SCENARIOS)]
-    counts = {"puts": 0, "gets": 0, "invalidated": 0, "gc_runs": 0}
+    counts = {"puts": 0, "gets": 0, "cleared": 0, "gc_runs": 0}
     for _ in range(n_ops):
         index = rng.randrange(N_SCENARIOS)
         scenario = scenarios[index]
@@ -91,9 +91,8 @@ def hammer(
             if hit is not None:
                 check_hit(index, hit)
             counts["gets"] += 1
-        elif op < 0.85:
-            if store.invalidate(scenario):
-                counts["invalidated"] += 1
+        elif op < 0.80:
+            counts["cleared"] += store.clear()
         elif op < 0.95:
             store.gc(max_entries=N_SCENARIOS - 1)
             counts["gc_runs"] += 1
@@ -136,7 +135,7 @@ def assert_store_consistent(cache_dir) -> None:
     """Reading back every surviving file either yields a valid entry or
     self-heals (drops it) — and what validates matches its filename."""
     store = ResultStore(cache_dir)
-    for path in store._entry_paths():
+    for path in sorted(store.cache_dir.glob("*.json")):
         digest = path.name[:-5]
         entry = store.read_digest(digest)  # heals un-noticed sabotage
         if entry is None:
@@ -169,7 +168,7 @@ class TestThreadStress:
         assert store.stats.puts == sum(r["puts"] for r in results)
         assert store.stats.lookups == sum(r["gets"] for r in results)
         assert store.stats.invalidations == sum(
-            r["invalidated"] for r in results
+            r["cleared"] for r in results
         )
         assert store.stats.hits + store.stats.misses == store.stats.lookups
         assert_store_consistent(tmp_path / "threads")
@@ -188,7 +187,7 @@ class TestThreadStress:
             list(pool.map(worker, range(n_workers)))
         # Every put auto-gc'd; with the dust settled the cap holds exactly.
         store.gc()
-        assert store.n_entries <= 3
+        assert store.disk_usage()[0] <= 3
         assert store.backend.counters.evictions > 0
         assert_store_consistent(tmp_path / "gc-race")
 
@@ -313,7 +312,7 @@ class TestCorruptionSelfHealMidRace:
     def test_readers_heal_while_a_writer_overwrites(self, tmp_path):
         store = ResultStore(tmp_path / "heal")
         scenario = stress_scenario(0)
-        path = store._path_for_digest(store.digest(scenario))
+        path = store.backend.path_for_digest(store.digest(scenario))
         n_rounds = 120
 
         def corruptor() -> None:

@@ -11,9 +11,11 @@ import pytest
 from repro.arch.config import SystemConfig
 from repro.scenarios import Scenario
 from repro.scenarios.store import (
+    SCHEMA_VERSION,
     Provenance,
     ResultStore,
     current_provenance,
+    provenance_summary,
     run_cached,
 )
 from tests.scenarios.test_backends import restamp
@@ -45,7 +47,8 @@ def put_n(store: ResultStore, n: int, prefix: str = "gc") -> list:
         store.put(scenario, payload(f"entry-{i}"))
         # File mtimes can tie within one clock tick; spread them so LRU
         # order is deterministic.
-        os.utime(store.path_for(scenario), (1_000_000 + i, 1_000_000 + i))
+        path = store.backend.path_for_digest(store.digest(scenario))
+        os.utime(path, (1_000_000 + i, 1_000_000 + i))
         scenarios.append(scenario)
     return scenarios
 
@@ -56,7 +59,7 @@ class TestGcMaxEntries:
         scenarios = put_n(store, 5)
         evicted = store.gc(max_entries=2)
         assert len(evicted) == 3
-        assert store.n_entries == 2
+        assert store.disk_usage()[0] == 2
         assert store.backend.counters.evictions == 3
         # The two *newest* survive.
         assert store.get(scenarios[3]) is not None
@@ -84,18 +87,18 @@ class TestGcMaxBytes:
     def test_evicts_down_to_the_byte_cap(self, tmp_path):
         store = ResultStore(tmp_path)
         put_n(store, 4)
-        sizes = {p: p.stat().st_size for p in store._entry_paths()}
-        total = sum(sizes.values())
+        total = store.disk_usage()[1]
+        assert total == sum(p.stat().st_size for p in tmp_path.glob("*.json"))
         one_entry = total // 4
         evicted = store.gc(max_bytes=total - one_entry)
         assert len(evicted) >= 1
-        assert store.total_bytes <= total - one_entry
+        assert store.disk_usage()[1] <= total - one_entry
 
     def test_zero_cap_empties_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
         put_n(store, 3)
         assert len(store.gc(max_bytes=0)) == 3
-        assert store.n_entries == 0
+        assert store.disk_usage()[0] == 0
 
 
 class TestAutoGcOnPut:
@@ -106,7 +109,7 @@ class TestAutoGcOnPut:
             # the puts so the LRU order can never tie.
             time.sleep(0.02)
             store.put(tiny_scenario(f"auto-{i}"), payload(str(i)))
-            assert store.n_entries <= 2
+            assert store.disk_usage()[0] <= 2
         assert store.backend.counters.evictions == 3
         # The most recent put always survives its own gc.
         assert store.get(tiny_scenario("auto-4")) is not None
@@ -114,7 +117,7 @@ class TestAutoGcOnPut:
     def test_unconfigured_store_never_auto_evicts(self, tmp_path):
         store = ResultStore(tmp_path)
         put_n(store, 4)
-        assert store.n_entries == 4
+        assert store.disk_usage()[0] == 4
         assert store.backend.counters.evictions == 0
 
     def test_gc_sweeps_stale_tmp_files(self, tmp_path):
@@ -128,7 +131,7 @@ class TestAutoGcOnPut:
         store.gc(max_entries=10)
         assert not stale.exists()
         assert fresh.exists()  # a live writer's file is never swept
-        assert store.n_entries == 1
+        assert store.disk_usage()[0] == 1
 
 
 class TestProvenance:
@@ -138,7 +141,7 @@ class TestProvenance:
         before = time.time()
         stored = store.put(scenario, payload(), wall_time_s=1.25)
         assert stored.provenance is not None
-        assert stored.provenance.schema_version == store.schema_version
+        assert stored.provenance.schema_version == SCHEMA_VERSION
         assert stored.provenance.wall_time_s == 1.25
         assert stored.provenance.host
         assert before <= stored.provenance.created_unix <= time.time()
@@ -147,7 +150,6 @@ class TestProvenance:
         assert warm.provenance == stored.provenance
         (entry,) = store.entries()
         assert entry.provenance == stored.provenance
-        assert entry.created_unix == stored.provenance.created_unix
 
     def test_run_cached_records_wall_time(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -169,7 +171,9 @@ class TestProvenance:
 
         (meta,) = store.entries()
         assert meta.provenance is None
-        assert meta.created_unix == 0.0  # age-dated as oldest
+        summary = provenance_summary([meta])
+        assert summary["entries_missing_provenance"] == 1
+        assert summary["oldest_created_unix"] is None  # no 1970 stamp
 
     @pytest.mark.parametrize(
         "bad", [None, 42, "soon", [], {"created_unix": "never"}, {}]

@@ -20,6 +20,7 @@ from repro.scenarios.backends import InMemoryBackend
 from repro.scenarios.store import ResultStore
 from repro.serving.app import (
     MAX_BATCH_ITEMS,
+    MAX_BODY_BYTES,
     ServingApp,
     if_none_match_matches,
 )
@@ -89,9 +90,8 @@ class TestMalformedBodies:
         assert_structured_4xx(app.handle("POST", "/run", b""), 400)
         assert app.handle("POST", "/run", b"").body["error"] == "empty-body"
 
-    def test_oversize_body_is_413(self, tmp_path):
-        app = ServingApp(ResultStore(tmp_path / "s"), max_body_bytes=64)
-        response = app.handle("POST", "/run", b"x" * 65)
+    def test_oversize_body_is_413(self, app):
+        response = app.handle("POST", "/run", b"x" * (MAX_BODY_BYTES + 1))
         assert_structured_4xx(response, 413)
 
     def test_oversize_batch_is_413(self, app):
@@ -164,7 +164,7 @@ class TestScenarioReferences:
             json.dumps({"scenarios": ["fig3c-blade-spec", "nope"]}).encode(),
         )
         assert_structured_4xx(response, 404)
-        assert app.store.n_entries == 0  # rejected before any compute
+        assert app.store.disk_usage()[0] == 0  # rejected before any compute
 
 
 class TestRoutesAndMethods:
@@ -362,7 +362,7 @@ class TestClosedWriteSurface:
             digest = "%064x" % rng.getrandbits(256)
             response = app.handle("PUT", f"/results/{digest}", blob)
             assert_structured_4xx(response, 405)
-        assert app.store.n_entries == 0
+        assert app.store.disk_usage()[0] == 0
 
     def test_a_producers_entry_cannot_be_put(self, app):
         digest, entry = produce_entry("closed-put")
@@ -371,9 +371,9 @@ class TestClosedWriteSurface:
         assert not app.store.contains(digest)
         assert_structured_4xx(app.handle("GET", f"/results/{digest}"), 404)
 
-    def test_an_oversize_put_body_is_405_unread(self, tmp_path):
-        app = ServingApp(ResultStore(tmp_path / "s"), max_body_bytes=64)
-        response = app.handle("PUT", "/results/" + "ab" * 32, b"x" * 65)
+    def test_an_oversize_put_body_is_405_unread(self, app):
+        body = b"x" * (MAX_BODY_BYTES + 1)
+        response = app.handle("PUT", "/results/" + "ab" * 32, body)
         assert_structured_4xx(response, 405)
 
     def test_delete_fuzz_is_405(self, app):

@@ -23,7 +23,7 @@ from repro.scenarios import get
 from repro.scenarios.store import ResultStore, run_cached
 from repro.serving.app import ServingApp
 
-from test_jobs import GatedCompute  # sibling test module
+from test_jobs import GatedCompute, until_terminal  # sibling test module
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ class TestAcceptedFlow:
     def test_job_completes_and_redirects_to_result(self, app):
         digest = digest_of(app, "table1")
         assert post_run(app, {"scenario": "table1"}).status == 202
-        assert app.jobs.wait(digest, timeout=30)
+        until_terminal(app.jobs, digest)
 
         status = app.handle("GET", f"/jobs/{digest}")
         assert status.status == 303
@@ -76,7 +76,7 @@ class TestAcceptedFlow:
     def test_warm_digest_is_served_inline_not_enqueued(self, app):
         digest = digest_of(app, "table1")
         post_run(app, {"scenario": "table1"})
-        assert app.jobs.wait(digest, timeout=30)
+        until_terminal(app.jobs, digest)
         warm = post_run(app, {"scenario": "table1"})
         assert warm.status == 200
         assert json.loads(warm.body_bytes())["from_cache"] is True
@@ -121,14 +121,14 @@ class TestAcceptedFlow:
         assert [job["digest"] for job in listing.body["jobs"]] == [digest]
         assert listing.body["counters"]["running"] == 1
         compute.release.set()
-        assert app.jobs.wait(digest, timeout=10)
+        until_terminal(app.jobs, digest)
         listing = app.handle("GET", "/jobs")
         assert listing.body["jobs"][0]["status"] == "done"
 
     def test_stats_exposes_the_jobs_block(self, app):
         digest = digest_of(app, "table1")
         post_run(app, {"scenario": "table1"})
-        assert app.jobs.wait(digest, timeout=30)
+        until_terminal(app.jobs, digest)
         stats = app.handle("GET", "/stats")
         assert stats.status == 200
         jobs_block = stats.body["jobs"]
@@ -151,7 +151,7 @@ class TestCoalescing:
             assert again.status == 202
             assert again.body["coalesced"] is True
         compute.release.set()
-        assert app.jobs.wait(digest_of(app, "table1"), timeout=10)
+        until_terminal(app.jobs, digest_of(app, "table1"))
         assert compute.calls == 1
         assert app.jobs.counters.submitted == 1
         assert app.jobs.counters.coalesced == 4
@@ -185,7 +185,7 @@ class TestCoalescing:
         for thread in threads:
             thread.join(timeout=30)
         digest = digest_of(app, "table1")
-        assert app.jobs.wait(digest, timeout=30)
+        until_terminal(app.jobs, digest)
         # Late arrivals may find the store already warm (200); everyone
         # else got a 202 onto the same job.  A thread that probed the
         # store before the result landed may legally submit a follow-up
@@ -256,7 +256,7 @@ class TestFailedJobs:
         app.jobs._compute = boom
         digest = digest_of(app, "table1")
         assert post_run(app, {"scenario": "table1"}).status == 202
-        assert app.jobs.wait(digest, timeout=10)
+        until_terminal(app.jobs, digest)
         status = app.handle("GET", f"/jobs/{digest}")
         assert status.status == 200  # failed is a final *status*, not 3xx
         assert status.body["status"] == "failed"
@@ -272,7 +272,7 @@ class TestFailedJobs:
         response = post_run(app, {"scenario": spec})
         assert response.status == 202
         digest = response.body["digest"]
-        assert app.jobs.wait(digest, timeout=10)
+        until_terminal(app.jobs, digest)
         status = app.handle("GET", f"/jobs/{digest}")
         assert status.body["status"] == "failed"
         assert status.body["error"]["error"] == "invalid-scenario"
@@ -284,7 +284,7 @@ class TestFailedJobs:
         app.jobs._compute = boom
         digest = digest_of(app, "table1")
         post_run(app, {"scenario": "table1"})
-        assert app.jobs.wait(digest, timeout=10)
+        until_terminal(app.jobs, digest)
         status = app.handle("GET", f"/jobs/{digest}")
         assert status.body["error"] == {
             "error": "internal",
@@ -313,7 +313,7 @@ class TestWaitEscapeHatch:
             assert accepted.status == 202
             digest = accepted.body["digest"]
             assert digest == sync_body["digest"]
-            assert async_app.jobs.wait(digest, timeout=30)
+            until_terminal(async_app.jobs, digest)
             result = async_app.handle("GET", f"/results/{digest}")
             body = json.loads(result.body_bytes())
             assert body["artifacts"] == sync_body["artifacts"]
@@ -326,7 +326,7 @@ class TestWaitEscapeHatch:
     ):
         digest = digest_of(app, "table1")
         post_run(app, {"scenario": "table1"})
-        assert app.jobs.wait(digest, timeout=30)
+        until_terminal(app.jobs, digest)
         plain = post_run(app, {"scenario": "table1"})
         waited = post_run(app, {"scenario": "table1"}, path="/run?wait=1")
         assert plain.status == waited.status == 200
@@ -445,7 +445,7 @@ class TestAsyncBatch:
         }
         compute.release.set()
         digest = digest_of(app, "fig7-gpu")
-        assert app.jobs.wait(digest, timeout=10)
+        until_terminal(app.jobs, digest)
         assert app.handle("GET", f"/jobs/{digest}").status == 303
 
     def test_batch_duplicates_coalesce_onto_one_job(self, app):
@@ -459,4 +459,4 @@ class TestAsyncBatch:
         assert app.jobs.counters.submitted == 1
         assert app.jobs.counters.coalesced == 2
         compute.release.set()
-        assert app.jobs.wait(digest_of(app, "table1"), timeout=10)
+        until_terminal(app.jobs, digest_of(app, "table1"))

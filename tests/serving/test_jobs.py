@@ -19,6 +19,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.scenarios import get
 from repro.scenarios.store import ResultStore, stored_from_payload
+from repro.serving import jobs
 from repro.serving.jobs import (
     DONE,
     FAILED,
@@ -63,6 +64,19 @@ def make_manager(store, compute, **kwargs):
     return JobManager(store, compute=compute, **kwargs)
 
 
+def until_terminal(manager, digest, timeout=30.0):
+    """Poll ``digest``'s job snapshot, as a client polls ``GET
+    /jobs/<digest>``, until the job is done or failed; returns that
+    snapshot."""
+    deadline = time.monotonic() + timeout
+    while True:
+        snapshot = manager.describe(digest)
+        if snapshot is not None and snapshot["status"] in (DONE, FAILED):
+            return snapshot
+        assert time.monotonic() < deadline, f"job {digest} stuck: {snapshot}"
+        time.sleep(0.001)
+
+
 class TestLifecycle:
     def test_submit_runs_to_done(self, store):
         manager = make_manager(store, fake_result)
@@ -70,7 +84,7 @@ class TestLifecycle:
             snapshot = manager.submit(SCENARIO, "a" * 64)
             assert snapshot["status"] in (QUEUED, RUNNING)
             assert snapshot["coalesced_onto_existing"] is False
-            assert manager.wait("a" * 64, timeout=10)
+            until_terminal(manager, "a" * 64)
             done = manager.describe("a" * 64)
             assert done["status"] == DONE
             assert done["result_url"] == "/results/" + "a" * 64
@@ -99,10 +113,6 @@ class TestLifecycle:
             compute.release.set()
             manager.shutdown()
 
-    def test_wait_on_unknown_digest_is_false(self, store):
-        manager = make_manager(store, fake_result)
-        assert manager.wait("f" * 64, timeout=0.01) is False
-
     def test_describe_unknown_digest_is_none(self, store):
         manager = make_manager(store, fake_result)
         assert manager.describe("f" * 64) is None
@@ -120,7 +130,7 @@ class TestCoalescing:
                 again = manager.submit(SCENARIO, "a" * 64)
                 assert again["coalesced_onto_existing"] is True
             compute.release.set()
-            assert manager.wait("a" * 64, timeout=10)
+            until_terminal(manager, "a" * 64)
             assert compute.calls == 1
             assert manager.counters.submitted == 1
             assert manager.counters.coalesced == 5
@@ -141,12 +151,12 @@ class TestCoalescing:
         manager = make_manager(store, flaky)
         try:
             manager.submit(SCENARIO, "a" * 64)
-            assert manager.wait("a" * 64, timeout=10)
+            until_terminal(manager, "a" * 64)
             assert manager.describe("a" * 64)["status"] == FAILED
             # Failures are not cached: a new submission gets a new job.
             retry = manager.submit(SCENARIO, "a" * 64)
             assert retry["coalesced_onto_existing"] is False
-            assert manager.wait("a" * 64, timeout=10)
+            until_terminal(manager, "a" * 64)
             assert manager.describe("a" * 64)["status"] == DONE
             assert len(attempts) == 2
         finally:
@@ -218,7 +228,7 @@ class TestFailureClassification:
         manager = make_manager(store, boom)
         try:
             manager.submit(SCENARIO, "a" * 64, origin="registry")
-            assert manager.wait("a" * 64, timeout=10)
+            until_terminal(manager, "a" * 64)
             snapshot = manager.describe("a" * 64)
             assert snapshot["status"] == FAILED
             assert snapshot["error"]["error"] == "compute-failed"
@@ -233,7 +243,7 @@ class TestFailureClassification:
         manager = make_manager(store, boom)
         try:
             manager.submit(SCENARIO, "a" * 64, origin="inline")
-            assert manager.wait("a" * 64, timeout=10)
+            until_terminal(manager, "a" * 64)
             assert (
                 manager.describe("a" * 64)["error"]["error"]
                 == "invalid-scenario"
@@ -248,7 +258,7 @@ class TestFailureClassification:
         manager = make_manager(store, boom)
         try:
             manager.submit(SCENARIO, "a" * 64)
-            assert manager.wait("a" * 64, timeout=10)
+            until_terminal(manager, "a" * 64)
             error = manager.describe("a" * 64)["error"]
             assert error == {
                 "error": "internal",
@@ -260,13 +270,16 @@ class TestFailureClassification:
 
 
 class TestRetentionAndStats:
-    def test_terminal_jobs_are_retained_then_evicted_fifo(self, store):
-        manager = make_manager(store, fake_result, retention=2)
+    def test_terminal_jobs_are_retained_then_evicted_fifo(
+        self, store, monkeypatch
+    ):
+        monkeypatch.setattr(jobs, "DEFAULT_RETENTION", 2)
+        manager = make_manager(store, fake_result)
         try:
             for prefix in "abcd":
                 digest = prefix * 64
                 manager.submit(SCENARIO, digest)
-                assert manager.wait(digest, timeout=10)
+                until_terminal(manager, digest)
             # Only the two most recent terminal jobs survive.
             assert manager.describe("a" * 64) is None
             assert manager.describe("b" * 64) is None
@@ -279,7 +292,7 @@ class TestRetentionAndStats:
         manager = make_manager(store, fake_result, n_workers=3, max_queue=7)
         try:
             manager.submit(SCENARIO, "a" * 64)
-            assert manager.wait("a" * 64, timeout=10)
+            until_terminal(manager, "a" * 64)
             stats = manager.stats()
             assert stats["workers"] == 3
             assert stats["max_queue"] == 7
@@ -310,7 +323,7 @@ class TestRetentionAndStats:
     def test_shutdown_is_idempotent_and_joins_workers(self, store):
         manager = make_manager(store, fake_result)
         manager.submit(SCENARIO, "a" * 64)
-        assert manager.wait("a" * 64, timeout=10)
+        until_terminal(manager, "a" * 64)
         manager.shutdown()
         manager.shutdown()
         assert all(not t.is_alive() for t in manager._threads)
@@ -349,8 +362,6 @@ class TestRetentionAndStats:
             JobManager(store, n_workers=0)
         with pytest.raises(ConfigError):
             JobManager(store, max_queue=0)
-        with pytest.raises(ConfigError):
-            JobManager(store, retention=-1)
 
 
 class TestRunHandsResultsToWaiters:

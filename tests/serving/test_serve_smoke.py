@@ -42,7 +42,7 @@ def test_serve_smoke(tmp_path):
         warm_status, warm = post_run()
         assert warm_status == 200 and warm["from_cache"] is True
         assert warm["artifacts"] == cold["artifacts"]
-        assert store.n_entries == 1
+        assert store.disk_usage()[0] == 1
     finally:
         server.shutdown()
         server.server_close()

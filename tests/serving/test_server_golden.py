@@ -18,7 +18,7 @@ import pytest
 from repro.cli import main
 from repro.core.timing_cache import default_timing_cache
 from repro.parallel.mapper import default_mapping_cache
-from repro.scenarios import Scenario, get, names, scenario_digest
+from repro.scenarios import REGISTRY, Scenario, get, scenario_digest
 from repro.scenarios.store import ResultStore, run_cached
 from repro.serving.app import ServingApp
 from tests.scenarios.test_backends import restamp
@@ -311,7 +311,7 @@ def warm_registry(tmp_path_factory):
     reading that dir through a hot ``mem://`` tier."""
     directory = tmp_path_factory.mktemp("registry")
     producer = ResultStore(f"file://{directory}")
-    cold = {name: run_cached(get(name), producer) for name in names()}
+    cold = {name: run_cached(get(name), producer) for name in REGISTRY}
     app = ServingApp(f"mem://,file://{directory}")
     yield app, cold
     app.close()
@@ -322,7 +322,7 @@ class TestWarmWireGolden:
     encoding of the reply built from the cold compute's values (same
     keys, same order), the artifact routes the artifact files' bytes."""
 
-    @pytest.mark.parametrize("name", names())
+    @pytest.mark.parametrize("name", tuple(REGISTRY))
     def test_every_registry_scenario(self, warm_registry, name):
         app, cold = warm_registry
         result = cold[name]

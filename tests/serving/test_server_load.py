@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 N_CLIENTS = 8
@@ -44,7 +45,7 @@ class TestWarmLoad:
             assert reply.status == 200
             assert reply.json()["from_cache"] is True
             assert reply.json()["artifacts"] == reference.json()["artifacts"]
-        assert live_server.store.n_entries == 1
+        assert live_server.store.disk_usage()[0] == 1
 
     def test_concurrent_cold_requests_compute_once_each(self, live_server):
         """Distinct cold digests raced from many threads: every response is
@@ -74,7 +75,39 @@ class TestWarmLoad:
             artifacts = json.dumps(reply.json()["artifacts"], sort_keys=True)
             by_name.setdefault(name, artifacts)
             assert by_name[name] == artifacts, f"{name} answers diverged"
-        assert live_server.store.n_entries == len(names)
+        assert live_server.store.disk_usage()[0] == len(names)
+
+    def test_concurrent_async_cold_jobs_are_each_computed_once(
+        self, live_server
+    ):
+        """Distinct cold specs posted at once without waiting: each is a
+        202, polled through ``/jobs/<digest>`` to its 303 and read back,
+        and each digest is computed and stored exactly once."""
+        from repro.scenarios import get
+
+        base = get(SCENARIO).to_dict()
+        specs = [dict(base, name=f"async-cold-{i}") for i in range(6)]
+
+        def client(spec):
+            accepted = live_server.post_json("/run", {"scenario": spec})
+            assert accepted.status == 202, accepted.body
+            digest = accepted.json()["digest"]
+            while True:
+                status = live_server.request("GET", f"/jobs/{digest}")
+                if status.status == 303:
+                    break
+                assert status.status == 200, status.body
+                assert status.json()["status"] in ("queued", "running")
+                time.sleep(0.002)
+            return live_server.request("GET", f"/results/{digest}")
+
+        with ThreadPoolExecutor(len(specs)) as pool:
+            results = list(pool.map(client, specs))
+
+        assert [reply.status for reply in results] == [200] * len(specs)
+        jobs = live_server.app.jobs.stats()
+        assert (jobs["done"], jobs["failed"]) == (len(specs), 0)
+        assert live_server.store.stats.puts == len(specs)
 
     def test_mixed_traffic_with_revalidation_and_stats(self, live_server):
         cold = live_server.post_json("/run?wait=1", {"scenario": SCENARIO})

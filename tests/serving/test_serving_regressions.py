@@ -64,6 +64,8 @@ from repro.scenarios.store import ResultStore, run_cached, scenario_digest
 from repro.serving.app import ServeStats, ServingApp
 from repro.serving.server import create_server
 
+from test_jobs import until_terminal  # sibling test module
+
 
 @pytest.fixture
 def app(tmp_path):
@@ -97,9 +99,9 @@ class TestBatchDigestsOnce:
         assert app.handle("POST", "/run?wait=1", body).status == 200  # warm
         calls = []
 
-        def counting(scenario, schema):
+        def counting(scenario):
             calls.append(scenario.name)
-            return scenario_digest(scenario, schema)
+            return scenario_digest(scenario)
 
         monkeypatch.setattr("repro.scenarios.store.scenario_digest", counting)
         response = app.handle("POST", "/run?wait=1", body)
@@ -255,7 +257,7 @@ class TestComputeErrorClassification:
         polled = app.handle("POST", "/run", payload)
         assert polled.status == 202
         digest = polled.body["digest"]
-        assert app.jobs.wait(digest, timeout=30)
+        until_terminal(app.jobs, digest)
         status = app.handle("GET", f"/jobs/{digest}")
         assert status.body["status"] == "failed"
         assert status.body["error"]["error"] == "invalid-scenario"
@@ -281,9 +283,9 @@ class TestWarmRunDigestsOnce:
         assert app.handle("POST", "/run?wait=1", by_name).status == 200
         calls = []
 
-        def counting(scenario, schema):
+        def counting(scenario):
             calls.append(scenario.name)
-            return scenario_digest(scenario, schema)
+            return scenario_digest(scenario)
 
         monkeypatch.setattr("repro.scenarios.store.scenario_digest", counting)
         for payload in (inline, by_name):
