@@ -22,7 +22,10 @@ read or written).  Every command that touches the store names it with
 (default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/scenarios``) or a
 storage-backend URL — ``mem://``,
 ``file:///path?max_bytes=N&max_entries=N``, or comma-separated tiers like
-``mem://,file:///path``.
+``mem://,file:///path``.  A put lands in the first tier that admits it, so
+``run``/``run-all`` over a ``mem://``-first stack read the file tier but
+keep their own computes in process memory only: name the cache dir alone
+for results that must outlive the process.
 ``--out DIR`` emits the staged artifacts
 the qml-cutensornet-style pipelines use: ``<name>_raw.json`` (spec +
 per-point values), ``<name>.csv`` (grid scenarios) and ``<name>.txt``
@@ -256,7 +259,9 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
         help="the result store: a cache directory (default: "
         "$REPRO_CACHE_DIR or ~/.cache/repro/scenarios) or a backend URL — "
         "mem://, file:///path?max_bytes=N&max_entries=N, or "
-        "comma-separated tiers such as mem://,file:///path",
+        "comma-separated tiers such as mem://,file:///path; a put lands in "
+        "the first tier that admits it, so run/run-all over a mem://-first "
+        "stack read the file tier but keep their own computes in memory only",
     )
 
 

@@ -5,7 +5,7 @@ gate library, followed by a PCL-specific modification stage — single-to-dual
 rail conversion, splitter insertion and phase assignment/balancing — then
 inductance-aware place and route.  This package reproduces that staged flow:
 
-``rtl``        word-level structural IR (the "Verilog" entry point)
+``rtl``        word-level structural IR (the flow's entry point)
 ``synthesis``  lowering of word-level ops into the gate library
 ``dualrail``   single-to-dual-rail conversion (inverters fold into rail swaps)
 ``splitter``   fanout legalization with splitter trees

@@ -16,11 +16,11 @@ from repro.errors import ConfigError
 from repro.pcl.netlist import Netlist, NetlistBuilder
 
 
-def adder(width: int = 8, name: str | None = None) -> RTLModule:
+def adder(width: int = 8) -> RTLModule:
     """Unsigned ripple-carry adder: ``sum = a + b`` with carry out."""
     if width <= 0:
         raise ConfigError("adder width must be positive")
-    m = RTLModule(name or f"adder{width}")
+    m = RTLModule(f"adder{width}")
     a = m.input("a", width)
     b = m.input("b", width)
     m.output("sum", m.add(a, b))
@@ -36,27 +36,26 @@ def subtractor(width: int = 8) -> RTLModule:
     return m
 
 
-def multiplier(width: int = 8, name: str | None = None) -> RTLModule:
+def multiplier(width: int = 8) -> RTLModule:
     """Unsigned Wallace-tree multiplier: ``product = a * b`` (2·width bits)."""
     if width <= 0:
         raise ConfigError("multiplier width must be positive")
-    m = RTLModule(name or f"multiplier{width}")
+    m = RTLModule(f"multiplier{width}")
     a = m.input("a", width)
     b = m.input("b", width)
     m.output("product", m.mul(a, b))
     return m
 
 
-def barrel_shifter(width: int = 32, left: bool = True) -> RTLModule:
-    """Dynamic barrel shifter with ``ceil(log2(width))`` select bits."""
+def barrel_shifter(width: int = 32) -> RTLModule:
+    """Dynamic left barrel shifter with ``ceil(log2(width))`` select bits."""
     if width <= 1:
         raise ConfigError("barrel shifter width must be > 1")
     select_bits = max(1, (width - 1).bit_length())
-    m = RTLModule(f"shifter{width}{'l' if left else 'r'}")
+    m = RTLModule(f"shifter{width}l")
     a = m.input("a", width)
     amount = m.input("amount", select_bits)
-    shifted = m.shl_dyn(a, amount) if left else m.shr_dyn(a, amount)
-    m.output("out", shifted)
+    m.output("out", m.shl_dyn(a, amount))
     return m
 
 
@@ -147,8 +146,8 @@ def mac_bf16() -> Netlist:
     shift_sel = exp_sum[:4]
     widened_s = row_s + [False] * 16
     widened_c = row_c + [False] * 16
-    aligned_s = emit.barrel_shift(widened_s, shift_sel, left=True)
-    aligned_c = emit.barrel_shift(widened_c, shift_sel, left=True)
+    aligned_s = emit.barrel_shift(widened_s, shift_sel)
+    aligned_c = emit.barrel_shift(widened_c, shift_sel)
 
     # 4:2 compression with the registered carry-save accumulator.
     stage1: list = []

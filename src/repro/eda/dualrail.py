@@ -32,13 +32,6 @@ class DualRailReport:
     inversions_folded: int
     dual_rail_cells: int
 
-    @property
-    def wire_overhead(self) -> float:
-        """Physical-to-logical wire ratio (2.0 for pure dual rail)."""
-        if self.logical_nets == 0:
-            return 0.0
-        return self.physical_wires / self.logical_nets
-
 
 def to_dual_rail(netlist: Netlist) -> DualRailReport:
     """Convert (and audit) a single-rail netlist for dual-rail implementation."""

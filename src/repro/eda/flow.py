@@ -25,7 +25,6 @@ from repro.eda.splitter import SplitterReport, insert_splitters
 from repro.eda.synthesis import synthesize
 from repro.errors import SynthesisError
 from repro.pcl.netlist import Netlist
-from repro.units import GHZ
 
 
 @dataclass(frozen=True)
@@ -64,28 +63,10 @@ class FlowReport:
         """Pipeline depth of the block in AC phases."""
         return self.phases.total_phases
 
-    def latency(self, frequency: float = 30 * GHZ, phases_per_cycle: int = 4) -> float:
-        """Input→output latency in seconds at a given clock."""
-        cycles = self.pipeline_depth / phases_per_cycle
-        return cycles / frequency
-
     @property
     def area(self) -> float:
         """Placed area in m²."""
         return self.placement.placed_area
-
-    def summary(self) -> str:
-        """Human-readable one-design summary."""
-        lines = [
-            f"design          : {self.name}",
-            f"logic JJ        : {self.logic_jj}",
-            f"splitter JJ     : {self.splitter_jj} ({self.splitters.splitters_inserted} splitters)",
-            f"buffer JJ       : {self.buffer_jj} ({self.phases.buffers_inserted} buffers)",
-            f"total JJ        : {self.total_jj}",
-            f"pipeline phases : {self.pipeline_depth}",
-            f"placed area     : {self.area / 1e-6:.4f} mm2",
-        ]
-        return "\n".join(lines)
 
 
 def run_flow(design: RTLModule | Netlist) -> FlowReport:

@@ -33,15 +33,6 @@ class PhaseReport:
     buffers_inserted: int
     buffer_jj: int
 
-    @property
-    def pipeline_latency_cycles(self) -> float:
-        """Latency of the block in clock cycles.
-
-        PCL runs multiple AC phases per clock cycle; the default resonant
-        network provides 4 phases/cycle, mirroring RQL-style clocking.
-        """
-        return self.total_phases / 4.0
-
 
 def net_phases(netlist: Netlist) -> dict[int, int]:
     """Compute the arrival phase of every net.

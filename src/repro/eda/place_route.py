@@ -36,11 +36,6 @@ class PlacementReport:
     max_inductance: float
     positions: dict[int, tuple[float, float]] = field(repr=False, default_factory=dict)
 
-    @property
-    def area_mm2(self) -> float:
-        """Placed area in mm²."""
-        return self.placed_area / 1e-6
-
 
 def place_and_route(
     netlist: Netlist,

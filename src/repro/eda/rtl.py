@@ -1,10 +1,12 @@
-"""Word-level structural RTL IR — the "Verilog" entry point of the flow.
+"""Word-level structural RTL IR — the entry point of the flow.
 
 A tiny SSA-style intermediate representation: an :class:`RTLModule` is a list
-of word-level operations over :class:`Signal` values.  The synthesis stage
-(:mod:`repro.eda.synthesis`) lowers each operation into gates through
-parameterized generators (ripple-carry adders, Wallace-tree multipliers,
-barrel shifters, mux trees), mirroring a conventional synthesis library.
+of word-level operations over :class:`Signal` values.  The IR defines exactly
+the operations the design database (:mod:`repro.eda.designs`) emits.  The
+synthesis stage (:mod:`repro.eda.synthesis`) lowers each operation into gates
+through parameterized generators (ripple-carry adders, Wallace-tree
+multipliers, barrel shifters, mux trees), mirroring a conventional synthesis
+library.
 
 Example
 -------
@@ -28,25 +30,18 @@ class Op(enum.Enum):
     """Word-level operation kinds supported by the IR."""
 
     INPUT = "input"
-    CONST = "const"
     ADD = "add"
     SUB = "sub"
     MUL = "mul"
     AND = "and"
     OR = "or"
-    XOR = "xor"
     NOT = "not"
     EQ = "eq"
     LT = "lt"
     MUX = "mux"
-    SHL_CONST = "shl_const"
-    SHR_CONST = "shr_const"
     SHL_DYN = "shl_dyn"
-    SHR_DYN = "shr_dyn"
-    CONCAT = "concat"
     SLICE = "slice"
     REDUCE_OR = "reduce_or"
-    REDUCE_AND = "reduce_and"
 
 
 @dataclass(frozen=True)
@@ -127,12 +122,6 @@ class RTLModule:
         """Declare ``signal`` as primary output bus ``name``."""
         self.outputs.append((name, signal))
 
-    def const(self, value: int, width: int) -> Signal:
-        """A constant word."""
-        if value < 0 or value >= (1 << width):
-            raise ConfigError(f"constant {value} does not fit in {width} bits")
-        return self._emit(Op.CONST, width, (), value=value)
-
     # -- arithmetic --------------------------------------------------------------
     def add(self, a: Signal, b: Signal) -> Signal:
         """Unsigned addition; result is one bit wider (carry out kept)."""
@@ -154,9 +143,6 @@ class RTLModule:
 
     def or_(self, a: Signal, b: Signal) -> Signal:
         return self._emit(Op.OR, self._same_width(a, b), (a, b))
-
-    def xor(self, a: Signal, b: Signal) -> Signal:
-        return self._emit(Op.XOR, self._same_width(a, b), (a, b))
 
     def not_(self, a: Signal) -> Signal:
         return self._emit(Op.NOT, a.width, (a,))
@@ -181,31 +167,11 @@ class RTLModule:
         return self._emit(Op.MUX, width, (select, if0, if1))
 
     # -- shifts ---------------------------------------------------------------
-    def shl(self, a: Signal, amount: int) -> Signal:
-        """Left shift by a constant; width preserved, bits drop off the top."""
-        if amount < 0:
-            raise ConfigError("shift amount must be >= 0")
-        return self._emit(Op.SHL_CONST, a.width, (a,), amount=amount)
-
-    def shr(self, a: Signal, amount: int) -> Signal:
-        """Logical right shift by a constant."""
-        if amount < 0:
-            raise ConfigError("shift amount must be >= 0")
-        return self._emit(Op.SHR_CONST, a.width, (a,), amount=amount)
-
     def shl_dyn(self, a: Signal, amount: Signal) -> Signal:
         """Left shift by a dynamic amount (barrel shifter)."""
         return self._emit(Op.SHL_DYN, a.width, (a, amount))
 
-    def shr_dyn(self, a: Signal, amount: Signal) -> Signal:
-        """Logical right shift by a dynamic amount (barrel shifter)."""
-        return self._emit(Op.SHR_DYN, a.width, (a, amount))
-
     # -- structure ---------------------------------------------------------------
-    def concat(self, low: Signal, high: Signal) -> Signal:
-        """Concatenate: result = {high, low} (low occupies the LSBs)."""
-        return self._emit(Op.CONCAT, low.width + high.width, (low, high))
-
     def slice_(self, a: Signal, low: int, high: int) -> Signal:
         """Bit slice ``a[high:low]`` inclusive; LSB-first indexing."""
         if not 0 <= low <= high < a.width:
@@ -217,10 +183,6 @@ class RTLModule:
     def reduce_or(self, a: Signal) -> Signal:
         """OR-reduce a bus to one bit."""
         return self._emit(Op.REDUCE_OR, 1, (a,))
-
-    def reduce_and(self, a: Signal) -> Signal:
-        """AND-reduce a bus to one bit."""
-        return self._emit(Op.REDUCE_AND, 1, (a,))
 
 
 __all__ = ["Op", "Signal", "Operation", "RTLModule"]

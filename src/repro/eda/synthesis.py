@@ -199,9 +199,9 @@ class GateEmitter:
 
     # -- shifts -----------------------------------------------------------------
     def barrel_shift(
-        self, bits: Sequence[Bit], amount_bits: Sequence[Bit], left: bool
+        self, bits: Sequence[Bit], amount_bits: Sequence[Bit]
     ) -> list[Bit]:
-        """Logarithmic barrel shifter (zero fill)."""
+        """Logarithmic left barrel shifter (zero fill)."""
         current = list(bits)
         width = len(current)
         for stage, sel in enumerate(amount_bits):
@@ -212,16 +212,15 @@ class GateEmitter:
                 continue
             shifted: list[Bit] = []
             for i in range(width):
-                src = i - offset if left else i + offset
-                moved: Bit = current[src] if 0 <= src < width else False
+                moved: Bit = current[i - offset] if i >= offset else False
                 shifted.append(self.mux(sel, current[i], moved))
             current = shifted
         return current
 
     # -- comparisons / reductions -----------------------------------------------
     def reduce_tree(self, bits: Sequence[Bit], op: str) -> Bit:
-        """Balanced binary reduction with ``or2``/``and2``/``xor2``."""
-        func = {"or": self.or_, "and": self.and_, "xor": self.xor_}[op]
+        """Balanced binary reduction with ``or2``/``and2``."""
+        func = {"or": self.or_, "and": self.and_}[op]
         work = list(bits)
         if not work:
             raise SynthesisError("cannot reduce an empty bit list")
@@ -295,11 +294,6 @@ def synthesize(module: RTLModule, library: PCLLibrary | None = None) -> Netlist:
         ops = [operand_bits(s) for s in operation.operands]
         if operation.op is Op.INPUT:
             bits_of[result.uid] = list(builder.input_bus(result.name, result.width))
-        elif operation.op is Op.CONST:
-            value = int(operation.attrs["value"])
-            bits_of[result.uid] = [
-                bool((value >> k) & 1) for k in range(result.width)
-            ]
         elif operation.op is Op.ADD:
             total, carry = emit.ripple_add(ops[0], ops[1])
             bits_of[result.uid] = total + [carry]
@@ -312,8 +306,6 @@ def synthesize(module: RTLModule, library: PCLLibrary | None = None) -> Netlist:
             bits_of[result.uid] = [emit.and_(a, b) for a, b in zip(ops[0], ops[1])]
         elif operation.op is Op.OR:
             bits_of[result.uid] = [emit.or_(a, b) for a, b in zip(ops[0], ops[1])]
-        elif operation.op is Op.XOR:
-            bits_of[result.uid] = [emit.xor_(a, b) for a, b in zip(ops[0], ops[1])]
         elif operation.op is Op.NOT:
             bits_of[result.uid] = [emit.not_(a) for a in ops[0]]
         elif operation.op is Op.EQ:
@@ -325,33 +317,14 @@ def synthesize(module: RTLModule, library: PCLLibrary | None = None) -> Netlist:
             bits_of[result.uid] = [
                 emit.mux(select, a, b) for a, b in zip(ops[1], ops[2])
             ]
-        elif operation.op is Op.SHL_CONST:
-            amount = int(operation.attrs["amount"])
-            src = ops[0]
-            bits_of[result.uid] = [
-                (src[i - amount] if i >= amount else False) for i in range(result.width)
-            ]
-        elif operation.op is Op.SHR_CONST:
-            amount = int(operation.attrs["amount"])
-            src = ops[0]
-            bits_of[result.uid] = [
-                (src[i + amount] if i + amount < len(src) else False)
-                for i in range(result.width)
-            ]
         elif operation.op is Op.SHL_DYN:
-            bits_of[result.uid] = emit.barrel_shift(ops[0], ops[1], left=True)
-        elif operation.op is Op.SHR_DYN:
-            bits_of[result.uid] = emit.barrel_shift(ops[0], ops[1], left=False)
-        elif operation.op is Op.CONCAT:
-            bits_of[result.uid] = list(ops[0]) + list(ops[1])
+            bits_of[result.uid] = emit.barrel_shift(ops[0], ops[1])
         elif operation.op is Op.SLICE:
             low = int(operation.attrs["low"])
             high = int(operation.attrs["high"])
             bits_of[result.uid] = list(ops[0][low : high + 1])
         elif operation.op is Op.REDUCE_OR:
             bits_of[result.uid] = [emit.reduce_tree(ops[0], "or")]
-        elif operation.op is Op.REDUCE_AND:
-            bits_of[result.uid] = [emit.reduce_tree(ops[0], "and")]
         else:  # pragma: no cover - exhaustive enum
             raise SynthesisError(f"unsupported op {operation.op}")
 

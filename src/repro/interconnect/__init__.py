@@ -1,14 +1,13 @@
-"""Interconnect substrate: links, switches, topology, datalink, collectives.
+"""Interconnect substrate: switches, topology, packaging, datalink, collectives.
 
 Covers the paper's network story: the hierarchical MUX-crossbar switch
-(Fig. 3b), the 2D-torus intra-blade network of SPUs, the bump-limited
-chip-to-chip and interposer links (Fig. 3c tables), the 4K↔77K main-memory
-datalink (Fig. 2), and α–β communication-time models for the collectives the
-LLM parallelization strategies issue (all-reduce, all-gather, all-to-all,
-point-to-point).
+(Fig. 3b), the shape of the 2D-torus intra-blade network of SPUs, the
+bump-limited chip-to-chip and interposer links (Fig. 3c tables), the 4K↔77K
+main-memory datalink (Fig. 2), and α–β communication-time models for the
+collectives the LLM parallelization strategies issue (all-reduce, all-gather,
+all-to-all, point-to-point).
 """
 
-from repro.interconnect.link import Link
 from repro.interconnect.switch import SwitchSpec
 from repro.interconnect.topology import Torus2D
 from repro.interconnect.datalink import DatalinkSpec, DatalinkWireSpec, baseline_datalink
@@ -25,7 +24,6 @@ from repro.interconnect.collectives import (
 )
 
 __all__ = [
-    "Link",
     "SwitchSpec",
     "Torus2D",
     "DatalinkSpec",

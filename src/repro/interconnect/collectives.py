@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import require_non_negative, require_positive
 
@@ -64,10 +64,6 @@ class Fabric:
     def __post_init__(self) -> None:
         require_non_negative(f"{self.name} alpha", self.alpha)
         require_positive(f"{self.name} bandwidth", self.bandwidth)
-
-    def with_bandwidth(self, bandwidth: float) -> "Fabric":
-        """Copy with a different injection bandwidth."""
-        return replace(self, bandwidth=bandwidth)
 
 
 def _check(n_bytes: float, participants: int) -> bool:

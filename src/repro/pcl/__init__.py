@@ -14,19 +14,18 @@ are built in.  Key properties reproduced here:
   single load).
 
 The :mod:`repro.eda` package drives designs through the RTL→PCL flow; this
-package defines the signal model, the cell library with per-cell JJ cost and
-area, netlist structures, and a functional (boolean) simulator used to verify
-synthesized designs.
+package defines the cell library with per-cell JJ cost and area, netlist
+structures, and a functional (boolean) simulator used to verify synthesized
+designs.  Dual rail has no signal type of its own: a cell is priced as its
+dual-rail implementation and evaluated on the positive rails, and
+:mod:`repro.eda.dualrail` audits a netlist for the conversion.
 """
 
-from repro.pcl.signal import DualRail, Polarity
 from repro.pcl.library import PCLCell, PCLLibrary, default_library
 from repro.pcl.netlist import Instance, Net, Netlist, NetlistBuilder
 from repro.pcl.simulate import simulate
 
 __all__ = [
-    "DualRail",
-    "Polarity",
     "PCLCell",
     "PCLLibrary",
     "default_library",

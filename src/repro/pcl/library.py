@@ -18,11 +18,15 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigError
-from repro.pcl.signal import majority3
 from repro.units import UM2
 
 #: Boolean evaluation function: input tuple -> output tuple.
 CellFunction = Callable[[Sequence[bool]], tuple[bool, ...]]
+
+
+def majority3(a: bool, b: bool, c: bool) -> bool:
+    """Three-input majority — the carry function and a native PCL primitive."""
+    return (a and b) or (b and c) or (a and c)
 
 
 @dataclass(frozen=True)
@@ -124,10 +128,6 @@ class PCLLibrary:
     def __contains__(self, name: str) -> bool:
         return name in self.cells
 
-    def names(self) -> list[str]:
-        """Sorted cell names."""
-        return sorted(self.cells)
-
 
 def default_library() -> PCLLibrary:
     """Construct the Fig. 1f/g cell library.
@@ -193,4 +193,11 @@ def default_library() -> PCLLibrary:
 #: Singleton default library.
 DEFAULT_LIBRARY = default_library()
 
-__all__ = ["PCLCell", "PCLLibrary", "default_library", "DEFAULT_LIBRARY", "AREA_PER_JJ"]
+__all__ = [
+    "PCLCell",
+    "PCLLibrary",
+    "default_library",
+    "DEFAULT_LIBRARY",
+    "AREA_PER_JJ",
+    "majority3",
+]

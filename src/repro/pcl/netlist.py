@@ -173,8 +173,10 @@ class Netlist:
         Captures the instance list (by object identity) and the primary
         inputs — the only things Kahn's sort depends on.  Any builder-style
         in-place mutation (append/remove/replace of instances, new inputs)
-        changes the fingerprint; passes that construct whole new ``Netlist``
-        objects start with an empty cache anyway.  O(n) to compute, but
+        changes the fingerprint, and that is the only way the memo is
+        invalidated; passes that construct whole new ``Netlist`` objects
+        start with an empty cache anyway.  A replaced instance's ``id``
+        cannot be reused while the memo holds it.  O(n) to compute, but
         ~10× cheaper than re-running the sort with its dict building.
         """
         return (
@@ -182,11 +184,6 @@ class Netlist:
             tuple(id(inst) for inst in self.instances),
             tuple(net.uid for net in self.inputs),
         )
-
-    def invalidate_caches(self) -> None:
-        """Drop memoized derived structures after an in-place mutation."""
-        self._topo_cache = None
-        self._topo_fingerprint = None
 
     def topological_instances(self) -> list[Instance]:
         """Instances in topological (evaluation) order, memoized.
@@ -238,39 +235,6 @@ class Netlist:
     def cell_area(self) -> float:
         """Total standard-cell area in m²."""
         return sum(self.library[inst.cell].area for inst in self.instances)
-
-    def cell_histogram(self) -> dict[str, int]:
-        """Instance count per cell type."""
-        hist: dict[str, int] = defaultdict(int)
-        for inst in self.instances:
-            hist[inst.cell] += 1
-        return dict(sorted(hist.items()))
-
-    def logic_depth(self) -> int:
-        """Phase depth of the longest input→output path."""
-        drivers = self.driver_map()
-        depth_of_net: dict[int, int] = {net.uid: 0 for net in self.inputs}
-
-        def net_depth(net: Net) -> int:
-            if net.uid in depth_of_net:
-                return depth_of_net[net.uid]
-            inst = drivers.get(net.uid)
-            if inst is None:
-                raise NetlistError(f"{self.name}: undriven net {net.name!r}")
-            cell = self.library[inst.cell]
-            arrival = max((net_depth(n) for n in inst.inputs), default=0)
-            value = arrival + cell.depth
-            for out in inst.outputs:
-                depth_of_net[out.uid] = value
-            return depth_of_net[net.uid]
-
-        # Evaluate in topological order to keep recursion shallow.
-        for inst in self.topological_instances():
-            cell = self.library[inst.cell]
-            arrival = max((net_depth(n) for n in inst.inputs), default=0)
-            for out in inst.outputs:
-                depth_of_net[out.uid] = arrival + cell.depth
-        return max((net_depth(net) for net in self.outputs), default=0)
 
 
 class NetlistBuilder:

@@ -2,10 +2,10 @@
 
 Used by the test-suite to verify that synthesized designs compute the right
 function (e.g. the 8-bit adder really adds) and by the design database to
-cross-check the MAC datapath.  The simulator operates at the logical level;
-the dual-rail invariant (``neg == not pos``) is enforced by construction in
-:class:`repro.pcl.signal.DualRail` and checked separately by the dual-rail
-conversion pass.
+cross-check the MAC datapath.  The simulator operates at the logical level,
+on the positive rails: each cell's negative rail is its DeMorgan dual, so
+``neg == not pos`` holds by construction of the library's dual-rail cells,
+and the dual-rail conversion pass checks that every instance maps to one.
 """
 
 from __future__ import annotations

@@ -3,12 +3,15 @@ against reference arithmetic on the final (legalized, balanced) netlist."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eda import designs
 from repro.eda.flow import run_flow
+from repro.eda.phase import verify_phase_alignment
 from repro.errors import ConfigError
 from repro.pcl.simulate import simulate_bus
 
@@ -48,6 +51,22 @@ class TestDatabaseCompleteness:
     def test_total_exceeds_datapath(self, flow_reports):
         for name, report in flow_reports.items():
             assert report.total_jj >= report.datapath_jj, name
+
+
+class TestFlowInvariants:
+    @pytest.mark.parametrize("name", list(designs.DESIGN_DATABASE))
+    def test_final_netlist_is_legal_and_fully_counted(self, flow_reports, name):
+        """Every database design leaves the flow with fanout <= 1 on every
+        net, aligned phases, and every junction in ``total_jj``."""
+        report = flow_reports[name]
+        netlist = report.netlist
+        readers = netlist.fanout_map()
+        port_uses = Counter(net.uid for net in netlist.outputs)
+        for net in netlist.nets():
+            fanout = len(readers.get(net.uid, ())) + port_uses[net.uid]
+            assert fanout <= 1, net
+        assert verify_phase_alignment(netlist)
+        assert netlist.jj_count() == report.total_jj
 
 
 class TestAdder:

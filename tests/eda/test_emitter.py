@@ -112,8 +112,6 @@ class TestComparatorsAndFolding:
         _, emit = make_emitter("red")
         assert emit.reduce_tree(list(bits), "or") == any(bits)
         assert emit.reduce_tree(list(bits), "and") == all(bits)
-        xor_expected = bool(sum(bits) % 2)
-        assert emit.reduce_tree(list(bits), "xor") == xor_expected
 
 
 class TestBarrelShift:
@@ -123,9 +121,79 @@ class TestBarrelShift:
         builder, emit = make_emitter("bigshift")
         a_bits = builder.input_bus("a", 8)
         amt_bits = builder.input_bus("amt", 4)  # up to 15 > width 8
-        shifted = emit.barrel_shift(a_bits, amt_bits, left=True)
+        shifted = emit.barrel_shift(a_bits, amt_bits)
         out = finish_and_run(
             builder, emit, shifted,
             {"a": a, "amt": amount}, {"a": 8, "amt": 4},
         )
         assert out == (a << amount) % 256
+
+
+def build_and_sweep(builder, emit, out_bits, width):
+    """Simulate the emitted bits on every value of the ``width``-bit input
+    bus ``x``; returns the netlist and ``{x: out}``."""
+    builder.output_bus("out", [emit.materialize(bit) for bit in out_bits])
+    netlist = builder.build()
+    results = {
+        x: simulate_bus(netlist, {"x": x}, {"x": width})["out"]
+        for x in range(1 << width)
+    }
+    return netlist, results
+
+
+class TestMuxFolding:
+    """Every constant pattern ``mux`` folds still computes ``s ? if1 : if0``,
+    without a ``mux2`` cell."""
+
+    @pytest.mark.parametrize(
+        "if0, if1",
+        [
+            (False, False),
+            (False, True),
+            (True, False),
+            (True, True),
+            ("net", False),
+            ("net", True),
+            (False, "net"),
+            (True, "net"),
+        ],
+    )
+    def test_constant_data(self, if0, if1):
+        builder, emit = make_emitter("mfold")
+        select, data = builder.input_bus("x", 2)
+        pick = {"net": data, False: False, True: True}
+        out = emit.mux(select, pick[if0], pick[if1])
+        netlist, results = build_and_sweep(builder, emit, [out], 2)
+        for x, got in results.items():
+            s, d = x & 1, x >> 1
+            value = {"net": d, False: 0, True: 1}
+            assert got == (value[if1] if s else value[if0]), x
+        assert "mux2" not in {inst.cell for inst in netlist.instances}
+
+    @pytest.mark.parametrize("select", [False, True])
+    def test_constant_select_wires_the_branch(self, select):
+        builder, emit = make_emitter("msel")
+        if0, if1 = builder.input_bus("x", 2)
+        out = emit.mux(select, if0, if1)
+        netlist, results = build_and_sweep(builder, emit, [out], 2)
+        for x, got in results.items():
+            assert got == (x >> 1 if select else x & 1), x
+        assert netlist.instances == []
+
+
+class TestFullAddFolding:
+    @pytest.mark.parametrize(
+        "constants",
+        [(False,), (True,), (False, False), (False, True), (True, True)],
+    )
+    def test_partial_constants(self, constants):
+        """One or two constant operands fold to the column sum without an
+        ``fa`` cell."""
+        width = 3 - len(constants)
+        builder, emit = make_emitter("fafold")
+        nets = builder.input_bus("x", width)
+        s, carry = emit.full_add(*nets, *constants)
+        netlist, results = build_and_sweep(builder, emit, [s, carry], width)
+        for x, got in results.items():
+            assert got == bin(x).count("1") + sum(constants), x
+        assert "fa" not in {inst.cell for inst in netlist.instances}

@@ -26,7 +26,6 @@ class TestDualRail:
     def test_wire_doubling(self, adder8_netlist):
         report = to_dual_rail(adder8_netlist)
         assert report.physical_wires == 2 * report.logical_nets
-        assert report.wire_overhead == 2.0
 
     def test_inversions_counted(self):
         b = NetlistBuilder("inv_test")

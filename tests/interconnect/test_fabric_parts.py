@@ -1,4 +1,4 @@
-"""Link, switch, datalink and packaging tests."""
+"""Switch, datalink and packaging tests."""
 
 from __future__ import annotations
 
@@ -6,28 +6,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.interconnect.datalink import baseline_datalink
-from repro.interconnect.link import Link
 from repro.interconnect.packaging import BumpField, chip_to_chip_link, interposer_4k
 from repro.interconnect.switch import SwitchSpec
-
-
-class TestLink:
-    def test_transfer_time(self):
-        link = Link(name="l", bandwidth=1e12, latency=10e-9)
-        assert link.transfer_time(1e6) == pytest.approx(10e-9 + 1e-6)
-        assert link.transfer_time(0) == 0.0
-
-    def test_transfer_energy(self):
-        link = Link(name="l", bandwidth=1e12, latency=0, energy_per_bit=5e-15)
-        assert link.transfer_energy(1000) == pytest.approx(8000 * 5e-15)
-
-    def test_with_bandwidth(self):
-        link = Link(name="l", bandwidth=1e12, latency=1e-9)
-        assert link.with_bandwidth(2e12).bandwidth == 2e12
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Link(name="bad", bandwidth=0, latency=1e-9)
 
 
 class TestSwitch:

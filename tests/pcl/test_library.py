@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.pcl.library import DEFAULT_LIBRARY, default_library
-from repro.pcl.signal import majority3
+from repro.pcl.library import DEFAULT_LIBRARY, default_library, majority3
 
 #: Reference boolean functions for exhaustive cell checking.
 REFERENCE = {
@@ -96,10 +97,15 @@ class TestLibraryContainer:
         assert "fa" in DEFAULT_LIBRARY
         assert "bogus" not in DEFAULT_LIBRARY
 
-    def test_names_sorted(self):
-        names = DEFAULT_LIBRARY.names()
-        assert names == sorted(names)
-        assert "maj3" in names
-
     def test_default_library_fresh_instance(self):
         assert default_library().cells.keys() == DEFAULT_LIBRARY.cells.keys()
+
+
+class TestMajority:
+    @given(st.booleans(), st.booleans(), st.booleans())
+    def test_majority_definition(self, a, b, c):
+        assert majority3(a, b, c) == (int(a) + int(b) + int(c) >= 2)
+
+    @given(st.booleans(), st.booleans(), st.booleans())
+    def test_majority_symmetric(self, a, b, c):
+        assert majority3(a, b, c) == majority3(c, a, b) == majority3(b, c, a)

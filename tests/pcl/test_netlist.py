@@ -41,7 +41,7 @@ class TestBuilder:
         b.output("s", s)
         b.output("c", c)
         netlist = b.build()
-        assert netlist.cell_histogram() == {"fa": 1}
+        assert [inst.cell for inst in netlist.instances] == ["fa"]
 
     def test_gate_on_multi_output_cell_rejected(self):
         b = NetlistBuilder("bad")
@@ -117,15 +117,8 @@ class TestMetrics:
         assert half_adder_netlist().cell_area() > 0
 
     def test_histogram(self):
-        assert half_adder_netlist().cell_histogram() == {"and2": 1, "xor2": 1}
-
-    def test_logic_depth(self):
-        b = NetlistBuilder("chain")
-        a, c = b.input("a"), b.input("b")
-        x = b.and_(a, c)
-        y = b.or_(x, c)
-        b.output("out", y)
-        assert b.build().logic_depth() == 2
+        cells = sorted(inst.cell for inst in half_adder_netlist().instances)
+        assert cells == ["and2", "xor2"]
 
     def test_fanout_count(self):
         b = NetlistBuilder("fan")
@@ -141,6 +134,28 @@ class TestMetrics:
         netlist = half_adder_netlist()
         order = netlist.topological_instances()
         assert len(order) == len(netlist.instances)
+
+
+def count_sorts(netlist: Netlist, monkeypatch) -> list[int]:
+    """Count the Kahn's-sort runs (memo misses) of ``netlist`` from now on."""
+    sorts = [0]
+    real_sort = netlist._topological_sort
+
+    def counting_sort():
+        sorts[0] += 1
+        return real_sort()
+
+    monkeypatch.setattr(netlist, "_topological_sort", counting_sort)
+    return sorts
+
+
+def assert_valid_order(netlist: Netlist, order: list[Instance]) -> None:
+    """Every instance once, each after the drivers of its inputs."""
+    assert sorted(order, key=id) == sorted(netlist.instances, key=id)
+    placed: set[int] = {net.uid for net in netlist.inputs}
+    for inst in order:
+        assert all(net.uid in placed for net in inst.inputs), inst
+        placed.update(net.uid for net in inst.outputs)
 
 
 class TestTopologicalMemoization:
@@ -177,14 +192,37 @@ class TestTopologicalMemoization:
         assert len(after) == len(before) + 1
         assert new in after
 
-    def test_explicit_invalidation(self):
+    def test_instance_replaced_in_place_resorts(self, monkeypatch):
+        netlist = half_adder_netlist()
+        xor, carry = netlist.instances
+        assert netlist.topological_instances() == [carry, xor]
+        sorts = count_sorts(netlist, monkeypatch)
+        # Same list length, new object: the carry now reads the sum, so it
+        # must follow the XOR that the cached order put after it.
+        rewired = Instance(
+            uid=carry.uid,
+            cell="and2",
+            inputs=(xor.outputs[0], carry.inputs[1]),
+            outputs=carry.outputs,
+        )
+        netlist.instances[1] = rewired
+        order = netlist.topological_instances()
+        assert sorts == [1]
+        assert order == [xor, rewired]
+        assert_valid_order(netlist, order)
+        netlist.topological_instances()
+        assert sorts == [1]  # the new order is memoized in turn
+
+    def test_appended_primary_input_resorts(self, monkeypatch):
         netlist = half_adder_netlist()
         netlist.topological_instances()
-        assert netlist._topo_cache is not None
-        netlist.invalidate_caches()
-        assert netlist._topo_cache is None
-        # And the next call recomputes without error.
-        assert len(netlist.topological_instances()) == len(netlist.instances)
+        sorts = count_sorts(netlist, monkeypatch)
+        netlist.inputs.append(Net(uid=990, name="spare"))
+        order = netlist.topological_instances()
+        assert sorts == [1]
+        assert_valid_order(netlist, order)
+        netlist.topological_instances()
+        assert sorts == [1]
 
     def test_cycle_still_detected(self):
         b = NetlistBuilder("loop")
