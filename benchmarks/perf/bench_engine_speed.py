@@ -48,6 +48,7 @@ from repro.analysis.figures import (
     fig7_inference,
     scd_system,
 )
+from repro.arch.blade import _assemble_blade
 from repro.arch.config import _build_system
 from repro.arch.gpu import build_gpu_system
 from repro.core.model import Optimus
@@ -58,7 +59,7 @@ from repro.parallel.mapper import (
     map_inference,
     map_training,
 )
-from repro.parallel.pipeline import _replay_order
+from repro.parallel.pipeline import _replay_plan
 from repro.units import NS, TBPS
 from repro.workloads.llm import GPT3_76B, LLAMA_405B
 
@@ -112,8 +113,9 @@ def _empty_engine_memos() -> None:
     default_timing_cache().clear()
     default_mapping_cache().clear()
     _layer_kernels.cache_clear()
-    _replay_order.cache_clear()
+    _replay_plan.cache_clear()
     _build_system.cache_clear()
+    _assemble_blade.cache_clear()
 
 
 def _engine_pass():

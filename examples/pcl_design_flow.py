@@ -11,7 +11,7 @@ renders (`python -m repro run pcl-flow`); here the flow runs once and the
 resulting netlists feed both the table and the verification.
 
 The headline design is the bf16 MAC: its datapath lands near the paper's
-"~8k JJs" (Sec. III), which in turn sizes the SPU compute die.
+"~8k JJs" (Sec. III), the per-MAC cost the SPU compute die is sized with.
 
 Run:  python examples/pcl_design_flow.py
 """
@@ -78,7 +78,7 @@ def main() -> None:
     mac = reports["mac_bf16"]
     print(
         f"\nbf16 MAC datapath: {mac.datapath_jj} JJ "
-        f"(paper: ~8k JJ) -> sizes the 2.45 PFLOP/s compute die"
+        f"(paper: ~8k JJ, the per-MAC cost that sizes the 2.45 PFLOP/s compute die)"
     )
 
 

@@ -11,6 +11,7 @@ substrate models and exposes:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.arch.spu import SPUStack, build_spu
@@ -174,12 +175,20 @@ class SCDBlade:
         )
 
     def system(self) -> SystemSpec:
-        """The blade as a system of ``n_spus`` SPUs."""
-        return SystemSpec(
-            name="SCD blade",
-            accelerator=self.accelerator(),
-            n_accelerators=self.n_spus,
-        )
+        """The blade as a system of ``n_spus`` SPUs.
+
+        Built on the first call and kept, since the blade and its parts
+        are frozen: a kept blade (:func:`build_blade`) hands every recipe
+        the same system to apply its DRAM overrides to."""
+        system = self.__dict__.get("_system")
+        if system is None:
+            system = SystemSpec(
+                name="SCD blade",
+                accelerator=self.accelerator(),
+                n_accelerators=self.n_spus,
+            )
+            object.__setattr__(self, "_system", system)
+        return system
 
     # -- reporting ---------------------------------------------------------------
     def spec_rows(self) -> list[tuple[str, str]]:
@@ -232,7 +241,26 @@ def build_blade(
     n_snu_stacks: int = 16,
     l2_policy: str = "dram",
 ) -> SCDBlade:
-    """Assemble the baseline blade of Fig. 3c."""
+    """Assemble the baseline blade of Fig. 3c.
+
+    A blade and all its parts are frozen, so the last few blades built are
+    kept by their arguments (value *and* type, as the system memo keys):
+    each is assembled, and its parts validated, once.  Callers derive
+    variants with ``dataclasses.replace``, which leaves the kept blade as
+    it is."""
+    return _assemble_blade(nx, ny, l2_total_bytes, n_snu_stacks, l2_policy)
+
+
+#: Blades kept.  A sweep varies the DRAM knobs far more often than the
+#: array shape or the L2 pool, which are all a blade depends on.
+_BLADES = 16
+
+
+@functools.lru_cache(maxsize=_BLADES, typed=True)
+def _assemble_blade(
+    nx: int, ny: int, l2_total_bytes: float, n_snu_stacks: int, l2_policy: str
+) -> SCDBlade:
+    """The blade of these :func:`build_blade` arguments."""
     require_positive("nx", nx)
     require_positive("ny", ny)
     return SCDBlade(

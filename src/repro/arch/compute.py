@@ -6,8 +6,10 @@ compute core.  Our bf16 MAC consists of ~8k JJs. ... The peak floating point
 MACs in a 144 mm² die footprint."
 
 The die is sized bottom-up: JJ budget = device density × area; the MAC count
-follows from the per-MAC junction cost (taken from the EDA flow's synthesized
-MAC by default) and the fraction of the die granted to the MAC array.  Note
+follows from the per-MAC junction cost (the paper's ~8k JJ,
+:data:`PAPER_MAC_JJ`, by default; the EDA flow's synthesized MAC, which
+:func:`mac_jj_from_flow` returns, lands within 7 % of it and can be passed
+as ``mac_jj``) and the fraction of the die granted to the MAC array.  Note
 the paper's "400k MACs" is inconsistent with both its own peak number and the
 JJ budget (DESIGN.md substitution #3); the bottom-up count of ~41k MACs at
 30 GHz × 2 ops reproduces the 2.45 PFLOP/s headline exactly.

@@ -31,12 +31,11 @@ times op lists, which are never memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.arch.system import SystemSpec
 from repro.core.report import GEMMBreakdown, InferenceReport, TrainingReport
-from repro.core.roofline import Boundedness
+from repro.core.roofline import Boundedness, time_compute_kernel
 from repro.core.timing_cache import KernelTimingCache, default_timing_cache
 from repro.errors import require_positive
 from repro.parallel.mapper import MappedInference, MappedTraining
@@ -44,8 +43,7 @@ from repro.parallel.pipeline import simulate_1f1b
 from repro.workloads.operators import ComputeKernel, Op, OpProgram
 
 
-@dataclass(frozen=True)
-class _OpListTiming:
+class _OpListTiming(NamedTuple):
     """Aggregate timing of one op list on one accelerator."""
 
     total: float
@@ -56,6 +54,11 @@ class _OpListTiming:
     gemm_memory_bound_time: float
     gemm_compute_bound_time: float
     flops: float
+
+
+#: Builds an :class:`_OpListTiming` from its eight fields in one C call
+#: (the named tuple's own ``__new__`` is a Python function).
+_new_timing = tuple.__new__
 
 
 class Optimus:
@@ -117,12 +120,13 @@ class Optimus:
         self, spans: Iterable[tuple[Sequence[Op], float]]
     ) -> _OpListTiming:
         """Time ``(ops, weight)`` spans serially: each op once, its time
-        scaled by the span's weight, summed in op order."""
+        scaled by the span's weight, summed in op order.  A kernel the
+        memo lacks is timed by the roofline and kept here."""
         timer = self._timer
-        compute, comm = timer.compute, timer.comm
-        compute_miss, comm_miss = timer.compute_miss, timer.comm_miss
+        compute, comm, comm_miss = timer.compute, timer.comm, timer.comm_miss
+        accelerator, roofline = timer.accelerator, timer.roofline
         memory = Boundedness.MEMORY
-        hits = 0
+        hits = misses = 0
         total = kernel_time = comm_time = 0.0
         memory_bound = compute_bound = gemm_memory = gemm_compute = flops = 0.0
         for ops, weight in spans:
@@ -130,7 +134,10 @@ class Optimus:
                 if isinstance(op, ComputeKernel):
                     timing = compute.get(op)
                     if timing is None:
-                        timing = compute_miss(op)
+                        timing = compute[op] = time_compute_kernel(
+                            op, accelerator, roofline
+                        )
+                        misses += 1
                     else:
                         hits += 1
                     elapsed = timing.time * weight
@@ -154,16 +161,21 @@ class Optimus:
                     exposed = timing.exposed_time * weight
                     total += exposed
                     comm_time += exposed
-        self.cache.hits += hits
-        return _OpListTiming(
-            total=total,
-            compute_kernel_time=kernel_time,
-            comm_exposed_time=comm_time,
-            memory_bound_time=memory_bound,
-            compute_bound_time=compute_bound,
-            gemm_memory_bound_time=gemm_memory,
-            gemm_compute_bound_time=gemm_compute,
-            flops=flops,
+        cache = self.cache
+        cache.hits += hits
+        cache.misses += misses
+        return _new_timing(
+            _OpListTiming,
+            (
+                total,
+                kernel_time,
+                comm_time,
+                memory_bound,
+                compute_bound,
+                gemm_memory,
+                gemm_compute,
+                flops,
+            ),
         )
 
     def _time(self, program: OpProgram) -> _OpListTiming:

@@ -3,6 +3,12 @@
 Scores every valid (TP, PP, DP) decomposition of a training workload on a
 system and ranks by time per batch — the mapping optimization the paper
 performs before reporting results.
+
+Each strategy is mapped through the process-wide
+:class:`~repro.parallel.mapper.MappingCache`: a mapping depends only on the
+workload, the strategy and the accelerator count, so a search on another
+system of the same size (the next point of a sweep, another DSE spec)
+re-times the cached mappings instead of building them again.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from repro.arch.system import SystemSpec
 from repro.core.model import Optimus
 from repro.core.report import TrainingReport
 from repro.errors import MappingError
-from repro.parallel.mapper import map_training
+from repro.parallel.mapper import default_mapping_cache
 from repro.parallel.strategy import ParallelConfig, enumerate_strategies
 from repro.workloads.llm import LLMConfig
 
@@ -46,6 +52,7 @@ def search_strategies(
     Candidates that cannot be mapped are skipped.
     """
     optimus = Optimus(system)
+    mapping_cache = default_mapping_cache()
     results: list[StrategyResult] = []
     for count, parallel in enumerate(
         enumerate_strategies(model, system.n_accelerators, batch)
@@ -53,7 +60,9 @@ def search_strategies(
         if count >= max_candidates:
             break
         try:
-            mapped = map_training(model, system, parallel, batch, seq_len)
+            mapped = mapping_cache.map_training(
+                model, system, parallel, batch, seq_len
+            )
         except MappingError:
             continue
         if require_fit and not mapped.fits_memory:

@@ -59,8 +59,9 @@ class BoundTimings:
     Resolving the per-configuration memos once at bind time keeps the hot
     path to a single dict lookup: the accelerator's (nested) hash is not
     recomputed per op.  The timing engine reads ``compute``, ``comm`` and
-    ``programs`` directly and calls :meth:`compute_miss` /
-    :meth:`comm_miss` for what they lack.
+    ``programs`` directly, times a kernel ``compute`` lacks with the bound
+    ``roofline`` itself (keeping it and counting the miss), and calls
+    :meth:`comm_miss` for a collective ``comm`` lacks.
     """
 
     __slots__ = (
@@ -94,15 +95,12 @@ class BoundTimings:
         """Memoized :func:`time_compute_kernel` on the bound accelerator."""
         timing = self.compute.get(kernel)
         if timing is None:
-            return self.compute_miss(kernel)
-        self._cache.hits += 1
-        return timing
-
-    def compute_miss(self, kernel: ComputeKernel) -> KernelTiming:
-        """Time a kernel the memo lacks, keep it and count the miss."""
-        timing = time_compute_kernel(kernel, self.accelerator, self.roofline)
-        self.compute[kernel] = timing
-        self._cache.misses += 1
+            timing = self.compute[kernel] = time_compute_kernel(
+                kernel, self.accelerator, self.roofline
+            )
+            self._cache.misses += 1
+        else:
+            self._cache.hits += 1
         return timing
 
     def time_comm(self, kernel: CommKernel) -> CommTiming:

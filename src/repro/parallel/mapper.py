@@ -17,8 +17,13 @@ embedding and LM-head kernels around them) once per ``(model,
 LayerShape)``, in a bounded LRU, and attaches each strategy's weight
 residency to copies: a strategy search maps many (TP, PP, DP) strategies
 onto a few layer shapes.  An inference mapping builds each decode-step
-program once per context.  :class:`MappingCache` maps a workload once for
-every system with the same accelerator count.
+program once per context, and only the attention kernels that read the
+context per program: the rest of the layer, the embedding and the LM head
+are built once per mapping and shared.  :class:`MappingCache` maps a
+workload once for every system with the same accelerator count; the
+scenario runner and the strategy search
+(:func:`repro.core.optimizer.search_strategies`) both map through the
+process-wide one.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ from repro.workloads.operators import (
 )
 from repro.workloads.transformer import (
     LayerShape,
+    attention_context_ops,
     backward_ops,
     embedding_ops,
     layer_forward_ops,
+    layer_forward_parts,
     lm_head_ops,
 )
 
@@ -160,7 +167,7 @@ class MappedTraining:
         """Useful FLOPs per global batch across the whole system (fwd+bwd).
 
         Derived from program segment counts — O(unique ops), not
-        O(layers × ops)."""
+        O(layers × ops) — and each program sums its FLOPs once."""
         per_microbatch = sum(
             program.compute_flops()
             for program in self.stage_fwd_programs + self.stage_bwd_programs
@@ -391,45 +398,48 @@ def map_inference(
         bytes_per_element=precision_bytes,
     )
 
-    def phase_program(shape: LayerShape, n_tokens: int, phase: Phase) -> OpProgram:
-        """Embedding + RLE layer span + LM head, with residency attached."""
-        emb = _attach_residency(
-            embedding_ops(model, n_tokens, precision_bytes, phase),
-            weight_resident,
-            kv_resident,
-        )
-        layer = _attach_residency(
-            layer_forward_ops(model, shape, phase),
-            weight_resident,
-            kv_resident,
-        )
-        head = _attach_residency(
-            lm_head_ops(model, batch, tp, precision_bytes, phase),
-            weight_resident,
-            kv_resident,
-        )
-        return OpProgram(
-            (
-                Segment(tuple(emb)),
-                Segment(tuple(layer), repeat=model.n_layers),
-                Segment(tuple(head)),
-            )
+    def resident(ops: Sequence[Op]) -> tuple[Op, ...]:
+        return tuple(_attach_residency(ops, weight_resident, kv_resident))
+
+    def embedding_and_head(n_tokens: int, phase: Phase) -> tuple[Segment, Segment]:
+        """The embedding and LM-head segments of a phase."""
+        return (
+            Segment(resident(embedding_ops(model, n_tokens, precision_bytes, phase))),
+            Segment(resident(lm_head_ops(model, batch, tp, precision_bytes, phase))),
         )
 
-    prefill_program = phase_program(
-        prefill_shape, prefill_shape.n_tokens, Phase.PREFILL
+    embedding, head = embedding_and_head(prefill_shape.n_tokens, Phase.PREFILL)
+    layer = resident(layer_forward_ops(model, prefill_shape, Phase.PREFILL))
+    prefill_program = OpProgram(
+        (embedding, Segment(layer, repeat=model.n_layers), head)
     )
+
+    # A decode step reads the context only in a layer's attention score,
+    # softmax and context kernels.  Every other kernel, the embedding and
+    # the LM head are built once here and shared by the decode programs of
+    # all contexts.
+    decode_shape = LayerShape(
+        n_tokens=batch,
+        batch_seqs=batch,
+        kv_len=1,
+        tp=tp,
+        bytes_per_element=precision_bytes,
+    )
+    decode_embedding, decode_head = embedding_and_head(batch, Phase.DECODE)
+    before, _, after = layer_forward_parts(model, decode_shape, Phase.DECODE)
+    before, after = resident(before), resident(after)
 
     @functools.lru_cache(maxsize=_DECODE_PROGRAMS_PER_MAPPING)
     def decode_program_at(context: int) -> OpProgram:
-        shape = LayerShape(
-            n_tokens=batch,
-            batch_seqs=batch,
-            kv_len=max(1, context),
-            tp=tp,
-            bytes_per_element=precision_bytes,
+        shape = dataclasses.replace(decode_shape, kv_len=max(1, context))
+        attention = resident(attention_context_ops(model, shape, Phase.DECODE))
+        return OpProgram(
+            (
+                decode_embedding,
+                Segment(before + attention + after, repeat=model.n_layers),
+                decode_head,
+            )
         )
-        return phase_program(shape, batch, Phase.DECODE)
 
     return MappedInference(
         model=model,
@@ -442,6 +452,20 @@ def map_inference(
         prefill_program=prefill_program,
         decode_program_at=decode_program_at,
     )
+
+
+def _rebound(
+    mapped: "MappedTraining | MappedInference", system: SystemSpec
+) -> "MappedTraining | MappedInference":
+    """``mapped`` bound to ``system``: a copy sharing every other field.
+
+    The mapping was validated when it was built and ``system`` has its
+    accelerator count, so the copy skips the constructor."""
+    if mapped.system is system:
+        return mapped
+    copy = object.__new__(type(mapped))
+    copy.__dict__.update(mapped.__dict__, system=system)
+    return copy
 
 
 class MappingCache:
@@ -516,9 +540,7 @@ class MappingCache:
                 model, system, parallel, batch, seq_len, precision_bytes, tp_overlap
             ),
         )
-        if mapped.system is system:
-            return mapped
-        return dataclasses.replace(mapped, system=system)
+        return _rebound(mapped, system)
 
     def map_inference(
         self,
@@ -553,9 +575,7 @@ class MappingCache:
                 precision_bytes,
             ),
         )
-        if mapped.system is system:
-            return mapped
-        return dataclasses.replace(mapped, system=system)
+        return _rebound(mapped, system)
 
     # -- introspection -----------------------------------------------------
     @property

@@ -8,9 +8,10 @@ classic ``(m + p - 1)(t_f + t_b)``, i.e. bubble fraction ``(p-1)/(m+p-1)``.
 ``simulate_1f1b`` is an exact evaluation of the schedule's dependency
 graph, so non-uniform stages (unequal layer counts, embedding and LM-head
 stages) and point-to-point latencies are handled without approximation.
-The graph depends only on the stage and microbatch counts, so its
-topological order is built once per ``(p, m)`` pair and replayed in a
-single pass for every set of stage times.
+The graph depends only on the stage and microbatch counts, so a replay
+plan (a topological order in which each operation has one input) is built
+once per ``(p, m)`` pair and replayed in a single pass for every set of
+stage times, one ``max`` and one add per operation.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from typing import Sequence
 
 from repro.errors import MappingError, require_non_negative, require_positive
 
-#: ``(p, m)`` pairs whose replay order is kept.  A sweep uses a few dozen;
-#: an order costs 9 bytes per operation (2·p·m operations).
-_ORDER_MEMO_PAIRS = 64
+#: ``(p, m)`` pairs whose replay plan is kept.  A sweep uses a few dozen;
+#: a plan costs 6 bytes per operation (2·p·m operations) for the pipelines
+#: the model builds.
+_PLAN_MEMO_PAIRS = 64
 
-# Operation kinds of a replay order.  The first and last stages are split
-# out because their forward / backward has no upstream / downstream input.
-_BWD, _FWD, _BWD_LAST, _FWD_FIRST = range(4)
+_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -61,27 +61,42 @@ def analytic_1f1b(
     ) * p2p_time
 
 
-@functools.lru_cache(maxsize=_ORDER_MEMO_PAIRS)
-def _replay_order(p: int, m: int) -> tuple[bytes, array, array]:
-    """A topological order of the 1F1B dependency graph of ``p`` stages and
-    ``m`` microbatches, as ``(kinds, stages, slots)`` with one entry per
-    operation and ``slot = stage * m + microbatch``.
+def _compact(values: list[int], bound: int) -> array:
+    """``values``, each below ``bound``, in the narrowest unsigned array
+    that holds them."""
+    return array("B" if bound <= 1 << 8 else "H" if bound <= 1 << 16 else "L", values)
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO_PAIRS)
+def _replay_plan(p: int, m: int) -> tuple[array, array, array, array]:
+    """The 1F1B dependency graph of ``p`` stages and ``m`` microbatches as
+    a replay plan ``(stages, durations, sources, ends)``: one entry per
+    operation, in a topological order.
+
+    An operation runs on stage ``stages[k]`` for ``durations[k]`` (an index
+    into the forward times followed by the backward times), once the end
+    time in slot ``sources[k]`` plus the hand-off has passed, and its end
+    goes to slot ``ends[k]``.  Slots ``s·m + j`` hold the forward ends,
+    ``p·m + s·m + j`` the backward ends, and slot ``2·p·m`` holds −∞: the
+    input of the first stage's forwards and the last stage's backwards,
+    which nothing upstream feeds.
 
     Each stage runs its program in order: ``min(m, p - s)`` warm-up
     forwards, then alternating backward / forward.  Across stages,
-    F(s, j) waits for F(s-1, j) and B(s, j) for B(s+1, j); B(s, j) follows
-    F(s, j) in the stage's own program.  The order is the one an
-    event-driven sweep finds: visit the stages in turn, running each as
-    far as its inputs allow, until every operation has run.
+    F(s, j) waits for F(s-1, j) and B(s, j) for B(s+1, j).  B(s, j) also
+    follows F(s, j), but within its own stage's program: the stage's clock
+    already covers it, so the plan gives each operation one input.  The
+    order is the one an event-driven sweep finds: visit the stages in turn,
+    running each as far as its inputs allow, until every operation has run.
     """
     programs = []
     for s in range(p):
         warmup = min(m, p - s)
-        program = [(False, j) for j in range(warmup)]
+        program = [(s, False, j) for j in range(warmup)]
         for j in range(m):
-            program.append((True, j))
+            program.append((s, True, j))
             if warmup + j < m:
-                program.append((False, warmup + j))
+                program.append((s, False, warmup + j))
         programs.append(program)
 
     # Each stage runs its forwards, and its backwards, in microbatch order,
@@ -89,36 +104,46 @@ def _replay_order(p: int, m: int) -> tuple[bytes, array, array]:
     forwards_run = [0] * p
     backwards_run = [0] * p
     pointer = [0] * p
-    kinds, stages, slots = bytearray(), array("i"), array("i")
-    while len(kinds) < 2 * p * m:
-        before = len(kinds)
+    order: list[tuple[int, bool, int]] = []
+    while len(order) < 2 * p * m:
+        before = len(order)
         for s, program in enumerate(programs):
             k = pointer[s]
             while k < len(program):
-                backward, j = program[k]
+                op = program[k]
+                _, backward, j = op
                 if backward:
-                    if s < p - 1:
-                        if backwards_run[s + 1] <= j:
-                            break
-                        kinds.append(_BWD)
-                    else:
-                        kinds.append(_BWD_LAST)
+                    if s < p - 1 and backwards_run[s + 1] <= j:
+                        break
                     backwards_run[s] += 1
                 else:
-                    if s > 0:
-                        if forwards_run[s - 1] <= j:
-                            break
-                        kinds.append(_FWD)
-                    else:
-                        kinds.append(_FWD_FIRST)
+                    if s > 0 and forwards_run[s - 1] <= j:
+                        break
                     forwards_run[s] += 1
-                stages.append(s)
-                slots.append(s * m + j)
+                order.append(op)
                 k += 1
             pointer[s] = k
-        if len(kinds) == before:
+        if len(order) == before:
             raise MappingError("1F1B schedule deadlocked (internal error)")
-    return bytes(kinds), stages, slots
+
+    pm, last = p * m, p - 1
+    unfed = 2 * pm
+    return (
+        _compact([s for s, _, _ in order], p),
+        _compact([p + s if backward else s for s, backward, _ in order], 2 * p),
+        _compact(
+            [
+                (unfed if s == last else pm + (s + 1) * m + j)
+                if backward
+                else (unfed if s == 0 else (s - 1) * m + j)
+                for s, backward, j in order
+            ],
+            unfed + 1,
+        ),
+        _compact(
+            [pm * backward + s * m + j for s, backward, j in order], unfed + 1
+        ),
+    )
 
 
 def simulate_1f1b(
@@ -131,12 +156,13 @@ def simulate_1f1b(
 
     Every operation starts when both its stage is free and its input has
     arrived (``max``), and ends one stage time later; operations are
-    evaluated in a memoized topological order of the dependency graph.
+    evaluated in the memoized replay plan of the dependency graph.
 
     Parameters
     ----------
     stage_fwd_times / stage_bwd_times:
-        Per-stage forward/backward time of one microbatch, seconds.
+        Per-stage forward/backward time of one microbatch, seconds
+        (non-negative: a stage's clock never runs backwards).
     n_microbatches:
         Microbatches per step (``m``).
     p2p_time:
@@ -149,29 +175,16 @@ def simulate_1f1b(
     require_non_negative("p2p_time", p2p_time)
     m = n_microbatches
 
-    kinds, stages, slots = _replay_order(p, m)
-    fwd_end = [0.0] * (p * m)
-    bwd_end = [0.0] * (p * m)
+    stages, durations, sources, ends = _replay_plan(p, m)
+    duration = [*stage_fwd_times, *stage_bwd_times]
+    end = [0.0] * (2 * p * m)
+    end.append(_NEG_INF)
     stage_time = [0.0] * p
     # ``ready if ready > t else t`` is ``max(t, ready)`` without the call.
-    for kind, s, i in zip(kinds, stages, slots):
+    for s, d, source, slot in zip(stages, durations, sources, ends):
+        ready = end[source] + p2p_time
         t = stage_time[s]
-        if kind == _BWD:
-            ready = fwd_end[i]
-            downstream = bwd_end[i + m] + p2p_time
-            if downstream > ready:
-                ready = downstream
-            t = bwd_end[i] = (ready if ready > t else t) + stage_bwd_times[s]
-        elif kind == _FWD:
-            ready = fwd_end[i - m] + p2p_time
-            t = fwd_end[i] = (ready if ready > t else t) + stage_fwd_times[s]
-        elif kind == _BWD_LAST:
-            ready = fwd_end[i]
-            t = bwd_end[i] = (ready if ready > t else t) + stage_bwd_times[s]
-        else:
-            ready = 0.0
-            t = fwd_end[i] = (ready if ready > t else t) + stage_fwd_times[s]
-        stage_time[s] = t
+        stage_time[s] = end[slot] = (ready if ready > t else t) + duration[d]
 
     total = max(stage_time)
     busy = tuple(

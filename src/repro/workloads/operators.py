@@ -302,6 +302,7 @@ class OpProgram:
         # The program-timing memo hashes a program on every lookup, so it
         # is hashed once here (and again on unpickle, as ComputeKernel).
         object.__setattr__(self, "_hash", hash(self.segments))
+        object.__setattr__(self, "_flops", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -325,8 +326,15 @@ class OpProgram:
         return sum(len(segment.ops) for segment in self.segments)
 
     def compute_flops(self) -> float:
-        """FLOPs over compute kernels (collectives excluded)."""
-        return sum(segment.compute_flops() for segment in self.segments)
+        """FLOPs over compute kernels (collectives excluded).
+
+        Summed on the first call and kept, as the hash is: a mapping
+        rebound to each system of a sweep shares its programs."""
+        flops = self._flops
+        if flops is None:
+            flops = sum(segment.compute_flops() for segment in self.segments)
+            object.__setattr__(self, "_flops", flops)
+        return flops
 
     def flatten(self) -> tuple[Op, ...]:
         """The fully replicated op stream (seed representation)."""

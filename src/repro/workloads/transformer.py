@@ -91,62 +91,22 @@ class LayerShape:
 
 def _attention_ops(
     cfg: LLMConfig, shape: LayerShape, phase: Phase
-) -> list[Op]:
-    """Attention block kernels for one layer (per device)."""
-    if cfg.n_heads % shape.tp:
-        raise ConfigError(
-            f"{cfg.name}: {cfg.n_heads} heads not divisible by tp={shape.tp}"
-        )
+) -> tuple[list[Op], list[Op], list[Op]]:
+    """Attention block kernels for one layer (per device), split around
+    the ones that read the context: ``(before, context, after)``."""
+    context = attention_context_ops(cfg, shape, phase)
     b = shape.bytes_per_element
-    heads_local = cfg.n_heads // shape.tp
-    d = cfg.head_dim
     m = shape.n_tokens
-    ops: list[Op] = []
-
-    ops.append(layernorm("ln_attn", m * cfg.hidden, b, phase))
+    before: list[Op] = [layernorm("ln_attn", m * cfg.hidden, b, phase)]
     # Column-parallel fused QKV projection.
     qkv_cols = (cfg.hidden + 2 * cfg.kv_dim) // shape.tp
-    ops.append(gemm("qkv_proj", m, qkv_cols, cfg.hidden, b, phase=phase))
-    # Score GEMM: one (seq_q × kv_len) product per local head per sequence.
-    ops.append(
-        gemm(
-            "attn_score",
-            shape.seq_q,
-            shape.kv_len,
-            d,
-            b,
-            batch=shape.batch_seqs * heads_local,
-            phase=phase,
-            kind=KernelKind.ATTN_SCORE,
-            weight_operand=False,
-        )
-    )
-    ops.append(
-        softmax(
-            "attn_softmax",
-            shape.batch_seqs * heads_local * shape.seq_q * shape.kv_len,
-            b,
-            phase,
-        )
-    )
-    # Context GEMM: probabilities × V.
-    ops.append(
-        gemm(
-            "attn_context",
-            shape.seq_q,
-            d,
-            shape.kv_len,
-            b,
-            batch=shape.batch_seqs * heads_local,
-            phase=phase,
-            kind=KernelKind.ATTN_CONTEXT,
-            weight_operand=False,
-        )
-    )
+    before.append(gemm("qkv_proj", m, qkv_cols, cfg.hidden, b, phase=phase))
     # Row-parallel output projection, then the Megatron all-reduce.
-    ops.append(gemm("attn_out_proj", m, cfg.hidden, cfg.hidden // shape.tp, b, phase=phase))
+    after: list[Op] = [
+        gemm("attn_out_proj", m, cfg.hidden, cfg.hidden // shape.tp, b, phase=phase)
+    ]
     if shape.tp > 1:
-        ops.append(
+        after.append(
             all_reduce(
                 "attn_allreduce",
                 m * cfg.hidden * b,
@@ -156,8 +116,54 @@ def _attention_ops(
             )
         )
     if not shape.fuse_elementwise:
-        ops.append(elementwise("attn_residual", m * cfg.hidden, 1.0, 2, b, phase))
-    return ops
+        after.append(elementwise("attn_residual", m * cfg.hidden, 1.0, 2, b, phase))
+    return before, context, after
+
+
+def attention_context_ops(
+    cfg: LLMConfig, shape: LayerShape, phase: Phase = Phase.FORWARD
+) -> list[Op]:
+    """The kernels of one layer whose shape reads the context length
+    ``shape.kv_len``: the score GEMM, the softmax and the context GEMM
+    (per device)."""
+    if cfg.n_heads % shape.tp:
+        raise ConfigError(
+            f"{cfg.name}: {cfg.n_heads} heads not divisible by tp={shape.tp}"
+        )
+    b = shape.bytes_per_element
+    heads_local = cfg.n_heads // shape.tp
+    d = cfg.head_dim
+    # Score GEMM: one (seq_q × kv_len) product per local head per sequence.
+    score = gemm(
+        "attn_score",
+        shape.seq_q,
+        shape.kv_len,
+        d,
+        b,
+        batch=shape.batch_seqs * heads_local,
+        phase=phase,
+        kind=KernelKind.ATTN_SCORE,
+        weight_operand=False,
+    )
+    probabilities = softmax(
+        "attn_softmax",
+        shape.batch_seqs * heads_local * shape.seq_q * shape.kv_len,
+        b,
+        phase,
+    )
+    # Context GEMM: probabilities × V.
+    context = gemm(
+        "attn_context",
+        shape.seq_q,
+        d,
+        shape.kv_len,
+        b,
+        batch=shape.batch_seqs * heads_local,
+        phase=phase,
+        kind=KernelKind.ATTN_CONTEXT,
+        weight_operand=False,
+    )
+    return [score, probabilities, context]
 
 
 def _dense_mlp_ops(cfg: LLMConfig, shape: LayerShape, phase: Phase) -> list[Op]:
@@ -274,14 +280,27 @@ def expected_touched_experts(n_experts: int, active: int, n_tokens: int) -> floa
     return n_experts * (1.0 - cold)
 
 
+def layer_forward_parts(
+    cfg: LLMConfig, shape: LayerShape, phase: Phase = Phase.FORWARD
+) -> tuple[list[Op], list[Op], list[Op]]:
+    """One transformer layer's forward kernels (per device), split around
+    the ones that read the context length: ``(before, context, after)``.
+
+    Only ``context`` (:func:`attention_context_ops`) depends on
+    ``shape.kv_len``, so a decode step at another context can reuse
+    ``before`` and ``after``."""
+    before, context, after = _attention_ops(cfg, shape, phase)
+    if cfg.is_moe:
+        after.extend(_moe_mlp_ops(cfg, shape, phase))
+    else:
+        after.extend(_dense_mlp_ops(cfg, shape, phase))
+    return before, context, after
+
+
 def layer_forward_ops(cfg: LLMConfig, shape: LayerShape, phase: Phase = Phase.FORWARD) -> list[Op]:
     """All kernels of one transformer layer's forward pass (per device)."""
-    ops = _attention_ops(cfg, shape, phase)
-    if cfg.is_moe:
-        ops.extend(_moe_mlp_ops(cfg, shape, phase))
-    else:
-        ops.extend(_dense_mlp_ops(cfg, shape, phase))
-    return ops
+    before, context, after = layer_forward_parts(cfg, shape, phase)
+    return before + context + after
 
 
 def backward_ops(forward: list[Op]) -> list[Op]:
@@ -376,6 +395,8 @@ def total_compute_flops(ops: list[Op]) -> float:
 
 __all__ = [
     "LayerShape",
+    "attention_context_ops",
+    "layer_forward_parts",
     "layer_forward_ops",
     "backward_ops",
     "embedding_ops",

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+
 import pytest
 
 from repro.arch.blade import build_blade
 from repro.arch.snu import build_snu, build_snu_group, shared_l2_spec
 from repro.arch.spu import build_spu
+from repro.errors import ConfigError
 from repro.units import GB, TBPS
 
 
@@ -93,6 +97,50 @@ class TestBlade:
         assert blade.n_spus == 16
         # Shared memory pool splits among fewer SPUs.
         assert blade.dram_bandwidth_per_spu == pytest.approx(30e12 / 16, rel=0.01)
+
+
+def _parts(value, path="blade"):
+    """Every object a blade reaches through dataclass fields and tuples,
+    with the path to it."""
+    yield path, value
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _parts(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _parts(item, f"{path}[{i}]")
+
+
+class TestKeptBlades:
+    """``build_blade`` keeps the blades it assembles, so every part a kept
+    blade holds must be immutable."""
+
+    def test_every_part_is_frozen(self):
+        for path, part in _parts(build_blade()):
+            if dataclasses.is_dataclass(part):
+                assert part.__dataclass_params__.frozen, path
+            else:
+                assert isinstance(
+                    part, (int, float, str, bool, tuple, enum.Enum, type(None))
+                ), path
+
+    def test_same_arguments_give_the_same_blade(self):
+        assert build_blade() is build_blade(8, 8)
+        assert build_blade(nx=4, ny=4) is build_blade(nx=4, ny=4)
+        assert build_blade(nx=4, ny=4) is not build_blade()
+        assert build_blade().system() is build_blade().system()
+
+    def test_a_variant_leaves_the_kept_blade_alone(self):
+        kept = build_blade()
+        variant = dataclasses.replace(kept, dram_outstanding_bytes=1e6)
+        assert build_blade() is kept
+        assert kept.dram_outstanding_bytes != 1e6
+        assert variant.system() is not kept.system()
+        assert variant.system().accelerator.hierarchy != kept.system().accelerator.hierarchy
+
+    def test_invalid_arguments_are_still_rejected(self):
+        with pytest.raises(ConfigError):
+            build_blade(nx=0)
 
 
 class TestGPUBaseline:

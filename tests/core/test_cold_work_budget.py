@@ -30,8 +30,11 @@ the saving is on record (the pins are per Python minor version)::
 from __future__ import annotations
 
 import cProfile
+import functools
 import gc
+import importlib
 import json
+import pkgutil
 import sys
 import tempfile
 from collections import Counter
@@ -39,10 +42,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch.blade import _assemble_blade
 from repro.arch.config import _build_system
 from repro.core.timing_cache import default_timing_cache
 from repro.parallel import mapper
-from repro.parallel.pipeline import _replay_order
+from repro.parallel.pipeline import _replay_plan
 from repro.scenarios import get
 from repro.scenarios.store import ResultStore, run_cached
 
@@ -67,8 +71,30 @@ def empty_engine_memos() -> None:
     default_timing_cache().clear()
     mapper.default_mapping_cache().clear()
     mapper._layer_kernels.cache_clear()
-    _replay_order.cache_clear()
+    _replay_plan.cache_clear()
     _build_system.cache_clear()
+    _assemble_blade.cache_clear()
+
+
+#: The packages whose module-level memos a cold compute fills.
+ENGINE_PACKAGES = ("repro.core", "repro.parallel", "repro.arch", "repro.workloads")
+
+
+def engine_lru_caches() -> dict[str, functools._lru_cache_wrapper]:
+    """Every module-level ``functools.lru_cache`` defined in
+    :data:`ENGINE_PACKAGES`, by qualified name."""
+    found = {}
+    for package_name in ENGINE_PACKAGES:
+        package = importlib.import_module(package_name)
+        for info in pkgutil.walk_packages(package.__path__, f"{package_name}."):
+            module = importlib.import_module(info.name)
+            for name, value in vars(module).items():
+                if (
+                    isinstance(value, functools._lru_cache_wrapper)
+                    and value.__module__ == module.__name__
+                ):
+                    found[f"{module.__name__}.{name}"] = value
+    return found
 
 
 def _code_key(function) -> tuple[str, int, str]:
@@ -140,6 +166,26 @@ def _grew_most(pinned: dict, measured: dict) -> list[str]:
     growth = Counter(measured)
     growth.subtract(pinned)
     return [f"{key} +{n}" for key, n in growth.most_common(10) if n > 0]
+
+
+def test_empty_engine_memos_clears_every_engine_lru_cache(monkeypatch):
+    """The budget's "fresh process" is only fresh if every memo is
+    emptied: a new ``lru_cache`` in the engine must be cleared there."""
+    caches = engine_lru_caches()
+    assert "repro.parallel.pipeline._replay_plan" in caches
+    cleared = []
+
+    def recorded(name, clear):
+        def cache_clear():
+            cleared.append(name)
+            clear()
+
+        return cache_clear
+
+    for name, cache in caches.items():
+        monkeypatch.setattr(cache, "cache_clear", recorded(name, cache.cache_clear))
+    empty_engine_memos()
+    assert sorted(set(caches) - set(cleared)) == []
 
 
 def test_cold_path_stays_within_its_work_budget(tmp_path):

@@ -8,13 +8,20 @@ from repro.errors import MappingError
 from repro.parallel.mapper import (
     OPTIMIZER_BYTES_PER_PARAM,
     MappingCache,
+    _attach_residency,
     map_inference,
     map_training,
 )
 from repro.parallel.strategy import ParallelConfig
 from repro.units import TBPS
 from repro.workloads.llm import GPT3_175B, GPT3_76B, LLAMA_405B
-from repro.workloads.operators import CommKernel, ComputeKernel, KernelKind
+from repro.workloads.operators import CommKernel, ComputeKernel, KernelKind, Phase
+from repro.workloads.transformer import (
+    LayerShape,
+    embedding_ops,
+    layer_forward_ops,
+    lm_head_ops,
+)
 
 PAPER = ParallelConfig(tensor_parallel=8, pipeline_parallel=8, data_parallel=1)
 
@@ -187,3 +194,56 @@ class TestDecodeProgramMemo:
         assert info.currsize == info.maxsize < 99
         assert mapped.decode_program_at(200) is not first
         assert mapped.decode_program_at(200) == first
+
+
+#: The kernels of a decode step whose shape reads the context length.
+CONTEXT_KERNELS = {"attn_score", "attn_softmax", "attn_context"}
+
+
+class TestDecodeKernelSharing:
+    """The decode programs of one mapping share every kernel whose fields
+    do not depend on the context, as one object, and rebuild only the
+    attention kernels that read it."""
+
+    def test_context_independent_kernels_are_one_object(self, scd_system_16tbps):
+        mapped = map_inference(LLAMA_405B, scd_system_16tbps, batch=8)
+        first = mapped.decode_program_at(220)
+        second = mapped.decode_program_at(390)
+        assert len(first.segments) == len(second.segments)
+        differing = set()
+        for a, b in zip(first.segments, second.segments):
+            assert a.repeat == b.repeat
+            assert [op.name for op in a.ops] == [op.name for op in b.ops]
+            for op_a, op_b in zip(a.ops, b.ops):
+                if op_a == op_b:
+                    assert op_a is op_b, op_a.name
+                else:
+                    differing.add(op_a.name)
+        assert differing == CONTEXT_KERNELS
+
+    def test_program_equals_a_whole_layer_build(self, scd_system_16tbps):
+        """Sharing changes no kernel: each decode program equals the one
+        built whole at its context, op for op and in op order."""
+        batch, tp = 8, scd_system_16tbps.n_accelerators
+        mapped = map_inference(LLAMA_405B, scd_system_16tbps, batch=batch)
+        weights = LLAMA_405B.n_params * 2.0
+        kv = LLAMA_405B.kv_cache_bytes(batch, bytes_per_element=2.0)
+        for context in (200, 333, 399):
+            shape = LayerShape(
+                n_tokens=batch, batch_seqs=batch, kv_len=context, tp=tp
+            )
+            whole = [
+                _attach_residency(ops, weights, kv)
+                for ops in (
+                    embedding_ops(LLAMA_405B, batch, 2.0, Phase.DECODE),
+                    layer_forward_ops(LLAMA_405B, shape, Phase.DECODE),
+                    lm_head_ops(LLAMA_405B, batch, tp, 2.0, Phase.DECODE),
+                )
+            ]
+            program = mapped.decode_program_at(context)
+            assert [list(segment.ops) for segment in program.segments] == whole
+            assert [segment.repeat for segment in program.segments] == [
+                1,
+                LLAMA_405B.n_layers,
+                1,
+            ]

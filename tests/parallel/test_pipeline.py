@@ -1,5 +1,6 @@
 """1F1B pipeline-schedule tests: simulator vs closed form, bubble laws,
-and bit-exact agreement with an event-driven reference simulator."""
+and bit-exact agreement with two reference simulators (an event-driven
+one and the three-input replay that the one-input plan replaced)."""
 
 from __future__ import annotations
 
@@ -11,10 +12,8 @@ from hypothesis import strategies as st
 
 from repro.errors import MappingError
 from repro.parallel.pipeline import (
-    _FWD,
-    _FWD_FIRST,
     PipelineTiming,
-    _replay_order,
+    _replay_plan,
     analytic_1f1b,
     simulate_1f1b,
 )
@@ -87,6 +86,116 @@ def event_driven_1f1b(stage_fwd_times, stage_bwd_times, m, p2p_time=0.0):
     return total, max(0.0, total - max(busy)), busy
 
 
+def _replay_order(p, m):
+    """The replay order the one-input plan replaced: ``(kinds, stages,
+    slots)``, one entry per operation, ``slot = stage * m + microbatch``;
+    kinds 0-3 are a backward, a forward, a last-stage backward and a
+    first-stage forward."""
+    programs = []
+    for s in range(p):
+        warmup = min(m, p - s)
+        program = [(False, j) for j in range(warmup)]
+        for j in range(m):
+            program.append((True, j))
+            if warmup + j < m:
+                program.append((False, warmup + j))
+        programs.append(program)
+    forwards_run, backwards_run, pointer = [0] * p, [0] * p, [0] * p
+    kinds, stages, slots = [], [], []
+    while len(kinds) < 2 * p * m:
+        before = len(kinds)
+        for s, program in enumerate(programs):
+            k = pointer[s]
+            while k < len(program):
+                backward, j = program[k]
+                if backward:
+                    if s < p - 1:
+                        if backwards_run[s + 1] <= j:
+                            break
+                        kinds.append(0)
+                    else:
+                        kinds.append(2)
+                    backwards_run[s] += 1
+                else:
+                    if s > 0:
+                        if forwards_run[s - 1] <= j:
+                            break
+                        kinds.append(1)
+                    else:
+                        kinds.append(3)
+                    forwards_run[s] += 1
+                stages.append(s)
+                slots.append(s * m + j)
+                k += 1
+            pointer[s] = k
+        assert len(kinds) > before, "reference order deadlocked"
+    return kinds, stages, slots
+
+
+def three_input_replay_1f1b(stage_fwd_times, stage_bwd_times, m, p2p_time=0.0):
+    """Reference: the replay the one-input plan replaced, in which a
+    backward also waits on its own stage's forward and the first stage's
+    forwards wait on time 0.  Returns ``(total, bubble, busy)``."""
+    p = len(stage_fwd_times)
+    fwd_end = [0.0] * (p * m)
+    bwd_end = [0.0] * (p * m)
+    stage_time = [0.0] * p
+    for kind, s, i in zip(*_replay_order(p, m)):
+        t = stage_time[s]
+        if kind == 0:
+            ready = fwd_end[i]
+            downstream = bwd_end[i + m] + p2p_time
+            if downstream > ready:
+                ready = downstream
+            t = bwd_end[i] = (ready if ready > t else t) + stage_bwd_times[s]
+        elif kind == 1:
+            ready = fwd_end[i - m] + p2p_time
+            t = fwd_end[i] = (ready if ready > t else t) + stage_fwd_times[s]
+        elif kind == 2:
+            ready = fwd_end[i]
+            t = bwd_end[i] = (ready if ready > t else t) + stage_bwd_times[s]
+        else:
+            ready = 0.0
+            t = fwd_end[i] = (ready if ready > t else t) + stage_fwd_times[s]
+        stage_time[s] = t
+    total = max(stage_time)
+    busy = tuple(m * (stage_fwd_times[s] + stage_bwd_times[s]) for s in range(p))
+    return total, max(0.0, total - max(busy)), busy
+
+
+#: Stage times with zeros and exact ties: most draws come from a small
+#: pool, so stages often share a time and operations often end together.
+stage_times = st.one_of(
+    st.sampled_from((0.0, 1e-3, 2e-3, 3e-3, 0.5)),
+    st.floats(min_value=0.0, max_value=1e-2),
+)
+
+
+class TestAgainstThreeInputReplay:
+    """Dropping a backward's wait on its own forward, and reading −∞ for
+    the unfed inputs, changes no float: each ``max`` it drops could only
+    pick the stage's own clock."""
+
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda p: st.tuples(
+                st.lists(stage_times, min_size=p, max_size=p),
+                st.lists(stage_times, min_size=p, max_size=p),
+            )
+        ),
+        st.integers(min_value=1, max_value=48),
+        st.one_of(st.just(0.0), st.sampled_from((1e-3, 2e-3)), st.floats(min_value=0.0, max_value=1e-2)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equal_bit_for_bit(self, stage_lists, m, p2p):
+        fwd, bwd = stage_lists
+        result = simulate_1f1b(fwd, bwd, m, p2p)
+        total, bubble, busy = three_input_replay_1f1b(fwd, bwd, m, p2p)
+        assert result.total_time == total
+        assert result.bubble_time == bubble
+        assert result.stage_busy_times == busy
+
+
 class TestAgainstEventDrivenReference:
     """The replay does the reference's float operations on the same
     operands, so every number must match exactly, not approximately."""
@@ -123,23 +232,27 @@ class TestAgainstEventDrivenReference:
 
     @pytest.mark.parametrize("p, m", [(1, 3), (4, 2), (4, 9), (9, 17)])
     def test_order_is_topological(self, p, m):
-        kinds, stages, slots = _replay_order(p, m)
-        assert len(kinds) == len(stages) == len(slots) == 2 * p * m
+        stages, durations, sources, ends = _replay_plan(p, m)
+        assert len(stages) == len(durations) == len(sources) == len(ends) == 2 * p * m
+        unfed = 2 * p * m
         seen_fwd, seen_bwd = set(), set()
-        for kind, s, slot in zip(kinds, stages, slots):
-            j = slot - s * m
+        for s, d, source, slot in zip(stages, durations, sources, ends):
+            backward = d >= p
+            assert d - p * backward == s
+            j = slot - p * m * backward - s * m
             assert 0 <= j < m
-            if kind in (_FWD, _FWD_FIRST):
+            if not backward:
+                assert source == (unfed if s == 0 else (s - 1) * m + j)
                 assert s == 0 or (s - 1, j) in seen_fwd
                 assert all((s, i) in seen_fwd for i in range(j))
                 seen_fwd.add((s, j))
             else:
+                assert source == (unfed if s == p - 1 else p * m + (s + 1) * m + j)
                 assert (s, j) in seen_fwd
                 assert s == p - 1 or (s + 1, j) in seen_bwd
                 assert all((s, i) in seen_bwd for i in range(j))
                 seen_bwd.add((s, j))
         assert len(seen_fwd) == len(seen_bwd) == p * m
-
 
 class TestAgainstClosedForm:
     @given(times, times, st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=64))
