@@ -1,6 +1,6 @@
 """Experiment A1 — ablation of the effective-bandwidth (BDP) model.
 
-DESIGN.md substitution #7 models limited memory-level parallelism:
+README "Substitutions" #7 models limited memory-level parallelism:
 ``1/bw_eff = 1/bw + latency/outstanding_bytes``.  This ablation shows the
 term is what produces the paper's two latency observations (Fig. 7):
 saturation of the bandwidth sweep beyond ~8 TBps, and the steady
@@ -13,16 +13,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis.figures import scd_system
+from repro.arch.config import scd_blade_config
 from repro.core.model import Optimus
 from repro.memory.hierarchy import MemoryLevel
 from repro.parallel.mapper import map_inference
-from repro.units import TBPS
 from repro.workloads.llm import LLAMA_405B
 
 
-def _system_with_outstanding(bandwidth: float, outstanding: float | None):
-    system = scd_system(bandwidth)
+def _system_with_outstanding(bandwidth_tbps: float, outstanding: float | None):
+    system = scd_blade_config(bandwidth_tbps).build()
     accel = system.accelerator
     dram = accel.hierarchy["DRAM"]
     hierarchy = accel.hierarchy.replace_level(
@@ -43,8 +42,8 @@ def test_bdp_limit_creates_saturation(run_once):
     def sweep():
         rows = []
         for bw in (8, 16, 32, 64):
-            with_limit = _latency(_system_with_outstanding(bw * TBPS, 512 * 1024))
-            without = _latency(_system_with_outstanding(bw * TBPS, None))
+            with_limit = _latency(_system_with_outstanding(bw, 512 * 1024))
+            without = _latency(_system_with_outstanding(bw, None))
             rows.append((bw, with_limit, without))
         return rows
 
@@ -66,8 +65,8 @@ def test_bdp_limit_creates_saturation(run_once):
 
 def test_bdp_limit_creates_latency_sensitivity(run_once):
     def sweep():
-        base = _system_with_outstanding(16 * TBPS, 512 * 1024)
-        free = _system_with_outstanding(16 * TBPS, None)
+        base = _system_with_outstanding(16, 512 * 1024)
+        free = _system_with_outstanding(16, None)
         return (
             _latency(base.with_dram_latency(10e-9)),
             _latency(base.with_dram_latency(200e-9)),

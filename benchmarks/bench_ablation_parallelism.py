@@ -9,20 +9,16 @@ TP across slow fabrics) lose for the modelled reasons.
 
 from __future__ import annotations
 
-from repro.analysis.figures import TRAINING_PARALLEL, scd_system
+from repro import scenarios
 from repro.arch.gpu import build_gpu_system
-from repro.core.model import Optimus
 from repro.core.optimizer import search_strategies
-from repro.parallel.mapper import map_training
-from repro.units import TBPS
+from repro.parallel.strategy import ParallelConfig
 from repro.workloads.llm import GPT3_76B
 
 
 def test_strategy_search_scd(run_once):
-    system = scd_system(16 * TBPS)
-    results = run_once(
-        search_strategies, GPT3_76B, system, 64
-    )
+    # The registry's strategy search: GPT3-76B, B=64, the blade at 16 TBps.
+    results = run_once(scenarios.get("dse").run).strategies
 
     print()
     for result in results[:6]:
@@ -38,9 +34,7 @@ def test_strategy_search_scd(run_once):
     assert worst / best > 1.3  # strategy choice matters
 
     # The paper's TP=8/PP=8/DP=1 is within 25% of the best mapping.
-    paper = Optimus(system).evaluate_training(
-        map_training(GPT3_76B, system, TRAINING_PARALLEL, 64)
-    )
+    paper = next(r for r in results if r.parallel == ParallelConfig(8, 8, 1))
     assert paper.time_per_batch / best < 1.25
 
 

@@ -12,45 +12,48 @@ Paper claims asserted:
 
 from __future__ import annotations
 
-from repro.analysis.figures import fig6_training_models
+from repro import scenarios
 
 
 def test_fig6(run_once):
-    fig6 = run_once(fig6_training_models)
+    fig6 = run_once(scenarios.get("fig6").run)
+    models = fig6.axis("workload.model")
+    outcomes = fig6.outcomes()
 
     print()
     print(f"{'model':12s} {'unit':4s} {'s/batch':>8s} {'comp':>7s} {'comm':>7s} {'others':>7s} {'PF/PU':>6s}")
-    for entry in fig6.entries:
-        for label, report in (("SPU", entry.spu), ("GPU", entry.gpu)):
+    for model, outcome, speedup in zip(models, outcomes, fig6.series("speedup")):
+        for label, report in (("SPU", outcome.report), ("GPU", outcome.ref_report)):
             parts = report.breakdown()
             print(
-                f"{entry.model_name:12s} {label:4s} {report.time_per_batch:8.3f} "
+                f"{model:12s} {label:4s} {report.time_per_batch:8.3f} "
                 f"{parts['compute']:7.3f} {parts['communication']:7.3f} "
                 f"{parts['others']:7.3f} "
                 f"{report.achieved_flops_per_pu / 1e15:6.2f}"
             )
-        print(f"{entry.model_name:12s} speed-up {entry.speedup:.2f}x")
+        print(f"{model:12s} speed-up {speedup:.2f}x")
 
-    speedups = fig6.speedups
+    speedups = fig6.series("speedup")
     # Paper: "speed-up varies from 3.5x - 4.4x for this particular set up".
     assert all(3.0 <= s <= 4.8 for s in speedups), speedups
 
-    for entry in fig6.entries:
+    for outcome in outcomes:
+        spu, gpu = outcome.report, outcome.ref_report
         # SCD faster in BOTH compute and communication.
-        assert entry.spu.compute_time < entry.gpu.compute_time
-        assert entry.spu.comm_time < entry.gpu.comm_time
+        assert spu.compute_time < gpu.compute_time
+        assert spu.comm_time < gpu.comm_time
         # Decomposition adds up to the total.
-        for report in (entry.spu, entry.gpu):
+        for report in (spu, gpu):
             parts = report.breakdown()
             assert abs(sum(parts.values()) - report.time_per_batch) < 1e-9
 
     # Inset: achieved PFLOP/s per processing unit.
-    spu_pf = [e.spu.achieved_flops_per_pu / 1e15 for e in fig6.entries]
-    gpu_pf = [e.gpu.achieved_flops_per_pu / 1e15 for e in fig6.entries]
+    spu_pf = list(fig6.series("achieved_pflops_per_pu"))
+    gpu_pf = [o.ref_report.achieved_flops_per_pu / 1e15 for o in outcomes]
     assert all(1.2 <= x <= 1.7 for x in spu_pf), spu_pf  # paper ~1.5 max
     assert all(0.25 <= x <= 0.55 for x in gpu_pf), gpu_pf
 
     # Larger models amortize bubbles: achieved throughput grows with size.
     assert spu_pf == sorted(spu_pf)
     # GPT3-175B on GPUs takes several seconds per batch (figure scale 0-6 s).
-    assert 3.0 <= fig6.entries[-1].gpu.time_per_batch <= 6.5
+    assert 3.0 <= fig6.series("ref_time_per_batch")[-1] <= 6.5

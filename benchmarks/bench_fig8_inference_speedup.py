@@ -8,36 +8,41 @@ approaching the 64-GPU 5.12 TB capacity at B=128.
 
 from __future__ import annotations
 
-from repro.analysis.figures import fig8_inference_speedup
+from repro import scenarios
 
 
 def test_fig8(run_once):
-    fig8 = run_once(fig8_inference_speedup)
+    models, batch = run_once(
+        lambda: [scenarios.get(name).run() for name in ("fig8-models", "fig8-batch")]
+    )
+    model_speedups = models.series("speedup")
+    batch_speedups = batch.series("speedup")
+    kv = batch.series("kv_cache_bytes")
 
     print()
-    for name, speedup in zip(fig8.model_names, fig8.model_speedups):
+    for name, speedup in zip(models.axis("workload.model"), model_speedups):
         print(f"  {name:14s} {speedup:5.1f}x")
-    for b, s, kv in zip(fig8.batches, fig8.batch_speedups, fig8.kv_cache_bytes):
-        print(f"  B={b:4d}: {s:5.1f}x  KV {kv / 1e12:5.2f} TB")
+    for b, s, kv_bytes in zip(batch.axis("workload.batch"), batch_speedups, kv):
+        print(f"  B={b:4d}: {s:5.1f}x  KV {kv_bytes / 1e12:5.2f} TB")
 
-    by_name = dict(zip(fig8.model_names, fig8.model_speedups))
+    by_name = dict(zip(models.axis("workload.model"), model_speedups))
 
     # Paper: "massive speed-up of 9x-11x depending on the LLM model".
-    assert all(8.0 <= s <= 14.0 for s in fig8.model_speedups), by_name
+    assert all(8.0 <= s <= 14.0 for s in model_speedups), by_name
     # "SCD performs best for Llama-70B among these models."
-    assert by_name["Llama-70B"] == max(fig8.model_speedups)
+    assert by_name["Llama-70B"] == max(model_speedups)
     # Llama-405B lands on the paper's 9.4x.
     assert 8.5 <= by_name["Llama-405B"] <= 10.5
 
     # (b) Speed-up is robust across batch sizes (stays in a tight band).
-    assert all(7.0 <= s <= 12.0 for s in fig8.batch_speedups)
-    assert max(fig8.batch_speedups) / min(fig8.batch_speedups) < 1.6
+    assert all(7.0 <= s <= 12.0 for s in batch_speedups)
+    assert max(batch_speedups) / min(batch_speedups) < 1.6
 
     # KV cache grows linearly with batch and approaches the 64-GPU capacity
     # (5.12 TB) at B=128 — the paper's GPU scaling ceiling.
-    kv = fig8.kv_cache_bytes
     assert all(b > a for a, b in zip(kv, kv[1:]))
-    ratio_128 = kv[-1] / fig8.gpu_memory_capacity
+    gpu_capacity = batch.scenario.ref_system.build().total_memory_capacity
+    ratio_128 = kv[-1] / gpu_capacity
     assert 0.75 <= ratio_128 <= 1.1, ratio_128
 
 

@@ -10,15 +10,15 @@
 
 from __future__ import annotations
 
+from repro import scenarios
 from repro.analysis.figures import jsram_main_memory_study
 from repro.arch import build_blade, build_gpu_system
-from repro.arch.multi_blade import build_multi_blade
 from repro.core.model import Optimus
 from repro.parallel.mapper import map_training
 from repro.parallel.strategy import ParallelConfig
 from repro.power import gpu_power_model, scd_power_model
 from repro.units import GB, TBPS
-from repro.workloads.llm import GPT3_175B, GPT3_76B
+from repro.workloads.llm import GPT3_175B
 
 
 def test_power_breakdown(run_once):
@@ -57,25 +57,16 @@ def test_power_breakdown(run_once):
 
 
 def test_multi_blade_scaling(run_once):
-    def measure():
-        rows = []
-        for n_blades in (1, 2, 4):
-            system = build_multi_blade(n_blades).system().with_dram_bandwidth(16 * TBPS)
-            parallel = ParallelConfig(8, 8, n_blades)
-            report = Optimus(system).evaluate_training(
-                map_training(GPT3_76B, system, parallel, 64 * n_blades)
-            )
-            rows.append((n_blades, report.tokens_per_second))
-        return rows
-
-    rows = run_once(measure)
+    result = run_once(scenarios.get("multi-blade-scaling").run)
+    tokens = dict(
+        zip(result.axis("system.n_blades"), result.series("tokens_per_second"))
+    )
     print()
-    for n_blades, tps in rows:
+    for n_blades, tps in tokens.items():
         print(f"  {n_blades} blade(s): {tps:,.0f} tokens/s")
     # Near-linear data-parallel scaling across blades.
-    base = rows[0][1]
-    assert rows[1][1] / base > 1.9
-    assert rows[2][1] / base > 3.7
+    assert tokens[2] / tokens[1] > 1.9
+    assert tokens[4] / tokens[1] > 3.7
 
 
 def test_jsram_main_memory(run_once):

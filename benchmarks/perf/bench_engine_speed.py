@@ -3,8 +3,11 @@
 Times a reference Fig. 5 + Fig. 7 sweep two ways on the same machine in
 the same process:
 
-* **engine** — the production path: run-length-encoded op programs with the
-  shared memoized kernel-timing cache;
+* **engine** — the production path: the five registry scenarios behind
+  the two figures (``fig5``, ``fig7-bandwidth``, ``fig7-dram-latency``,
+  ``fig7-batch``, ``fig7-gpu``) through :func:`run_scenario`, on
+  run-length-encoded op programs with the shared memoized kernel-timing
+  cache;
 * **flat**   — the seed's behavior, reproduced via
   ``Optimus(use_programs=False, cache=NullTimingCache())``: every kernel of
   every layer replica timed one by one, nothing memoized.
@@ -12,9 +15,8 @@ the same process:
 Each path is timed by :func:`measure`: untimed warm-up passes, then
 ``n`` timed passes, with every engine memo emptied before each pass, so
 every pass is a cold compute; it reports the median, p90 and IQR.  The
-engine's one warm-up pass pays the lazy imports (the figure functions
-import the scenario package, with its store and backends, on first
-use), which a cold compute in a long-lived process does not pay again.
+engine's one warm-up pass pays the imports a first compute makes
+lazily, which a cold compute in a long-lived process does not pay again.
 
 Asserts the two paths produce identical series (1e-9 relative) and that
 the engine's median is ≥5× faster than the flat median, and gates the
@@ -41,14 +43,7 @@ from typing import Callable
 
 import pytest
 
-from repro.analysis.figures import (
-    DEFAULT_SPU_BANDWIDTH,
-    TRAINING_PARALLEL,
-    fig5_training_bandwidth_sweep,
-    fig7_inference,
-    scd_system,
-)
-from repro.arch.blade import _assemble_blade
+from repro.arch.blade import _assemble_blade, build_blade
 from repro.arch.config import _build_system
 from repro.arch.gpu import build_gpu_system
 from repro.core.model import Optimus
@@ -60,6 +55,16 @@ from repro.parallel.mapper import (
     map_training,
 )
 from repro.parallel.pipeline import _replay_plan
+from repro.parallel.strategy import ParallelConfig
+from repro.scenarios.registry import (
+    DEFAULT_BANDWIDTH_TBPS,
+    fig5_scenario,
+    fig7_bandwidth_scenario,
+    fig7_batch_scenario,
+    fig7_gpu_scenario,
+    fig7_latency_scenario,
+)
+from repro.scenarios.runner import run_scenario
 from repro.units import NS, TBPS
 from repro.workloads.llm import GPT3_76B, LLAMA_405B
 
@@ -119,13 +124,14 @@ def _empty_engine_memos() -> None:
 
 
 def _engine_pass():
-    fig5 = fig5_training_bandwidth_sweep(bandwidths_tbps=FIG5_BANDWIDTHS)
-    fig7 = fig7_inference(
-        bandwidths_tbps=FIG7_BANDWIDTHS,
-        dram_latencies_ns=FIG7_LATENCIES_NS,
-        batches=FIG7_BATCHES,
+    """Fig. 5 and Fig. 7's registry scenarios, in the flat path's order."""
+    return (
+        run_scenario(fig5_scenario(FIG5_BANDWIDTHS)),
+        run_scenario(fig7_bandwidth_scenario(FIG7_BANDWIDTHS)),
+        run_scenario(fig7_latency_scenario(FIG7_LATENCIES_NS)),
+        run_scenario(fig7_batch_scenario(FIG7_BATCHES)),
+        run_scenario(fig7_gpu_scenario()),
     )
-    return fig5, fig7
 
 
 def _seed_optimus(system) -> Optimus:
@@ -133,11 +139,16 @@ def _seed_optimus(system) -> Optimus:
     return Optimus(system, cache=NullTimingCache(), use_programs=False)
 
 
+def _blade_system(bandwidth: float):
+    """The 64-SPU blade at one DRAM bandwidth per SPU (bytes/s)."""
+    return build_blade().system().with_dram_bandwidth(bandwidth)
+
+
 def _flat_fig5() -> list[float]:
     series = []
     for bw in FIG5_BANDWIDTHS:
-        system = scd_system(bw * TBPS)
-        mapped = map_training(GPT3_76B, system, TRAINING_PARALLEL, 128)
+        system = _blade_system(bw * TBPS)
+        mapped = map_training(GPT3_76B, system, ParallelConfig(8, 8, 1), 128)
         report = _seed_optimus(system).evaluate_training(mapped)
         series.append(report.achieved_flops_per_pu / 1e15)
     return series
@@ -151,9 +162,9 @@ def _flat_fig7() -> dict[str, list[float]]:
         )
 
     latencies = [
-        infer(scd_system(bw * TBPS), 8).latency for bw in FIG7_BANDWIDTHS
+        infer(_blade_system(bw * TBPS), 8).latency for bw in FIG7_BANDWIDTHS
     ]
-    base = scd_system(DEFAULT_SPU_BANDWIDTH)
+    base = _blade_system(DEFAULT_BANDWIDTH_TBPS * TBPS)
     latency_sweep = [
         infer(base.with_dram_latency(ns * NS), 8).achieved_flops_per_pu / 1e15
         for ns in FIG7_LATENCIES_NS
@@ -198,7 +209,7 @@ def _summary(timing: dict) -> dict:
 
 def test_engine_speed_vs_seed_flat_timing():
     engine = measure(_engine_pass, warmup=1, n=ENGINE_PASSES)
-    fig5, fig7 = engine["value"]
+    fig5, fig7_bandwidth, fig7_latency, fig7_batch, fig7_gpu = engine["value"]
     cache = default_timing_cache()
     cache_stats = {
         "hits": cache.hits,
@@ -211,18 +222,20 @@ def test_engine_speed_vs_seed_flat_timing():
     # Equivalence: the engine must reproduce the seed numbers exactly.
     errors = {
         "fig5.achieved_pflops_per_spu": _max_rel_err(
-            fig5.achieved_pflops_per_spu, flat5
+            fig5.series("achieved_pflops_per_pu"), flat5
         ),
-        "fig7.latencies": _max_rel_err(fig7.latencies, flat7["latencies"]),
+        "fig7.latencies": _max_rel_err(
+            fig7_bandwidth.series("latency"), flat7["latencies"]
+        ),
         "fig7.latency_sweep_pflops_per_spu": _max_rel_err(
-            fig7.latency_sweep_pflops_per_spu,
+            fig7_latency.series("achieved_pflops_per_pu"),
             flat7["latency_sweep_pflops_per_spu"],
         ),
         "fig7.batch_latencies": _max_rel_err(
-            fig7.batch_latencies, flat7["batch_latencies"]
+            fig7_batch.series("latency"), flat7["batch_latencies"]
         ),
         "fig7.gpu_latency": _max_rel_err(
-            [fig7.gpu_latency], flat7["gpu_latency"]
+            fig7_gpu.series("latency"), flat7["gpu_latency"]
         ),
     }
     max_rel_err = max(errors.values())

@@ -16,12 +16,11 @@ Run:  python examples/design_space_exploration.py
 """
 
 from repro import scenarios
-from repro.analysis.figures import TRAINING_PARALLEL
 from repro.analysis.sweep import SweepGrid, run_sweep
 from repro.arch import build_blade
 from repro.core import Optimus, search_strategies
 from repro.core.optimizer import StrategyResult
-from repro.parallel import map_training
+from repro.parallel import ParallelConfig, map_training
 from repro.units import TBPS
 from repro.workloads import GPT3_76B
 
@@ -89,7 +88,7 @@ def _datalink_scaling_point(factor: float, batch: int) -> tuple[float, float]:
     ) / base_blade.n_spus
     system = base_blade.system().with_dram_bandwidth(bw_per_spu)
     report = Optimus(system).evaluate_training(
-        map_training(GPT3_76B, system, TRAINING_PARALLEL, batch=batch)
+        map_training(GPT3_76B, system, ParallelConfig(8, 8, 1), batch=batch)
     )
     return bw_per_spu, report.time_per_batch
 

@@ -1,51 +1,12 @@
-"""Figure and table generators: one function per paper artifact.
+"""Analysis helpers around the scenario registry.
 
-Each generator returns a frozen dataclass holding the plotted series, so the
-benchmarks can assert the paper's qualitative claims against them and the
-examples can render them as text.
+* :mod:`sweep`   — the declarative batch driver every scenario grid runs
+  through;
+* :mod:`tables`  — the Fig. 2b, Fig. 3c and Fig. 1 (PCL flow) table rows
+  and their fixed-width rendering;
+* :mod:`figures` — the Sec. VI L2 KV-cache and Sec. VII JSRAM-residency
+  studies.
+
+Every paper figure, table and study is a registry scenario
+(:mod:`repro.scenarios.registry`); nothing is re-exported here.
 """
-
-from repro.analysis.figures import (
-    Fig5Result,
-    Fig6Result,
-    Fig7Result,
-    Fig8Result,
-    L2StudyResult,
-    fig5_training_bandwidth_sweep,
-    fig6_training_models,
-    fig7_inference,
-    fig8_inference_speedup,
-    l2_kv_cache_study,
-)
-from repro.analysis.sweep import SweepGrid, SweepPoint, SweepResult, run_sweep
-from repro.analysis.tables import (
-    blade_spec_table,
-    datalink_table,
-    pcl_flow_table,
-    render_columns,
-    render_two_column,
-    table1_technology,
-)
-
-__all__ = [
-    "SweepGrid",
-    "SweepPoint",
-    "SweepResult",
-    "run_sweep",
-    "Fig5Result",
-    "Fig6Result",
-    "Fig7Result",
-    "Fig8Result",
-    "L2StudyResult",
-    "fig5_training_bandwidth_sweep",
-    "fig6_training_models",
-    "fig7_inference",
-    "fig8_inference_speedup",
-    "l2_kv_cache_study",
-    "table1_technology",
-    "datalink_table",
-    "blade_spec_table",
-    "pcl_flow_table",
-    "render_columns",
-    "render_two_column",
-]

@@ -1,15 +1,10 @@
-"""Table generators: Table I, Fig. 2b (datalink) and Fig. 3c (blade spec)."""
+"""Table generators: Fig. 2b (datalink), Fig. 3c (blade spec) and Fig. 1's
+PCL flow.  Table I is :func:`repro.tech.table.technology_comparison_table`."""
 
 from __future__ import annotations
 
 from repro.arch.blade import SCDBlade, build_blade
 from repro.interconnect.datalink import DatalinkSpec, baseline_datalink
-from repro.tech.table import technology_comparison_table
-
-
-def table1_technology() -> str:
-    """Render Table I from the process models."""
-    return technology_comparison_table()
 
 
 def datalink_table(spec: DatalinkSpec | None = None) -> list[tuple[str, str, str]]:
@@ -109,7 +104,6 @@ def render_two_column(rows: list[tuple[str, str]], headers: tuple[str, str]) -> 
 
 
 __all__ = [
-    "table1_technology",
     "datalink_table",
     "blade_spec_table",
     "pcl_flow_table",

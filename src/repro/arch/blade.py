@@ -40,7 +40,8 @@ class SCDBlade:
     chip_link: BumpField
     #: Total intra-blade reduction latency target (Fig. 3c: 60 ns).
     reduction_latency: float = 60 * NS
-    #: Bytes in flight per SPU towards cryo-DRAM (BDP limit; DESIGN.md #7).
+    #: Bytes in flight per SPU towards cryo-DRAM (the BDP limit, README
+    #: "Substitutions" #7).
     dram_outstanding_bytes: float = 512 * KIB
     #: Main-memory policy: "dram" (paper main results) or "l2_kv_cache"
     #: (Sec. VI study — the blade L2 becomes a hierarchy level).

@@ -11,7 +11,7 @@ follows from the per-MAC junction cost (the paper's ~8k JJ,
 :func:`mac_jj_from_flow` returns, lands within 7 % of it and can be passed
 as ``mac_jj``) and the fraction of the die granted to the MAC array.  Note
 the paper's "400k MACs" is inconsistent with both its own peak number and the
-JJ budget (DESIGN.md substitution #3); the bottom-up count of ~41k MACs at
+JJ budget (README "Substitutions" #3); the bottom-up count of ~41k MACs at
 30 GHz × 2 ops reproduces the 2.45 PFLOP/s headline exactly.
 """
 

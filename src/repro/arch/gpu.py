@@ -6,7 +6,7 @@ encodes those headline numbers plus the surrounding system: 80 GB HBM3,
 50 MB L2, NVLink/NVSwitch inside an 8-GPU node and InfiniBand NDR across
 nodes.
 
-Calibration notes (DESIGN.md substitution #8): collective α values and the
+Calibration notes (README "Substitutions" #8): collective α values and the
 low-intensity stream efficiency are set to public NCCL-/GEMV-class numbers;
 together they land the paper's 3.5–4.4× training and 9–11× inference
 speed-up bands.

@@ -8,7 +8,7 @@ blade.  These help in bridging the latency gap for off-blade communication."
 
 Fig. 3c quotes 3.375 GB of shared L2 from "16 HD JSRAM stacks in SNU"; the
 per-stack die count is derived from that capacity (the paper's stated
-0.4 Mbit/mm² die density alone cannot produce it — DESIGN.md substitution #4).
+0.4 Mbit/mm² die density alone cannot produce it — README "Substitutions" #4).
 """
 
 from __future__ import annotations

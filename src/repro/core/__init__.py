@@ -13,10 +13,7 @@ respective memory level."
   decode samples and sweep points;
 * :mod:`model`        — end-to-end training/inference evaluation (Optimus);
 * :mod:`report`       — result structures with the paper's breakdowns;
-* :mod:`optimizer`    — parallelization-strategy search;
-* :mod:`sweep`        — deprecated single-axis sweep helpers (use the
-  scenario API, :mod:`repro.scenarios`, or the declarative
-  :mod:`repro.analysis.sweep` driver; no longer re-exported here).
+* :mod:`optimizer`    — parallelization-strategy search.
 """
 
 from repro.core.roofline import Boundedness, KernelTiming, time_compute_kernel

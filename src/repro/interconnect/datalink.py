@@ -11,7 +11,7 @@ wires, "1 Gbps" per wire, headline bandwidth 30 TBps bidirectional (20 down /
 headline only holds if the table's rate is read per-byte (or as an 8-lane
 group).  We expose ``byte_rate_per_wire`` (default 1 GB/s) so the paper's
 headline numbers are reproduced and the ambiguity is a visible parameter
-(DESIGN.md substitution #5).
+(README "Substitutions" #5).
 """
 
 from __future__ import annotations

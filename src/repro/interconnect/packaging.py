@@ -7,7 +7,7 @@ counts: "bump density 4 %, bump redundancy 40 % and bandwidth per wire at
 leaves the table's 4.40e4 usable bumps.  The reported 73.3 TBps then implies
 an additional ~4/9 signal utilization (dual-rail pairs plus power/ground
 share), which we expose as ``signal_fraction`` calibrated to the table
-(DESIGN.md substitution #6).
+(README "Substitutions" #6).
 """
 
 from __future__ import annotations

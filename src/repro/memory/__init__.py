@@ -11,7 +11,7 @@ The paper's memory story (Sec. III "Memory Hierarchy", Sec. II-B "JSRAM"):
 * **Hierarchy model** — the roofline's memory side: each level has capacity,
   nominal bandwidth, access latency and a bandwidth–delay-product limit on
   in-flight data, which together produce the *effective* bandwidth used for
-  kernel timing (DESIGN.md, substitution #7).
+  kernel timing (README "Substitutions" #7).
 """
 
 from repro.memory.jsram import (

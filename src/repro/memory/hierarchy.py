@@ -2,7 +2,7 @@
 
 Optimus decides, per kernel, which memory level serves its data and how long
 the transfer takes.  Two latency effects are modelled on top of nominal
-bandwidth (DESIGN.md substitution #7):
+bandwidth (README "Substitutions" #7):
 
 1. a fixed per-kernel access latency (first-word latency), and
 2. a bandwidth–delay-product (BDP) limit: a device can keep only

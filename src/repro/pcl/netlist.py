@@ -170,19 +170,19 @@ class Netlist:
     def _structure_fingerprint(self) -> tuple:
         """Cheap structural identity for cache invalidation.
 
-        Captures the instance list (by object identity) and the primary
-        inputs — the only things Kahn's sort depends on.  Any builder-style
-        in-place mutation (append/remove/replace of instances, new inputs)
-        changes the fingerprint, and that is the only way the memo is
-        invalidated; passes that construct whole new ``Netlist`` objects
-        start with an empty cache anyway.  A replaced instance's ``id``
-        cannot be reused while the memo holds it.  O(n) to compute, but
-        ~10× cheaper than re-running the sort with its dict building.
+        Captures the instance list by object identity: Kahn's sort reads
+        only the instances (a primary input has no driver, so adding one
+        cannot change the order).  Any builder-style in-place mutation
+        (append/remove/replace of instances) changes the fingerprint, and
+        that is the only way the memo is invalidated; passes that construct
+        whole new ``Netlist`` objects start with an empty cache anyway.  A
+        replaced instance's ``id`` cannot be reused while the memo holds
+        it.  O(n) to compute, but ~10× cheaper than re-running the sort
+        with its dict building.
         """
         return (
             len(self.instances),
             tuple(id(inst) for inst in self.instances),
-            tuple(net.uid for net in self.inputs),
         )
 
     def topological_instances(self) -> list[Instance]:

@@ -1,11 +1,20 @@
 """The scenario registry: every paper experiment as a named, rerunnable spec.
 
-Each ``*_scenario`` builder is parameterized exactly like the figure
-generator it backs (so :mod:`repro.analysis.figures` re-expresses the
-figures through it), and the registry holds the default-argument versions —
-the paper's exact setups — under stable names for the ``python -m repro``
-CLI.  Registering a scenario with :func:`register` makes it listable,
-showable and runnable by name.
+This is the one way to a paper result.  The registry holds each
+``*_scenario`` builder's default-argument spec — the paper's exact setup —
+under a stable name.  ``python -m repro`` and the serving daemon run these
+specs by name, and the examples and benchmarks read Figs. 5–8, the
+tornado and the scaling and memory-policy studies from them.  A variant
+(another sweep, model or batch) is the same builder called with other
+arguments:
+
+>>> from repro.scenarios import run_scenario
+>>> result = run_scenario(fig5_scenario(bandwidths_tbps=(1, 16), batch=32))
+>>> result.series("achieved_pflops_per_pu")
+
+:meth:`~repro.scenarios.runner.ScenarioResult.outcomes` gives each
+point's full reports.  Registering a scenario with :func:`register` makes
+it listable, showable and runnable by name.
 """
 
 from __future__ import annotations
@@ -242,7 +251,7 @@ def fig8_batch_scenario(
 # Sensitivity tornado
 # ---------------------------------------------------------------------------
 #: (human name, dotted axis, low, high) — the calibrated knobs the
-#: reproduction perturbs (DESIGN.md substitutions #7/#8).  Ranges are
+#: reproduction perturbs (README "Substitutions" #7/#8).  Ranges are
 #: deliberately generous (~±2× around the calibration).
 SENSITIVITY_KNOBS: tuple[tuple[str, str, float, float], ...] = (
     (
@@ -424,8 +433,15 @@ def l2_kv_cache_scenario(
     ``speedup`` extractor reads off the L2-residency gain directly.  Each
     model runs at the largest TP its head count allows, and each point is
     evaluated both at the baseline per-kernel dispatch overhead and with it
-    zeroed — the paper's "~2–4× depending on the software overhead of
-    launching the kernels" bracket as one declarative sweep.
+    zeroed.
+
+    Every series is end to end, and the K/V GEMVs are a small share of a
+    decode step: ``speedup`` reads 1.018–1.026× for Llama2-7B and -13B,
+    and 1.0 for Llama2-70B, whose 10 GB cache does not fit.  The paper's
+    "~2–4× depending on the software overhead of launching the kernels"
+    is a gain of those kernels alone, which
+    :func:`repro.analysis.figures.l2_kv_cache_study` times: 1.39× with the
+    dispatch overhead, 2.75× without.
     """
     points = [
         {
@@ -477,10 +493,15 @@ def jsram_residency_scenario(
     """Sec. VII outlook: LLM inference out of a huge JSRAM pool.
 
     Sweeps the blade's shared JSRAM capacity under the ``"l2_kv_cache"``
-    policy against the same blade serving everything from cryo-DRAM; once
-    weights + KV fit the pool, decode streams at torus bandwidth with
-    nanosecond latency (the paper's "new ways of mapping and memory
-    management").
+    policy against the same blade serving everything from cryo-DRAM.  The
+    pool serves each kernel whose own working set fits it, so ``speedup``
+    counts partial residency too: at most 1.007× at the baseline 4.19 GB,
+    and 1.755× for Llama2-13B at 32 GB, although its weights + KV at B=8
+    (52.9 GB) do not fit.  A kernel served from the pool streams at torus
+    bandwidth with nanosecond latency (the paper's "new ways of mapping and
+    memory management");
+    :func:`repro.analysis.figures.jsram_main_memory_study` credits the pool
+    only where weights + KV fit it whole.
     """
     points = [
         {

@@ -157,14 +157,6 @@ class ScenarioResult:
             raise ConfigError(f"scenario {self.scenario.name!r} has no sweep")
         return self.sweep.axis(name)
 
-    def reports(self) -> tuple[Any, ...]:
-        """The primary reports, in grid order."""
-        return tuple(outcome.report for outcome in self.outcomes())
-
-    def ref_reports(self) -> tuple[Any, ...]:
-        """The reference-system reports, in grid order."""
-        return tuple(outcome.ref_report for outcome in self.outcomes())
-
     # -- staged artifacts ---------------------------------------------------
     def extracted_sweep(self) -> SweepResult:
         """The sweep with values replaced by extractor dicts (CSV-ready)."""
@@ -304,8 +296,10 @@ def _run_table(scenario: Scenario) -> ScenarioResult:
     from repro.analysis import tables
 
     if scenario.table == "technology":
+        from repro.tech.table import technology_comparison_table
+
         return ScenarioResult(
-            scenario=scenario, table_text=tables.table1_technology()
+            scenario=scenario, table_text=technology_comparison_table()
         )
     if scenario.table == "datalink":
         rows = tuple(tuple(row) for row in tables.datalink_table())

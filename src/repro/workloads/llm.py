@@ -7,7 +7,7 @@ under the classic GPT-style parameterization ``P ≈ 12·L·h²`` (e.g.
 Llama-405B: 12 × 126 × 16384² = 405.9e9), and the KV-cache sizes quoted in
 Sec. VI (llama2-7B: 2 GB, 13B: 3 GB, 70B: 10 GB) and plotted in Fig. 8b only
 hold for *multi-head* attention with the cache allocated at the full context
-window — so that is what the zoo encodes (DESIGN.md substitution #9).
+window — so that is what the zoo encodes (README "Substitutions" #9).
 
 The MoE-132B/38B configuration is not published; the zoo instance is derived
 from the paper's constraints: 16 experts with 4 active, total ≈ 132 B and

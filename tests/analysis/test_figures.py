@@ -1,72 +1,10 @@
-"""Figure-generator tests (reduced sweeps; full claims live in benchmarks/)."""
+"""Sec. VI L2 KV-cache study tests (the full claims live in benchmarks/)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.figures import (
-    fig5_training_bandwidth_sweep,
-    fig6_training_models,
-    fig7_inference,
-    fig8_inference_speedup,
-    l2_kv_cache_study,
-    scd_system,
-)
-from repro.units import TBPS
-from repro.workloads.llm import GPT3_18B, LLAMA_70B
-
-
-class TestFig5:
-    def test_reduced_sweep(self):
-        fig5 = fig5_training_bandwidth_sweep(
-            bandwidths_tbps=(0.5, 16), batch=32, model=GPT3_18B
-        )
-        assert len(fig5.achieved_pflops_per_spu) == 2
-        assert fig5.achieved_pflops_per_spu[1] > fig5.achieved_pflops_per_spu[0]
-        assert fig5.gemm_time_per_layer[0] > fig5.gemm_time_per_layer[1]
-
-    def test_reports_attached(self):
-        fig5 = fig5_training_bandwidth_sweep(bandwidths_tbps=(8,), batch=32)
-        assert fig5.reports[0].model_name == "GPT3-76.1B"
-
-
-class TestFig6:
-    def test_single_model(self):
-        fig6 = fig6_training_models(batch=32, models=(GPT3_18B,))
-        assert len(fig6.entries) == 1
-        entry = fig6.entries[0]
-        assert entry.speedup > 2.0
-        assert entry.spu.system_name == "SCD blade"
-        assert entry.gpu.system_name == "64x H100"
-
-
-class TestFig7:
-    def test_reduced(self):
-        fig7 = fig7_inference(
-            bandwidths_tbps=(1, 16),
-            dram_latencies_ns=(10, 100),
-            batches=(4, 16),
-            io_tokens=(50, 20),
-            model=LLAMA_70B,
-        )
-        assert fig7.latencies[0] > fig7.latencies[1]
-        assert (
-            fig7.latency_sweep_pflops_per_spu[0]
-            > fig7.latency_sweep_pflops_per_spu[1]
-        )
-        assert fig7.batch_latencies[1] > fig7.batch_latencies[0]
-        assert fig7.gpu_latency > fig7.batch_latencies[0]
-
-
-class TestFig8:
-    def test_reduced(self):
-        fig8 = fig8_inference_speedup(
-            models=(LLAMA_70B,), batches=(4, 8), io_tokens=(50, 20)
-        )
-        assert fig8.model_names == ("Llama-70B",)
-        assert fig8.model_speedups[0] > 4.0
-        assert fig8.kv_cache_bytes[1] == pytest.approx(2 * fig8.kv_cache_bytes[0])
-        assert fig8.gpu_memory_capacity == pytest.approx(5.12e12)
+from repro.analysis.figures import l2_kv_cache_study
 
 
 class TestL2Study:
@@ -75,9 +13,3 @@ class TestL2Study:
         names = [e.model_name for e in study.entries]
         assert names == ["Llama2-7B", "Llama2-13B", "Llama2-70B"]
         assert study.l2_capacity_bytes == pytest.approx(4.19e9)
-
-
-class TestHelpers:
-    def test_scd_system_bandwidth_override(self):
-        system = scd_system(16 * TBPS)
-        assert system.accelerator.hierarchy["DRAM"].bandwidth == 16 * TBPS

@@ -33,6 +33,15 @@ class TestJSRAMStudy:
             assert entry.speedup > 1.3
             assert entry.latency_jsram < entry.latency_dram
 
+    def test_dram_latency_does_not_depend_on_the_pool(self, study):
+        """The reference blade serves everything from cryo-DRAM, so each
+        model has one DRAM latency at every capacity."""
+        by_model: dict[str, set[float]] = {}
+        for entry in study.entries:
+            by_model.setdefault(entry.model_name, set()).add(entry.latency_dram)
+        (small,), (large,) = by_model["Llama2-7B"], by_model["Llama2-13B"]
+        assert small < large
+
     def test_footprint_accounting(self, study):
         entry = next(e for e in study.entries if e.model_name == "Llama2-7B")
         expected = LLAMA2_7B.weight_bytes() + LLAMA2_7B.kv_cache_bytes(8)

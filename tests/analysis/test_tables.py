@@ -6,16 +6,7 @@ from repro.analysis.tables import (
     blade_spec_table,
     datalink_table,
     render_two_column,
-    table1_technology,
 )
-
-
-class TestTable1:
-    def test_contains_headline_values(self):
-        text = table1_technology()
-        assert "30GHz" in text
-        assert "Josephson Junction" in text
-        assert "JSRAM" in text
 
 
 class TestDatalinkTable:

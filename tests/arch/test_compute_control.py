@@ -14,7 +14,8 @@ class TestComputeDie:
         assert 2.40e15 <= die.peak_flops <= 2.50e15  # paper: ~2.45
 
     def test_mac_count_bottom_up(self):
-        # ~41k MACs, not the paper's inconsistent "400k" (DESIGN.md #3).
+        # ~41k MACs, not the paper's inconsistent "400k" (README
+        # "Substitutions" #3).
         die = ComputeDie()
         assert 40_000 <= die.mac_count <= 42_000
 

@@ -17,7 +17,6 @@ import sys
 import threading
 import time
 
-from repro.analysis.figures import scd_system
 from repro.arch.config import _BUILT_SYSTEMS, SystemConfig
 from repro.core.model import Optimus
 from repro.core.timing_cache import KernelTimingCache
@@ -29,8 +28,8 @@ from repro.workloads.llm import GPT3_76B, LLAMA_405B
 STRESS_SECONDS = 1.5
 
 
-def test_caches_survive_concurrent_eviction_and_reports_match_serial():
-    systems = [scd_system(bw * TBPS) for bw in (1, 2, 4, 8, 16)]
+def test_caches_survive_concurrent_eviction_and_reports_match_serial(scd_system):
+    systems = [scd_system.with_dram_bandwidth(bw * TBPS) for bw in (1, 2, 4, 8, 16)]
     accelerators = [system.accelerator for system in systems]
     timing = KernelTimingCache(max_configs=2)
     mapping = MappingCache(max_entries=2)

@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from repro import scenarios
-from repro.analysis.figures import scd_system
 from repro.core.model import Optimus
 from repro.core.roofline import Boundedness, time_compute_kernel
 from repro.core.timing_cache import (
@@ -86,10 +85,12 @@ class TestRoofline:
             assert time_compute_kernel(kernel, accel) == timing
 
     @pytest.mark.parametrize("kernel", zero_byte_kernels(), ids=lambda k: k.name)
-    def test_zero_byte_kernels_on_both_stream_models(self, kernel, gpu_system):
+    def test_zero_byte_kernels_on_both_stream_models(
+        self, kernel, scd_system_16tbps, gpu_system
+    ):
         ramp = gpu_system.accelerator.stream_efficiency
         assert ramp.low_ai_efficiency < ramp.high_ai_efficiency
-        for accel in (scd_system(16 * TBPS).accelerator, gpu_system.accelerator):
+        for accel in (scd_system_16tbps.accelerator, gpu_system.accelerator):
             timing = KernelTimingCache().time_compute(kernel, accel)
             assert tuple(timing) == seed_roofline(kernel, accel)
 
@@ -128,8 +129,8 @@ class TestProgramMemo:
             assert optimus.time_program(program) is timings[program]
         assert cache.hits + cache.misses == lookups
 
-    def test_value_equal_accelerators_share_program_timings(self):
-        one, other = scd_system(16 * TBPS), scd_system(16 * TBPS)
+    def test_value_equal_accelerators_share_program_timings(self, scd_system):
+        one, other = (scd_system.with_dram_bandwidth(16 * TBPS) for _ in range(2))
         assert one.accelerator is not other.accelerator
         assert one.accelerator == other.accelerator
         cache = KernelTimingCache()
@@ -140,8 +141,8 @@ class TestProgramMemo:
         assert again == report
         assert (cache.hits, cache.misses) == lookups
 
-    def test_program_memo_is_evicted_with_its_accelerator(self):
-        systems = [scd_system(bw * TBPS) for bw in (2, 4, 8)]
+    def test_program_memo_is_evicted_with_its_accelerator(self, scd_system):
+        systems = [scd_system.with_dram_bandwidth(bw * TBPS) for bw in (2, 4, 8)]
         cache = KernelTimingCache(max_configs=2)
         mapped = map_training(GPT3_76B, systems[0], PAPER, batch=64)
         reports = [

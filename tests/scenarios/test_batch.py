@@ -119,25 +119,6 @@ class TestBatchGoldenEquivalence:
 class TestKernelLevelScenarios:
     """Golden-style regression for the two new memory-policy scenarios."""
 
-    def test_jsram_residency_matches_analysis_study(self):
-        from repro.analysis.figures import jsram_main_memory_study
-
-        study = jsram_main_memory_study()
-        result = scenarios.get("jsram-residency").run()
-        speedups = result.series("speedup")
-        assert len(speedups) == len(study.entries)
-        for entry, speedup in zip(study.entries, speedups):
-            if entry.fits:
-                # Weights + KV resident: the scenario reproduces the
-                # analysis-module number exactly.
-                assert speedup == pytest.approx(entry.speedup, rel=REL)
-                assert speedup > 1.5
-            else:
-                # The hierarchy serves whatever *individually* fits (KV, or
-                # weights alone), so the scenario's gain is small-positive
-                # where the study's all-or-nothing accounting says 1.0.
-                assert 1.0 <= speedup < entry.speedup + 1.0
-
     def test_l2_kv_cache_scenario_brackets_the_policy_gain(self):
         result = scenarios.get("l2-kv-cache").run()
         models = result.axis("workload.model")

@@ -9,6 +9,8 @@ import pytest
 
 from repro import scenarios
 from repro.errors import ConfigError
+from repro.scenarios import registry
+from repro.workloads.llm import GPT3_18B, LLAMA_70B
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1] / "data" / "seed_figures_golden.json"
@@ -127,31 +129,84 @@ class TestGoldenEquivalence:
         assert_series(batch_result.series("kv_cache_bytes"), g["kv_cache_bytes"])
 
 
-class TestSensitivityScenario:
-    def test_matches_analysis_module(self):
-        """The tornado assembled from the scenario equals the analysis API."""
-        from repro.analysis.sensitivity import inference_speedup_sensitivity
-        from repro.scenarios.registry import SENSITIVITY_KNOBS
-        from repro.units import TBPS
-        from repro.workloads.llm import LLAMA_70B
+class TestReducedBuilders:
+    """Each figure builder honours its arguments (reduced sweeps; the
+    paper's claims at full size live in benchmarks/)."""
 
-        result = inference_speedup_sensitivity(
-            model=LLAMA_70B, io_tokens=(40, 20)
-        )
-        scenario = scenarios.registry.sensitivity_scenario(
-            LLAMA_70B, batch=8, io_tokens=(40, 20)
-        )
-        speedups = scenario.run().series("speedup")
-        assert speedups[0] == pytest.approx(result.baseline_speedup, rel=1e-12)
-        for i, (name, _, _, _) in enumerate(SENSITIVITY_KNOBS):
-            entry = result.entries[i]
-            assert entry.parameter == name
-            assert speedups[1 + 2 * i] == pytest.approx(
-                entry.speedup_at_low, rel=1e-12
-            )
-            assert speedups[2 + 2 * i] == pytest.approx(
-                entry.speedup_at_high, rel=1e-12
-            )
+    def test_fig5(self):
+        fig5 = registry.fig5_scenario(
+            bandwidths_tbps=(0.5, 16), batch=32, model=GPT3_18B
+        ).run()
+        achieved = fig5.series("achieved_pflops_per_pu")
+        gemm_time = fig5.series("gemm_time_per_layer")
+        assert len(achieved) == 2
+        assert achieved[1] > achieved[0]
+        assert gemm_time[0] > gemm_time[1]
+
+    def test_fig5_reports_name_the_model(self):
+        fig5 = registry.fig5_scenario(bandwidths_tbps=(8,), batch=32).run()
+        assert fig5.outcomes()[0].report.model_name == "GPT3-76.1B"
+
+    def test_fig6_single_model(self):
+        fig6 = registry.fig6_scenario(batch=32, models=(GPT3_18B,)).run()
+        (outcome,) = fig6.outcomes()
+        assert fig6.series("speedup")[0] > 2.0
+        assert outcome.report.system_name == "SCD blade"
+        assert outcome.ref_report.system_name == "64x H100"
+
+    def test_fig7(self):
+        io, model = (50, 20), LLAMA_70B
+        latencies = registry.fig7_bandwidth_scenario(
+            (1, 16), io_tokens=io, model=model
+        ).run().series("latency")
+        pflops = registry.fig7_latency_scenario(
+            (10, 100), io_tokens=io, model=model
+        ).run().series("achieved_pflops_per_pu")
+        batch_latencies = registry.fig7_batch_scenario(
+            (4, 16), io_tokens=io, model=model
+        ).run().series("latency")
+        gpu = registry.fig7_gpu_scenario(io_tokens=io, model=model).run()
+        assert latencies[0] > latencies[1]
+        assert pflops[0] > pflops[1]
+        assert batch_latencies[1] > batch_latencies[0]
+        assert gpu.series("latency")[0] > batch_latencies[0]
+
+    def test_fig8(self):
+        models = registry.fig8_models_scenario(
+            (LLAMA_70B,), io_tokens=(50, 20)
+        ).run()
+        batch = registry.fig8_batch_scenario((4, 8), io_tokens=(50, 20)).run()
+        assert models.axis("workload.model") == ("Llama-70B",)
+        assert models.series("speedup")[0] > 4.0
+        kv = batch.series("kv_cache_bytes")
+        assert kv[1] == pytest.approx(2 * kv[0])
+        gpu = batch.scenario.ref_system.build()
+        assert gpu.total_memory_capacity == pytest.approx(5.12e12)
+
+
+class TestSensitivityScenario:
+    """The tornado grid: the baseline, then each knob at its low and high
+    end (reduced workload; the full tornado lives in benchmarks/)."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return registry.sensitivity_scenario(LLAMA_70B, io_tokens=(40, 20)).run()
+
+    def test_each_knob_is_perturbed_alone_to_each_end(self, result):
+        n_points = 1 + 2 * len(registry.SENSITIVITY_KNOBS)
+        for i, (_, axis, low, high) in enumerate(registry.SENSITIVITY_KNOBS):
+            expected = [None] * n_points
+            expected[1 + 2 * i : 3 + 2 * i] = [low, high]
+            assert list(result.axis(axis)) == expected
+
+    def test_baseline_within_every_range_or_near(self, result):
+        baseline, *perturbed = result.series("speedup")
+        for at_low, at_high in zip(perturbed[::2], perturbed[1::2]):
+            assert min(at_low, at_high) <= baseline * 1.05
+            assert max(at_low, at_high) >= baseline * 0.95
+
+    def test_conclusion_robust(self, result):
+        assert min(result.series("speedup")[1:]) > 3.0
 
 
 class TestTableScenarios:

@@ -137,12 +137,9 @@ class TestMappingDedup:
             .extracting("latency")
             .build()
         )
-        reports = run_scenario(scenario).reports()
+        latencies = run_scenario(scenario).series("latency")
         assert cache.hits == 1
-        bandwidths = [
-            r.latency for r in reports
-        ]
-        assert bandwidths[0] > bandwidths[1]
+        assert latencies[0] > latencies[1]
 
 
 class TestDseScenario:

@@ -286,18 +286,21 @@ class TestCustomModels:
         assert loaded == scenario
         assert loaded.workload.llm().n_layers == 40
 
-    def test_figure_generator_honors_custom_model(self):
-        from repro.analysis.figures import fig5_training_bandwidth_sweep
+    def test_figure_builder_honors_custom_model(self):
+        from repro.scenarios.registry import fig5_scenario
 
-        full = fig5_training_bandwidth_sweep(bandwidths_tbps=(8,), batch=32)
-        shallow = fig5_training_bandwidth_sweep(
+        full = fig5_scenario(bandwidths_tbps=(8,), batch=32).run()
+        shallow = fig5_scenario(
             bandwidths_tbps=(8,), batch=32, model=GPT3_76B.with_layers(40)
-        )
+        ).run()
         # Per-layer metric is depth-independent (up to float association).
-        assert shallow.gemm_time_per_layer == pytest.approx(
-            full.gemm_time_per_layer, rel=1e-12
+        assert shallow.series("gemm_time_per_layer") == pytest.approx(
+            full.series("gemm_time_per_layer"), rel=1e-12
         )
-        assert shallow.reports[0].time_per_batch < full.reports[0].time_per_batch
+        assert (
+            shallow.outcomes()[0].report.time_per_batch
+            < full.outcomes()[0].report.time_per_batch
+        )
 
     def test_custom_model_axis_round_trips_json(self):
         from repro.scenarios.registry import fig6_scenario
@@ -307,10 +310,10 @@ class TestCustomModels:
         assert loaded == scenario
         assert loaded.grid.rows[0][0].n_layers == 40
 
-    def test_fig6_custom_model_entry_name_is_string(self):
-        from repro.analysis.figures import fig6_training_models
+    def test_fig6_custom_model_reports_carry_its_name(self):
+        from repro.scenarios.registry import fig6_scenario
 
-        fig6 = fig6_training_models(
-            batch=32, models=(GPT3_76B.with_layers(40),)
-        )
-        assert fig6.entries[0].model_name == "GPT3-76.1B"
+        fig6 = fig6_scenario(batch=32, models=(GPT3_76B.with_layers(40),)).run()
+        (outcome,) = fig6.outcomes()
+        assert outcome.report.model_name == "GPT3-76.1B"
+        assert outcome.ref_report.model_name == "GPT3-76.1B"

@@ -37,6 +37,12 @@ class TestTableRows:
 
 
 class TestRendering:
+    def test_render_contains_headline_values(self):
+        text = technology_comparison_table()
+        assert "30GHz" in text
+        assert "Josephson Junction" in text
+        assert "JSRAM" in text
+
     def test_render_contains_all_rows(self):
         text = technology_comparison_table()
         for row in technology_comparison_rows():

@@ -105,8 +105,9 @@ class TestAttentionShapes:
             op for op in ops
             if isinstance(op, ComputeKernel) and op.kind is KernelKind.ATTN_SCORE
         )
-        # AI = d/(1 + 2d/s) ≈ 114 for d=128, s=2048 — the kernels whose
-        # crossover sits near 16 TBps effective (DESIGN.md validation note).
+        # AI = d/(1 + 2d/s) ≈ 114 for d=128, s=2048.  An SPU sustains
+        # 1.97 PFLOP/s, so this kernel's roofline crossover (1.97e15 / 114
+        # ≈ 17 TB/s) sits near the paper's 16 TBps operating point.
         assert score.arithmetic_intensity == pytest.approx(113.8, rel=0.01)
 
 
